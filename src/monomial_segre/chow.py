@@ -1,16 +1,19 @@
 """Formal intersection-ring model of a simple-normal-crossings divisor
 configuration, with codimension-2 blow-ups, pull-back, and push-forward.
 
-Push-forward works by normal form: rewrite every proper transform through
-Y~ = p*Y - E at the two center variables, reduce powers of E with the
-quadratic relation E^2 = E p*(Y_i + Y_j) - p*(Y_i Y_j), then read off the
-E-free part.  The Y~ = p*Y identification holds at the non-center variables.
+Push-forward is in closed form: rewrite every proper transform through
+Y~ = p*Y - E at the two center variables (Y~ = p*Y at the others), then push
+each power of E down with p_*(1) = 1, p_*(E) = 0 and, for k >= 2,
+p_*(E^k) = -Y_i Y_j h_{k-2}(Y_i, Y_j), where h is the complete homogeneous
+symmetric polynomial.  This is Fulton, Intersection Theory, Cor. 4.2.2, with
+the center's normal bundle Segre class s(N) = 1/((1+Y_i)(1+Y_j)); it is the
+normal form of E^k under E^2 = E p*(Y_i + Y_j) - p*(Y_i Y_j), read off in one
+step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 from typing import Iterable
@@ -75,13 +78,6 @@ class LevelRing:
         if len(s) > self.ambient_dim:
             return True
         return s in self.empty_strata
-
-    def nil_index_pairs(self) -> list[tuple[int, int]]:
-        out = []
-        for pair in self.nil_pairs:
-            a, b = sorted(self.index(lab) for lab in pair)
-            out.append((a, b))
-        return sorted(out)
 
 
 @dataclass(frozen=True)
@@ -153,7 +149,10 @@ def base_ring(n: int, labels: Iterable[str] | None = None,
     seeds = {frozenset(p) for p in nil_pairs}
     for s in seeds:
         if len(s) != 2:
-            raise MonomialSegreError(f"nil pair {set(s)} is not a pair")
+            raise MonomialSegreError(f"nil pair {sorted(s)} is not a pair")
+        if not s <= set(labels):
+            raise MonomialSegreError(
+                f"nil pair {sorted(s)} uses a label outside {list(labels)}")
     return LevelRing(n, labels, _close_upward(n, labels, seeds))
 
 
@@ -233,7 +232,7 @@ def _center_substitute(series: TruncatedSeries, pi: int, pj: int,
     small binomial sum; this avoids generic series substitution, which is
     painfully slow high in a tower."""
     bound = series.degree_bound
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[tuple[int, ...], int] = {}
     for e, c in series.terms.items():
         ai, aj = e[pi + 1], e[pj + 1]
         for r1 in range(ai + 1):
@@ -252,44 +251,32 @@ def _center_substitute(series: TruncatedSeries, pi: int, pj: int,
                                 {e: v for e, v in out.items() if v})
 
 
-def _reduce_exceptional(series: TruncatedSeries, pi: int, pj: int) -> TruncatedSeries:
-    """Rewrite E^k (k >= 2) with E^2 = E(Y_i + Y_j) - Y_i Y_j, in the working
-    layout (E, p*Y_1, ..., p*Y_n)."""
-    nv = series.num_vars
-    bound = series.degree_bound
-    out: dict[tuple[int, ...], Fraction] = {}
-    work = list(series.terms.items())
-    while work:
-        e, c = work.pop()
-        if e[0] < 2:
-            out[e] = out.get(e, Fraction(0)) + c
-            continue
-        base = list(e)
-        base[0] -= 2
-        for target, coeff in (((pi + 1,), 1), ((pj + 1,), 1),
-                              ((pi + 1, pj + 1), -1)):
-            t = list(base)
-            if len(target) == 1:
-                t[0] += 1
-            for pos in target:
-                t[pos] += 1
-            work.append((tuple(t), c * coeff))
-    return TruncatedSeries(nv, bound, out)
-
-
 def pushforward(step: BlowupStep, c: ChowClass) -> ChowClass:
-    """Proper push-forward of a class on the upper ring down one level."""
+    """Proper push-forward of a class on the upper ring down one level.
+
+    After Y~_center -> p*Y - E, a term v E^k p*Y^a pushes to v Y^a for k = 0,
+    to 0 for k = 1, and to -v h_{k-2}(Y_i, Y_j) Y_i Y_j Y^a for k >= 2 (see
+    the module docstring)."""
     if c.ring != step.upper:
         raise LevelMismatchError("class is not on the upper ring")
     pi, pj = step.center_positions()
-    bound = c.series.degree_bound
-    # substitute E -> E, Y~_center -> p*Y - E, Y~_other -> p*Y
     working = _center_substitute(c.series, pi, pj, sign=-1)
-    reduced = _reduce_exceptional(working, pi, pj)
-    # keep the E-free part: p_*(A + B E) = A
-    terms = {e[1:]: v for e, v in reduced.terms.items() if e[0] == 0}
-    return ChowClass(step.lower,
-                     TruncatedSeries(step.lower.num_vars, bound, terms))
+    out: dict[tuple[int, ...], int] = {}
+    for e, v in working.terms.items():
+        k = e[0]
+        if k == 0:
+            out[e[1:]] = out.get(e[1:], 0) + v
+            continue
+        # the monomials Y_i^(r+1) Y_j^(k-1-r) of Y_i Y_j h_{k-2}; none for k = 1
+        for r in range(k - 1):
+            t = list(e[1:])
+            t[pi] += r + 1
+            t[pj] += k - 1 - r
+            t = tuple(t)  # total degree is unchanged
+            out[t] = out.get(t, 0) - v
+    return ChowClass(step.lower, TruncatedSeries._raw(
+        step.lower.num_vars, c.series.degree_bound,
+        {e: v for e, v in out.items() if v}))
 
 
 def reduce_nils(r: LevelRing, c: ChowClass | TruncatedSeries):

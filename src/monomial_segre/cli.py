@@ -14,7 +14,6 @@ import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 
 from .chow import base_ring
 from .errors import MonomialSegreError, TowerDivergenceError
@@ -53,9 +52,22 @@ def parse_inline_generators(text: str):
     return tuple(gens)
 
 
+def _read_document(path: str):
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}")
+    except ValueError as exc:  # invalid JSON or undecodable bytes
+        raise UsageError(f"{path} is not a JSON document: {exc}")
+
+
 def load_job(args):
-    """Build (presentation, dmax, strategy, nil_pairs) from flags and/or an
-    input document.  Inline --gens and --input are mutually exclusive."""
+    """Build (presentation, dmax, strategy, nil_pairs, ring) from flags and/or
+    an input document; ring is None unless nil pairs are declared.  Inline
+    --gens and --input are mutually exclusive."""
     if (args.gens is None) == (getattr(args, "input", None) is None):
         raise UsageError("give exactly one of --gens or --input")
     nil_pairs = ()
@@ -66,22 +78,28 @@ def load_job(args):
         n = args.n if args.n is not None else len(gens[0])
         labels = None
     else:
-        if args.input == "-":
-            doc = json.load(sys.stdin)
-        else:
-            with open(args.input) as fh:
-                doc = json.load(fh)
+        doc = _read_document(args.input)
         try:
             n = doc["n"]
             gens = tuple(tuple(g) for g in doc["generators"])
-        except (KeyError, TypeError):
-            raise UsageError("input document needs fields n and generators")
-        labels = doc.get("labels")
-        nil_pairs = tuple(tuple(pr) for pr in doc.get("nil_pairs", ()))
-        dmax = doc.get("dmax")
-        strategy = doc.get("strategy")
+            labels = tuple(doc.get("labels") or ())
+            nil_pairs = tuple(tuple(pr) for pr in doc.get("nil_pairs", ()))
+            dmax = doc.get("dmax")
+            strategy = doc.get("strategy")
+        except KeyError as exc:
+            raise UsageError(f"input document has no field {exc}")
+        except TypeError:
+            raise UsageError("input document must be an object whose "
+                             "generators, labels and nil_pairs are lists")
+        if type(n) is not int or (dmax is not None and type(dmax) is not int):
+            raise UsageError("fields n and dmax must be integers")
+        names = list(labels) + [lab for pr in nil_pairs for lab in pr]
+        if any(type(lab) is not str for lab in names):
+            raise UsageError("labels and nil_pairs entries must be strings")
     try:
         p = presentation(gens, num_vars=n, labels=labels)
+        ring = base_ring(p.num_vars, p.variable_labels,
+                         nil_pairs) if nil_pairs else None
     except MonomialSegreError as exc:
         raise UsageError(str(exc))
     if getattr(args, "dmax", None) is not None:
@@ -99,18 +117,14 @@ def load_job(args):
         strategy = args.strategy
     if strategy is None:
         strategy = DEFAULT_STRATEGY
-    return p, dmax, strategy, nil_pairs
+    if strategy not in STRATEGIES:
+        raise UsageError(f"unknown strategy {strategy!r}")
+    return p, dmax, strategy, nil_pairs, ring
 
 
 def series_doc(series):
-    return [{"coefficient": _num(c), "exponents": list(e)}
+    return [{"coefficient": c, "exponents": list(e)}
             for e, c in series.sorted_terms()]
-
-
-def _num(c: Fraction):
-    if c.denominator == 1:
-        return int(c)
-    return {"numerator": c.numerator, "denominator": c.denominator}
 
 
 def presentation_doc(p: MonomialPresentation, dmax, strategy=None, nil_pairs=()):
@@ -127,16 +141,9 @@ def emit(doc, out=None):
     (out or sys.stdout).write(json.dumps(doc, indent=2) + "\n")
 
 
-def _ring_for(p, nil_pairs):
-    if not nil_pairs:
-        return None
-    return base_ring(p.num_vars, p.variable_labels, nil_pairs)
-
-
 def cmd_compute(args) -> int:
-    p, dmax, strategy, nil_pairs = load_job(args)
-    result = segre_integral(p, dmax, order_preset=args.preset,
-                            ring=_ring_for(p, nil_pairs))
+    p, dmax, strategy, nil_pairs, ring = load_job(args)
+    result = segre_integral(p, dmax, order_preset=args.preset, ring=ring)
     doc = presentation_doc(p, dmax, nil_pairs=nil_pairs)
     doc["pipeline"] = result.pipeline
     doc["series"] = series_doc(result.series)
@@ -145,9 +152,8 @@ def cmd_compute(args) -> int:
 
 
 def cmd_tower(args) -> int:
-    p, dmax, strategy, nil_pairs = load_job(args)
-    result = segre_tower(p, dmax, strategy=strategy,
-                         ring=_ring_for(p, nil_pairs))
+    p, dmax, strategy, nil_pairs, ring = load_job(args)
+    result = segre_tower(p, dmax, strategy=strategy, ring=ring)
     trace = result.trace
     doc = presentation_doc(p, dmax, strategy=strategy, nil_pairs=nil_pairs)
     doc["pipeline"] = result.pipeline
@@ -166,7 +172,7 @@ def cmd_tower(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    p, dmax, strategy, nil_pairs = load_job(args)
+    p, dmax, strategy, nil_pairs, ring = load_job(args)
     report = verify(p, dmax, strategy=strategy, nil_pairs=nil_pairs)
     doc = presentation_doc(p, dmax, strategy=strategy, nil_pairs=nil_pairs)
     doc["checks"] = [{"name": c.name, "passed": c.passed, "detail": c.detail}
@@ -177,7 +183,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_triangulate(args) -> int:
-    p, dmax, strategy, nil_pairs = load_job(args)
+    p, dmax, strategy, nil_pairs, ring = load_job(args)
     tri = orthant_triangulation(p, args.preset)
     complement, newton = split_cells(tri)
 
@@ -198,7 +204,7 @@ def cmd_triangulate(args) -> int:
 
 
 def cmd_render(args) -> int:
-    p, dmax, strategy, nil_pairs = load_job(args)
+    p, dmax, strategy, nil_pairs, ring = load_job(args)
     if p.num_vars != 2:
         raise UsageError("render only supports n = 2")
     svg = render_svg(p)
@@ -300,11 +306,22 @@ def _corpus_check(job):
                 "status": "diverged", "failed": []}
 
 
+def corpus_workers(jobs: int, count: int) -> int:
+    """Worker processes for a corpus run: no more than asked for, than there
+    are instances, or than there are CPUs."""
+    if jobs < 1:
+        raise UsageError("--jobs must be >= 1")
+    if count < 0:
+        raise UsageError("--count must be >= 0")
+    return min(jobs, count, os.cpu_count() or 1)
+
+
 def cmd_corpus(args) -> int:
+    workers = corpus_workers(args.jobs, args.count)
     jobs = [(args.seed, k, args.strategy or DEFAULT_STRATEGY)
             for k in range(args.count)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_corpus_check, jobs))
     else:
         results = [_corpus_check(job) for job in jobs]

@@ -29,11 +29,13 @@ class MonomialPresentation:
     def __post_init__(self):
         if self.num_vars < 1:
             raise MonomialSegreError("num_vars must be positive")
-        gens = tuple(tuple(int(a) for a in g) for g in self.generators)
+        gens = tuple(tuple(g) for g in self.generators)
         object.__setattr__(self, "generators", gens)
         if not gens:
             raise MonomialSegreError("a presentation needs at least one generator")
         for g in gens:
+            if any(type(a) is not int for a in g):
+                raise MonomialSegreError(f"non-integer exponent in generator {g}")
             if len(g) != self.num_vars:
                 raise DimensionMismatchError(
                     f"generator {g} has length {len(g)}, expected {self.num_vars}")

@@ -10,7 +10,6 @@ is the sign of an integer determinant, so there is no epsilon anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (ClassificationError, DegenerateConfigurationError,
@@ -48,21 +47,23 @@ def det(rows: Sequence[Sequence[int]]) -> int:
 
 
 def _rank(vectors: list[Sequence[int]]) -> int:
-    """Rank of a list of integer vectors (Gaussian elimination over Q)."""
-    m = [[Fraction(x) for x in v] for v in vectors]
-    rank = 0
+    """Rank of a list of integer vectors (fraction-free Bareiss elimination,
+    skipping columns without a pivot)."""
+    m = [list(v) for v in vectors]
     cols = len(m[0]) if m else 0
-    row = 0
+    rank = 0
+    prev = 1
     for col in range(cols):
-        pivot = next((i for i in range(row, len(m)) if m[i][col] != 0), None)
+        pivot = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
         if pivot is None:
             continue
-        m[row], m[pivot] = m[pivot], m[row]
-        for i in range(len(m)):
-            if i != row and m[i][col] != 0:
-                f = m[i][col] / m[row][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[row])]
-        row += 1
+        m[rank], m[pivot] = m[pivot], m[rank]
+        top = m[rank]
+        for i in range(rank + 1, len(m)):
+            row = m[i]
+            m[i] = [(a * top[col] - row[col] * b) // prev
+                    for a, b in zip(row, top)]
+        prev = top[col]
         rank += 1
     return rank
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import chow
 from .chow import ChowClass, LevelRing, base_ring, pushforward, reduce_nils
@@ -120,7 +119,7 @@ def _divisor_segre_reduced(top: LevelRing, d, degree_bound: int):
     exact: any product containing it is supported on a superset."""
     nv = top.num_vars
     lin = TruncatedSeries(nv, degree_bound,
-                          {tuple(1 if k == m else 0 for k in range(nv)): Fraction(c)
+                          {tuple(1 if k == m else 0 for k in range(nv)): c
                            for m, c in enumerate(d) if c})
     power = reduce_nils(top, lin)
     total = power

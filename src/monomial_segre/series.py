@@ -1,15 +1,15 @@
-"""Truncated multivariate power series over exact rationals.
+"""Truncated multivariate power series with integer coefficients.
 
-Coefficients are `fractions.Fraction`; exponent tuples are the sparse term
-keys.  All arithmetic truncates at a total-degree bound, and binary
-operations inherit the minimum of the operand bounds.  Output ordering is
-graded lexicographic throughout, so printed and serialized forms are stable.
+Coefficients are Python `int`s, since every class the pipelines produce is
+integral; exponent tuples are the sparse term keys.  All arithmetic
+truncates at a total-degree bound, and binary operations inherit the
+minimum of the operand bounds.  Output ordering is graded lexicographic
+throughout, so printed and serialized forms are stable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import DimensionMismatchError, MonomialSegreError
@@ -17,10 +17,10 @@ from .errors import DimensionMismatchError, MonomialSegreError
 Exponent = tuple[int, ...]
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
+def _as_int(x) -> int:
+    if type(x) is not int:
+        raise MonomialSegreError(f"coefficient {x!r} is not an integer")
+    return x
 
 
 class TruncatedSeries:
@@ -29,23 +29,20 @@ class TruncatedSeries:
     __slots__ = ("num_vars", "degree_bound", "terms")
 
     def __init__(self, num_vars: int, degree_bound: int,
-                 terms: Mapping[Exponent, Fraction] | None = None):
+                 terms: Mapping[Exponent, int] | None = None):
         if num_vars < 0:
             raise MonomialSegreError("num_vars must be nonnegative")
         if degree_bound < 0:
             raise MonomialSegreError("degree_bound must be nonnegative")
         self.num_vars = num_vars
         self.degree_bound = degree_bound
-        clean: dict[Exponent, Fraction] = {}
+        clean: dict[Exponent, int] = {}
         if terms:
             for e, c in terms.items():
                 if len(e) != num_vars:
                     raise DimensionMismatchError(
                         f"exponent {e} has length {len(e)}, expected {num_vars}")
-                if sum(e) > degree_bound:
-                    continue
-                c = _as_fraction(c)
-                if c != 0:
+                if _as_int(c) and sum(e) <= degree_bound:
                     clean[tuple(e)] = c
         self.terms = clean
 
@@ -53,7 +50,7 @@ class TruncatedSeries:
 
     @classmethod
     def _raw(cls, num_vars: int, degree_bound: int,
-             terms: dict[Exponent, Fraction]) -> "TruncatedSeries":
+             terms: dict[Exponent, int]) -> "TruncatedSeries":
         """Trusted constructor: terms must already be clean (right arity,
         within the bound, no zero coefficients).  Internal fast path."""
         s = cls.__new__(cls)
@@ -72,12 +69,12 @@ class TruncatedSeries:
 
     @classmethod
     def constant(cls, c, num_vars: int, degree_bound: int) -> "TruncatedSeries":
-        return cls(num_vars, degree_bound, {(0,) * num_vars: _as_fraction(c)})
+        return cls(num_vars, degree_bound, {(0,) * num_vars: c})
 
     @classmethod
     def monomial(cls, exponent: Iterable[int], num_vars: int, degree_bound: int,
                  coefficient=1) -> "TruncatedSeries":
-        return cls(num_vars, degree_bound, {tuple(exponent): _as_fraction(coefficient)})
+        return cls(num_vars, degree_bound, {tuple(exponent): coefficient})
 
     @classmethod
     def variable(cls, index: int, num_vars: int, degree_bound: int) -> "TruncatedSeries":
@@ -90,22 +87,14 @@ class TruncatedSeries:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.num_vars, Fraction(0))
-
-    def coefficient(self, exponent: Iterable[int]) -> Fraction:
-        return self.terms.get(tuple(exponent), Fraction(0))
-
     def is_integral(self) -> bool:
-        """True when every stored coefficient is an integer."""
-        return all(c.denominator == 1 for c in self.terms.values())
+        """True when every stored coefficient is an `int`; the trusted `_raw`
+        constructor does not check, so this catches anything it let in."""
+        return all(type(c) is int for c in self.terms.values())
 
-    def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Exponent, int]]:
         """Terms in graded lexicographic order."""
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]))
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -156,14 +145,14 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
-            c = _as_fraction(other)
+            c = _as_int(other)
             if c == 0:
                 return TruncatedSeries._raw(self.num_vars, self.degree_bound, {})
             return TruncatedSeries._raw(self.num_vars, self.degree_bound,
                                         {e: c * v for e, v in self.terms.items()})
         self._check_vars(other)
         bound = min(self.degree_bound, other.degree_bound)
-        terms: dict[Exponent, Fraction] = {}
+        terms: dict[Exponent, int] = {}
         graded = [(e2, sum(e2), c2) for e2, c2 in other.terms.items()]
         for e1, c1 in self.terms.items():
             d1 = sum(e1)
@@ -197,35 +186,6 @@ class TruncatedSeries:
 
     def __hash__(self):
         return hash((self.num_vars, frozenset(self.terms.items())))
-
-    def substitute(self, images: list["TruncatedSeries"]) -> "TruncatedSeries":
-        """Replace variable i by images[i]; images share a common variable layout."""
-        if len(images) != self.num_vars:
-            raise DimensionMismatchError("one image per variable is required")
-        if not images:
-            return self
-        nv = images[0].num_vars
-        bound = min([self.degree_bound] + [im.degree_bound for im in images])
-        cache: dict[tuple[int, int], TruncatedSeries] = {}
-
-        def power(i: int, k: int) -> TruncatedSeries:
-            key = (i, k)
-            if key not in cache:
-                cache[key] = images[i] ** k
-            return cache[key]
-
-        acc: dict[Exponent, Fraction] = {}
-        for e, c in self.terms.items():
-            term = TruncatedSeries.one(nv, bound)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * power(i, k)
-            for ee, cc in term.terms.items():
-                v = acc.get(ee)
-                acc[ee] = c * cc if v is None else v + c * cc
-        out = TruncatedSeries._raw(nv, bound,
-                                   {e: c for e, c in acc.items() if c})
-        return out
 
     # -- display ----------------------------------------------------------
 
@@ -268,13 +228,16 @@ class TruncatedSeries:
 class LinearForm:
     """constant + sum(coefficients[i] * X_i)."""
 
-    constant: Fraction
-    coefficients: tuple[Fraction, ...]
+    constant: int
+    coefficients: tuple[int, ...]
+
+    def __post_init__(self):
+        for c in (self.constant, *self.coefficients):
+            _as_int(c)
 
     @classmethod
     def of(cls, constant, coefficients: Iterable) -> "LinearForm":
-        return cls(_as_fraction(constant),
-                   tuple(_as_fraction(c) for c in coefficients))
+        return cls(constant, tuple(coefficients))
 
     @property
     def num_vars(self) -> int:
@@ -326,7 +289,7 @@ def tensor_line(c: TruncatedSeries, line: LinearForm) -> TruncatedSeries:
     if line.num_vars != c.num_vars:
         raise DimensionMismatchError("twisting form has the wrong variable count")
     bound = c.degree_bound
-    inv = reciprocal_one_plus(LinearForm(Fraction(1), line.coefficients), bound)
+    inv = reciprocal_one_plus(LinearForm(1, line.coefficients), bound)
     out = TruncatedSeries.zero(c.num_vars, bound)
     inv_power = TruncatedSeries.one(c.num_vars, bound)
     for p in range(bound + 1):

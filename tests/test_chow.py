@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from monomial_segre.errors import (EmptyCenterError, LevelMismatchError,
 from monomial_segre.lattice import MonomialPresentation, presentation
 from monomial_segre.series import LinearForm, TruncatedSeries, reciprocal_one_plus
 
-from oracles import expand_terms, symbols
+from oracles import expand_terms, pushforward_by_normal_form, symbols
 
 BOUND = 6
 
@@ -181,6 +182,28 @@ def test_pushforward_rejects_wrong_level():
     step = blow_up(base_ring(2), "X1", "X2")
     with pytest.raises(LevelMismatchError):
         pushforward(step, ChowClass(step.lower, TruncatedSeries.one(2, BOUND)))
+
+
+@st.composite
+def upper_classes(draw):
+    """(n, i, j, terms): a class on the blow-up of X_i cap X_j over an
+    n-variable base, with powers of E up to 6."""
+    n = draw(st.sampled_from([2, 3]))
+    i, j = draw(st.sampled_from(list(combinations(range(n), 2))))
+    exponents = st.tuples(st.integers(0, 6), *[st.integers(0, 2)] * n)
+    return n, i, j, draw(st.dictionaries(exponents, st.integers(-4, 4),
+                                         max_size=8))
+
+
+@given(upper_classes())
+@settings(max_examples=80, deadline=None)
+def test_pushforward_closed_form_matches_normal_form(case):
+    n, i, j, terms = case
+    r = base_ring(n)
+    step = blow_up(r, r.variables[i], r.variables[j])
+    c = ChowClass(step.upper, TruncatedSeries(n + 1, BOUND, terms))
+    assert pushforward(step, c).series.terms == \
+        pushforward_by_normal_form(c.series.terms, i, j)
 
 
 # -- nil reduction and scheme predicates -------------------------------------

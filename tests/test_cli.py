@@ -1,4 +1,6 @@
+import io
 import json
+import os
 
 import pytest
 
@@ -106,7 +108,7 @@ def test_render_rejects_n3(capsys):
     assert "n = 2" in err
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, monkeypatch, tmp_path):
     # neither --gens nor --input
     assert run(capsys, ["compute"])[0] == EXIT_USAGE
     # unknown subcommand
@@ -116,6 +118,36 @@ def test_usage_errors(capsys):
     # bad dmax
     assert run(capsys, ["compute"] + STAIRCASE_ARGS +
                ["--dmax", "0"])[0] == EXIT_USAGE
+    # no workers, negative count
+    assert run(capsys, ["corpus", "--count", "2", "--jobs", "0"])[0] == EXIT_USAGE
+    assert run(capsys, ["corpus", "--count", "-2", "--jobs", "1"])[0] == EXIT_USAGE
+    # bad input documents: each is a one-line error, never a traceback
+    good = {"n": 2, "generators": [[1, 0], [0, 1]]}
+    bad_docs = [
+        "{not json",
+        json.dumps({**good, "generators": [[1.5, 0], [0, 1]]}),
+        json.dumps({**good, "generators": [[True, 0], [0, 1]]}),
+        json.dumps({**good, "n": "2"}),
+        json.dumps({**good, "dmax": "x"}),
+        json.dumps({**good, "nil_pairs": [["X1", "X9"]]}),
+        json.dumps({**good, "nil_pairs": [["X1", "X1"]]}),
+        json.dumps({**good, "nil_pairs": [[["X1"], "X2"]]}),
+        json.dumps({**good, "labels": ["a", 3]}),
+        json.dumps({**good, "labels": 5}),
+        json.dumps({"generators": [[1, 0]]}),
+        "[1, 2]",
+        json.dumps({**good, "strategy": "zonk"}),
+    ]
+    for text in bad_docs:
+        for command in ("compute", "tower", "verify"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            code, _, err = run(capsys, [command, "--input", "-"])
+            assert code == EXIT_USAGE, (command, text)
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+    code, _, err = run(capsys, ["compute", "--input",
+                                str(tmp_path / "missing.json")])
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_env_var_dmax(capsys, monkeypatch):
@@ -180,6 +212,15 @@ def test_corpus_small_run(capsys):
                                    "--jobs", "1"])
     assert [r["generators"] for r in doc2["results"]] == \
         [r["generators"] for r in doc["results"]]
+
+
+def test_corpus_worker_count():
+    cpus = os.cpu_count() or 1
+    assert cli.corpus_workers(1, 100) == 1
+    assert cli.corpus_workers(10 ** 6, 3) == min(3, cpus)
+    assert cli.corpus_workers(10 ** 6, 10 ** 6) == cpus
+    with pytest.raises(UsageError):
+        cli.corpus_workers(0, 10)
 
 
 def test_render_svg_direct():
