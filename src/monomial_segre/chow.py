@@ -31,41 +31,30 @@ NilPair = frozenset[str]
 class LevelRing:
     """Named divisor variables with tracked empty intersection strata.
 
-    empty_strata lists every variable subset of size 2..ambient_dim whose
-    divisors have empty common intersection.  It is upward closed within that
-    size range; sets larger than the ambient dimension are always empty (a
-    generic normal-crossings configuration has no deeper strata) and are not
-    stored.  Pairwise tracking alone is not enough: a blow-up can create
-    three divisors that meet pairwise but share no point, and missing that
-    makes the divisor test chase a phantom residual forever."""
+    declared_nils are the variable pairs whose divisors do not meet.  A
+    stratum (variable subset) is empty when it contains one of them, or when
+    it is larger than the ambient dimension: a generic normal-crossings
+    configuration has no deeper strata.  Higher up a tower pairs are not
+    enough, since a blow-up can create three divisors that meet pairwise but
+    share no point; `_BlownUpRing` answers those queries."""
 
     ambient_dim: int
     variables: tuple[str, ...]
-    empty_strata: frozenset[frozenset[str]] = frozenset()
+    declared_nils: frozenset[NilPair] = frozenset()
     depth: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
-        strata = frozenset(frozenset(s) for s in self.empty_strata)
-        object.__setattr__(self, "empty_strata", strata)
+        object.__setattr__(self, "declared_nils",
+                           frozenset(frozenset(s) for s in self.declared_nils))
         if self.ambient_dim < 1:
             raise MonomialSegreError("ambient_dim must be positive")
         if len(set(self.variables)) != len(self.variables):
             raise MonomialSegreError("variable labels must be unique")
-        for s in strata:
-            if not 2 <= len(s) <= self.ambient_dim:
-                raise MonomialSegreError(
-                    f"stratum {set(s)} has size outside 2..{self.ambient_dim}")
-            if not s <= set(self.variables):
-                raise MonomialSegreError(f"stratum {set(s)} uses unknown labels")
 
     @property
     def num_vars(self) -> int:
         return len(self.variables)
-
-    @property
-    def nil_pairs(self) -> frozenset[NilPair]:
-        return frozenset(s for s in self.empty_strata if len(s) == 2)
 
     def index(self, label: str) -> int:
         try:
@@ -75,9 +64,8 @@ class LevelRing:
 
     def stratum_is_empty(self, labels: Iterable[str]) -> bool:
         s = frozenset(labels)
-        if len(s) > self.ambient_dim:
-            return True
-        return s in self.empty_strata
+        return len(s) > self.ambient_dim or \
+            any(pair <= s for pair in self.declared_nils)
 
 
 @dataclass(frozen=True)
@@ -86,10 +74,10 @@ class _BlownUpRing(LevelRing):
 
     Towers get deep and wide (dozens of variables near the top), so listing
     every empty subset eagerly is wasteful; instead each query is answered
-    from the level below and memoized.  The rules match the eager story:
-    the proper transforms of the two center divisors are disjoint, any
-    other stratum survives iff its image below is nonempty, and a stratum
-    through E lies over the image cut down to the center."""
+    from the level below and memoized.  The rules: the proper transforms of
+    the two center divisors are disjoint, any other stratum survives iff its
+    image below is nonempty, and a stratum through E lies over the image cut
+    down to the center."""
 
     lower: LevelRing = None
     center: tuple[str, str] = ("", "")
@@ -124,24 +112,6 @@ class _BlownUpRing(LevelRing):
         low = {back(lab) for lab in s}
         return ({i, j} <= low) or self.lower.stratum_is_empty(low)
 
-    @property
-    def nil_pairs(self) -> frozenset[NilPair]:
-        return frozenset(frozenset(pair)
-                         for pair in combinations(self.variables, 2)
-                         if self.stratum_is_empty(pair))
-
-
-def _close_upward(n: int, variables: tuple[str, ...],
-                  seeds: set[frozenset[str]]) -> frozenset[frozenset[str]]:
-    """All variable subsets of size <= n containing some seed set."""
-    out: set[frozenset[str]] = set()
-    for size in range(2, n + 1):
-        for combo in combinations(variables, size):
-            cs = frozenset(combo)
-            if any(seed <= cs for seed in seeds):
-                out.add(cs)
-    return frozenset(out)
-
 
 def base_ring(n: int, labels: Iterable[str] | None = None,
               nil_pairs: Iterable[Iterable[str]] = ()) -> LevelRing:
@@ -153,7 +123,7 @@ def base_ring(n: int, labels: Iterable[str] | None = None,
         if not s <= set(labels):
             raise MonomialSegreError(
                 f"nil pair {sorted(s)} uses a label outside {list(labels)}")
-    return LevelRing(n, labels, _close_upward(n, labels, seeds))
+    return LevelRing(n, labels, seeds)
 
 
 @dataclass(frozen=True)
@@ -193,9 +163,8 @@ def blow_up(r: LevelRing, i: str, j: str) -> BlowupStep:
         return "~" + lab if lab in (i, j) else lab
 
     upper_vars = (exceptional,) + tuple(transform(v) for v in r.variables)
-    upper = _BlownUpRing(r.ambient_dim, upper_vars, frozenset(),
-                         depth=r.depth + 1, lower=r, center=(i, j),
-                         exceptional=exceptional)
+    upper = _BlownUpRing(r.ambient_dim, upper_vars, depth=r.depth + 1,
+                         lower=r, center=(i, j), exceptional=exceptional)
     return BlowupStep(lower=r, upper=upper, center=(i, j),
                       exceptional_label=exceptional)
 

@@ -19,7 +19,7 @@ from .chow import base_ring
 from .errors import MonomialSegreError, TowerDivergenceError
 from .lattice import MonomialPresentation, presentation
 from .polytope import ORDER_PRESETS, hvol
-from .principalize import DEFAULT_STRATEGY, STRATEGIES
+from .principalize import CENTER_RULE
 from .segre import (default_degree_bound, orthant_triangulation, segre_integral,
                     segre_tower, simplex_contribution, split_cells, verify)
 
@@ -65,14 +65,14 @@ def _read_document(path: str):
 
 
 def load_job(args):
-    """Build (presentation, dmax, strategy, nil_pairs, ring) from flags and/or
-    an input document; ring is None unless nil pairs are declared.  Inline
-    --gens and --input are mutually exclusive."""
+    """Build (presentation, dmax, nil_pairs, ring) from flags and/or an input
+    document; ring is None unless nil pairs are declared.  Inline --gens and
+    --input are mutually exclusive.  A document's optional "strategy" field
+    must name CENTER_RULE, the one center rule there is."""
     if (args.gens is None) == (getattr(args, "input", None) is None):
         raise UsageError("give exactly one of --gens or --input")
     nil_pairs = ()
     dmax = None
-    strategy = None
     if args.gens is not None:
         gens = parse_inline_generators(args.gens)
         n = args.n if args.n is not None else len(gens[0])
@@ -85,7 +85,6 @@ def load_job(args):
             labels = tuple(doc.get("labels") or ())
             nil_pairs = tuple(tuple(pr) for pr in doc.get("nil_pairs", ()))
             dmax = doc.get("dmax")
-            strategy = doc.get("strategy")
         except KeyError as exc:
             raise UsageError(f"input document has no field {exc}")
         except TypeError:
@@ -96,6 +95,8 @@ def load_job(args):
         names = list(labels) + [lab for pr in nil_pairs for lab in pr]
         if any(type(lab) is not str for lab in names):
             raise UsageError("labels and nil_pairs entries must be strings")
+        if doc.get("strategy", CENTER_RULE) != CENTER_RULE:
+            raise UsageError(f"unknown strategy {doc['strategy']!r}")
     try:
         p = presentation(gens, num_vars=n, labels=labels)
         ring = base_ring(p.num_vars, p.variable_labels,
@@ -113,13 +114,7 @@ def load_job(args):
         dmax = default_degree_bound(p.num_vars)
     if dmax < 1:
         raise UsageError("dmax must be >= 1")
-    if getattr(args, "strategy", None) is not None:
-        strategy = args.strategy
-    if strategy is None:
-        strategy = DEFAULT_STRATEGY
-    if strategy not in STRATEGIES:
-        raise UsageError(f"unknown strategy {strategy!r}")
-    return p, dmax, strategy, nil_pairs, ring
+    return p, dmax, nil_pairs, ring
 
 
 def series_doc(series):
@@ -127,13 +122,11 @@ def series_doc(series):
             for e, c in series.sorted_terms()]
 
 
-def presentation_doc(p: MonomialPresentation, dmax, strategy=None, nil_pairs=()):
+def presentation_doc(p: MonomialPresentation, dmax, nil_pairs=()):
     doc = {"n": p.num_vars, "generators": [list(g) for g in p.generators],
            "labels": list(p.variable_labels), "dmax": dmax}
     if nil_pairs:
         doc["nil_pairs"] = [list(pr) for pr in nil_pairs]
-    if strategy is not None:
-        doc["strategy"] = strategy
     return doc
 
 
@@ -142,7 +135,7 @@ def emit(doc, out=None):
 
 
 def cmd_compute(args) -> int:
-    p, dmax, strategy, nil_pairs, ring = load_job(args)
+    p, dmax, nil_pairs, ring = load_job(args)
     result = segre_integral(p, dmax, order_preset=args.preset, ring=ring)
     doc = presentation_doc(p, dmax, nil_pairs=nil_pairs)
     doc["pipeline"] = result.pipeline
@@ -152,15 +145,16 @@ def cmd_compute(args) -> int:
 
 
 def cmd_tower(args) -> int:
-    p, dmax, strategy, nil_pairs, ring = load_job(args)
-    result = segre_tower(p, dmax, strategy=strategy, ring=ring)
+    p, dmax, nil_pairs, ring = load_job(args)
+    result = segre_tower(p, dmax, ring=ring)
     trace = result.trace
-    doc = presentation_doc(p, dmax, strategy=strategy, nil_pairs=nil_pairs)
+    doc = presentation_doc(p, dmax, nil_pairs=nil_pairs)
+    doc["strategy"] = CENTER_RULE
     doc["pipeline"] = result.pipeline
     doc["series"] = series_doc(result.series)
     doc["trace"] = {
-        "strategy": trace.strategy_name,
-        "iterations": trace.iterations_used,
+        "strategy": CENTER_RULE,
+        "iterations": len(trace.steps),
         "terminal_divisor": list(trace.terminal_divisor),
         "steps": [{"center": list(s.center),
                    "exceptional": s.exceptional_label,
@@ -172,9 +166,10 @@ def cmd_tower(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    p, dmax, strategy, nil_pairs, ring = load_job(args)
-    report = verify(p, dmax, strategy=strategy, nil_pairs=nil_pairs)
-    doc = presentation_doc(p, dmax, strategy=strategy, nil_pairs=nil_pairs)
+    p, dmax, nil_pairs, ring = load_job(args)
+    report = verify(p, dmax, nil_pairs=nil_pairs)
+    doc = presentation_doc(p, dmax, nil_pairs=nil_pairs)
+    doc["strategy"] = CENTER_RULE
     doc["checks"] = [{"name": c.name, "passed": c.passed, "detail": c.detail}
                      for c in report.checks]
     doc["ok"] = report.ok
@@ -183,7 +178,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_triangulate(args) -> int:
-    p, dmax, strategy, nil_pairs, ring = load_job(args)
+    p, dmax, nil_pairs, ring = load_job(args)
     tri = orthant_triangulation(p, args.preset)
     complement, newton = split_cells(tri)
 
@@ -204,7 +199,7 @@ def cmd_triangulate(args) -> int:
 
 
 def cmd_render(args) -> int:
-    p, dmax, strategy, nil_pairs, ring = load_job(args)
+    p, dmax, nil_pairs, ring = load_job(args)
     if p.num_vars != 2:
         raise UsageError("render only supports n = 2")
     svg = render_svg(p)
@@ -293,11 +288,11 @@ def _corpus_instance(seed_and_index):
 
 
 def _corpus_check(job):
-    seed, k, strategy = job
-    gens = _corpus_instance((seed, k))
+    _, k = job
+    gens = _corpus_instance(job)
     p = presentation(gens)
     try:
-        report = verify(p, strategy=strategy)
+        report = verify(p)
         return {"index": k, "generators": [list(g) for g in gens],
                 "status": "pass" if report.ok else "fail",
                 "failed": [c.name for c in report.checks if not c.passed]}
@@ -318,8 +313,7 @@ def corpus_workers(jobs: int, count: int) -> int:
 
 def cmd_corpus(args) -> int:
     workers = corpus_workers(args.jobs, args.count)
-    jobs = [(args.seed, k, args.strategy or DEFAULT_STRATEGY)
-            for k in range(args.count)]
+    jobs = [(args.seed, k) for k in range(args.count)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_corpus_check, jobs))
@@ -339,15 +333,13 @@ def cmd_corpus(args) -> int:
     return EXIT_OK
 
 
-def _add_input_flags(sp, with_dmax=True, with_strategy=False, with_preset=False):
+def _add_input_flags(sp, with_dmax=True, with_preset=False):
     sp.add_argument("--gens", help='inline generators, e.g. "3,0;1,1;0,3"')
     sp.add_argument("--input", help="path to a JSON job document, - for stdin")
     sp.add_argument("--n", type=int, help="number of variables")
     if with_dmax:
         sp.add_argument("--dmax", type=int, help="truncation degree "
                         f"(default n+3, or ${ENV_DMAX})")
-    if with_strategy:
-        sp.add_argument("--strategy", choices=STRATEGIES)
     if with_preset:
         sp.add_argument("--preset", choices=ORDER_PRESETS, default="default",
                         help="placement-order preset")
@@ -364,11 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_compute)
 
     sp = sub.add_parser("tower", help="blow-up tower pipeline with trace")
-    _add_input_flags(sp, with_strategy=True)
+    _add_input_flags(sp)
     sp.set_defaults(func=cmd_tower)
 
     sp = sub.add_parser("verify", help="run the full identity report")
-    _add_input_flags(sp, with_strategy=True)
+    _add_input_flags(sp)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("triangulate", help="dump cells, hvol, contributions")
@@ -384,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--count", type=int, default=100)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    sp.add_argument("--strategy", choices=STRATEGIES)
     sp.set_defaults(func=cmd_corpus)
     return ap
 

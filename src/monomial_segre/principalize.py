@@ -1,23 +1,21 @@
 """Drive a tower of codimension-2 blow-ups until the transformed monomial
 scheme is a divisor.
 
-Centers are chosen among variable pairs witnessing incomparability of two
-generators; termination is empirical (a cap turns runaway towers into a
-reported error carrying the partial trace)."""
+One center rule, `select_center`: take the first incomparable generator
+pair, strip its gcd, and blow up at the largest-exponent slot of the two
+leftover supports.  Termination is empirical (a cap turns runaway towers
+into a reported error carrying the partial trace)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .chow import (BlowupStep, LevelRing, blow_up, pullback_generators,
                    scheme_is_divisor)
-from .errors import MonomialSegreError, NoAdmissibleCenterError, TowerDivergenceError
-from .lattice import ExponentVector, MonomialPresentation, residual_split, support
+from .errors import NoAdmissibleCenterError, TowerDivergenceError
+from .lattice import ExponentVector, MonomialPresentation
 
-STRATEGIES = ("lex", "max_drop", "euclid")
-
-DEFAULT_STRATEGY = "euclid"
+CENTER_RULE = "euclid"
 
 DEFAULT_CAP = 200
 
@@ -27,8 +25,6 @@ class TowerTrace:
     levels: tuple[tuple[LevelRing, MonomialPresentation], ...]
     steps: tuple[BlowupStep, ...]
     terminal_divisor: ExponentVector
-    strategy_name: str
-    iterations_used: int
 
     @property
     def top_ring(self) -> LevelRing:
@@ -36,6 +32,8 @@ class TowerTrace:
 
 
 def admissible_pairs(r: LevelRing, p: MonomialPresentation):
+    """Non-nil variable pairs (i, j) in which two generators are
+    incomparable."""
     gens = p.generators
     for i in range(r.num_vars):
         for j in range(i + 1, r.num_vars):
@@ -52,39 +50,10 @@ def admissible_pairs(r: LevelRing, p: MonomialPresentation):
                 break
 
 
-def select_center(r: LevelRing, p: MonomialPresentation,
-                  strategy: str = "lex") -> tuple[int, int] | None:
-    """Pick a non-nil variable pair (i, j) with two generators incomparable in
-    coordinates (i, j); None when no such pair exists."""
-    pairs = list(admissible_pairs(r, p))
-    if not pairs:
-        return None
-    if strategy == "lex":
-        return pairs[0]
-    if strategy == "max_drop":
-        def drop(pair):
-            i, j = pair
-            total = 0
-            gens = p.generators
-            for a in range(len(gens)):
-                for b in range(a + 1, len(gens)):
-                    total += min(abs(gens[a][i] - gens[b][i]),
-                                 abs(gens[a][j] - gens[b][j]))
-            return total
-        best = max(drop(pair) for pair in pairs)
-        return next(pair for pair in pairs if drop(pair) == best)
-    if strategy == "euclid":
-        choice = _euclid_center(r, p)
-        if choice is not None:
-            return choice
-        return pairs[0]
-    raise MonomialSegreError(f"unknown strategy {strategy!r}")
-
-
-def _euclid_center(r: LevelRing, p: MonomialPresentation):
+def select_center(r: LevelRing, p: MonomialPresentation) -> tuple[int, int] | None:
     """Center from the first incomparable generator pair: strip the pairwise
     gcd, then blow up at the largest-exponent slot across the two leftover
-    supports.
+    supports; None when no admissible pair exists.
 
     Sticking with one generator pair matters.  The exceptional exponents of
     the attacked slot shrink like a run of the Euclidean algorithm, and a
@@ -118,7 +87,6 @@ def _euclid_center(r: LevelRing, p: MonomialPresentation):
 
 
 def principalize(r0: LevelRing, p0: MonomialPresentation,
-                 strategy: str = DEFAULT_STRATEGY,
                  cap: int = DEFAULT_CAP) -> TowerTrace:
     """Blow up at selected centers until the total transform is a divisor."""
     if p0.variable_labels != r0.variables:
@@ -129,10 +97,10 @@ def principalize(r0: LevelRing, p0: MonomialPresentation,
     for iteration in range(cap + 1):
         d = scheme_is_divisor(ring, pres)
         if d is not None:
-            return TowerTrace(tuple(levels), tuple(steps), d, strategy, iteration)
+            return TowerTrace(tuple(levels), tuple(steps), d)
         if iteration == cap:
             break
-        center = select_center(ring, pres, strategy)
+        center = select_center(ring, pres)
         if center is None:
             raise NoAdmissibleCenterError(
                 "non-divisor presentation admits no incomparability witness; "
@@ -143,7 +111,6 @@ def principalize(r0: LevelRing, p0: MonomialPresentation,
         ring = step.upper
         steps.append(step)
         levels.append((ring, pres))
-    partial = TowerTrace(tuple(levels), tuple(steps), (0,) * ring.num_vars,
-                         strategy, cap)
+    partial = TowerTrace(tuple(levels), tuple(steps), (0,) * ring.num_vars)
     raise TowerDivergenceError(
         f"no divisor reached within {cap} blow-ups", trace=partial)

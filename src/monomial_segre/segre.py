@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import chow
 from .chow import ChowClass, LevelRing, base_ring, pushforward, reduce_nils
-from .principalize import (DEFAULT_CAP, DEFAULT_STRATEGY, TowerTrace, admissible_pairs,
+from .principalize import (TowerTrace, admissible_pairs,
                            principalize as run_principalize)
 from .errors import MonomialSegreError, TowerDivergenceError
 from .lattice import (ExponentVector, MonomialPresentation, residual_split,
@@ -25,6 +25,9 @@ from .polytope import (HalfSimplex, Triangulation, alpha, classify_blowup_cells,
 from .series import LinearForm, TruncatedSeries, reciprocal_one_plus, tensor_line
 
 ORIGIN_LABEL = "O"
+
+# placement orders whose integrals `verify` compares with the default one
+VERIFY_ORDER_PRESETS = ("default", "rays_first")
 
 
 def default_degree_bound(n: int) -> int:
@@ -132,8 +135,7 @@ def _divisor_segre_reduced(top: LevelRing, d, degree_bound: int):
 
 
 def segre_tower(p: MonomialPresentation, degree_bound: int | None = None,
-                strategy: str = DEFAULT_STRATEGY, ring: LevelRing | None = None,
-                cap: int = DEFAULT_CAP) -> SegreResult:
+                ring: LevelRing | None = None) -> SegreResult:
     """Blow-up tower pipeline: principalize, apply D/(1+D) at the top, push
     the class back down level by level."""
     n = p.num_vars
@@ -141,7 +143,7 @@ def segre_tower(p: MonomialPresentation, degree_bound: int | None = None,
         degree_bound = default_degree_bound(n)
     if ring is None:
         ring = base_ring(n, p.variable_labels)
-    trace = run_principalize(ring, p, strategy=strategy, cap=cap)
+    trace = run_principalize(ring, p)
     top = trace.top_ring
     d = trace.terminal_divisor
     c = ChowClass(top, _divisor_segre_reduced(top, d, degree_bound))
@@ -289,10 +291,7 @@ class VerifyReport:
 
 
 def verify(p: MonomialPresentation, degree_bound: int | None = None,
-           strategy: str = DEFAULT_STRATEGY, nil_pairs=(),
-           order_presets=("default", "rays_first"),
-           include_blowup_checks: bool = True,
-           cap: int = DEFAULT_CAP) -> VerifyReport:
+           nil_pairs=(), include_blowup_checks: bool = True) -> VerifyReport:
     """Run every identity check on one presentation and aggregate a report."""
     n = p.num_vars
     if degree_bound is None:
@@ -315,8 +314,7 @@ def verify(p: MonomialPresentation, degree_bound: int | None = None,
     integral = segre_integral(p, degree_bound, ring=ring)
 
     def pipelines():
-        tower = segre_tower(p, degree_bound, strategy=strategy, ring=ring,
-                            cap=cap)
+        tower = segre_tower(p, degree_bound, ring=ring)
         diff = _first_difference(integral.series, tower.series)
         if diff is None:
             return True, f"tower depth {len(tower.trace.steps)}"
@@ -343,7 +341,7 @@ def verify(p: MonomialPresentation, degree_bound: int | None = None,
     run("orthant_normalization", orthant)
 
     def order_independence():
-        for preset in order_presets:
+        for preset in VERIFY_ORDER_PRESETS:
             other = segre_integral(p, degree_bound, order_preset=preset,
                                    ring=ring)
             if other.series != integral.series:

@@ -4,13 +4,16 @@ Closed-form rational functions are expanded through sympy's univariate
 series machinery (an auxiliary scaling variable makes the truncation a
 total-degree one), so the expected term dictionaries do not go through the
 package's own series arithmetic.  The blow-up push-forward has a normal-form
-reference that rewrites powers of E one step at a time.
+reference that rewrites powers of E one step at a time.  The seeded draw rule
+for random presentations is here too, so that every suite draws the same way.
 """
 
 from fractions import Fraction
 from math import comb
 
 import sympy
+
+from monomial_segre.lattice import presentation
 
 
 def expand_terms(expr, variables, degree_bound):
@@ -28,6 +31,19 @@ def expand_terms(expr, variables, degree_bound):
 
 def symbols(n, prefix="X"):
     return sympy.symbols(f"{prefix}1:{n + 1}")
+
+
+def random_presentation(rnd):
+    """One to four distinct nonzero generators in 2 or 3 variables, exponents
+    0..4, drawn from the random.Random instance rnd."""
+    n = rnd.choice([2, 3])
+    m = rnd.randint(1, 4)
+    gens = set()
+    while len(gens) < m:
+        g = tuple(rnd.randint(0, 4) for _ in range(n))
+        if any(g):
+            gens.add(g)
+    return presentation(tuple(sorted(gens)))
 
 
 def pushforward_by_normal_form(terms, pi, pj):

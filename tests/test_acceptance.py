@@ -17,7 +17,7 @@ from monomial_segre.segre import (blowup_invariance_check,
                                   segre_tower, simplex_contribution, verify)
 from monomial_segre.series import LinearForm, TruncatedSeries, reciprocal_one_plus
 
-from oracles import expand_terms, symbols
+from oracles import expand_terms, random_presentation, symbols
 
 STAIRCASE = presentation(((3, 0), (1, 1), (0, 3)))
 
@@ -30,17 +30,6 @@ def report(capsys, criterion, label, ok):
     with capsys.disabled():
         print(f"\n[criterion {criterion}] {label}: {verdict}", flush=True)
     return ok
-
-
-def random_presentation(rnd):
-    n = rnd.choice([2, 3])
-    m = rnd.randint(1, 4)
-    gens = set()
-    while len(gens) < m:
-        g = tuple(rnd.randint(0, 4) for _ in range(n))
-        if any(g):
-            gens.add(g)
-    return presentation(tuple(sorted(gens)))
 
 
 @pytest.fixture(scope="module")

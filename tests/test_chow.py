@@ -26,13 +26,14 @@ def var(ring, label, bound=BOUND):
 def test_base_ring_defaults():
     r = base_ring(3)
     assert r.variables == ("X1", "X2", "X3")
-    assert r.nil_pairs == frozenset()
+    assert not any(r.stratum_is_empty(pair)
+                   for pair in combinations(r.variables, 2))
     assert r.depth == 0
 
 
 def test_base_ring_closes_declared_pairs_upward():
     r = base_ring(3, nil_pairs=[("X1", "X2")])
-    assert frozenset({"X1", "X2"}) in r.nil_pairs
+    assert r.stratum_is_empty({"X1", "X2"})
     assert r.stratum_is_empty({"X1", "X2", "X3"})
     assert not r.stratum_is_empty({"X1", "X3"})
 
@@ -49,7 +50,8 @@ def test_blow_up_labels_and_nils():
     r = base_ring(2)
     step = blow_up(r, "X1", "X2")
     assert step.upper.variables == ("E1", "~X1", "~X2")
-    assert step.upper.nil_pairs == frozenset({frozenset({"~X1", "~X2"})})
+    assert [pair for pair in combinations(step.upper.variables, 2)
+            if step.upper.stratum_is_empty(pair)] == [("~X1", "~X2")]
     assert step.upper.depth == 1
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -77,6 +78,40 @@ def test_verify_ok(capsys):
     assert all(c["passed"] for c in doc["checks"])
 
 
+# SHA-256 of the stdout of `tower` and `verify` on two inputs: the JSON these
+# commands print is part of the interface and must stay byte-identical
+NIL_PAIR_JOB = {"n": 3, "generators": [[2, 0, 1], [0, 2, 0], [1, 1, 2]],
+                "nil_pairs": [["X1", "X3"]], "dmax": 4}
+GOLDEN_DIGESTS = {
+    ("tower", "staircase"):
+        "191d804cbc7fd60d4a1f7b38dfd2e85c9dab3f2435eeb427e6d5d409258135df",
+    ("verify", "staircase"):
+        "5fb390ce464465240276228587208ed819c67932ced7b33cd8b72a75309cccb9",
+    ("tower", "nil_pair_job"):
+        "d281c415eea2f1e00993c3be00543aa7d21175e9c37ed4cfdb5732bf9b1c2449",
+    ("verify", "nil_pair_job"):
+        "08d4278533547d33493bb52f9ef5672657b3ac0eeb88a56b2ecc3ab0ce25e9c3",
+}
+
+
+@pytest.mark.parametrize("command, job", sorted(GOLDEN_DIGESTS))
+def test_tower_and_verify_golden_bytes(capsys, tmp_path, command, job):
+    if job == "staircase":
+        argv = [command] + STAIRCASE_ARGS + ["--dmax", "4"]
+    else:
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(NIL_PAIR_JOB))
+        argv = [command, "--input", str(path)]
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        GOLDEN_DIGESTS[command, job]
+    if job == "nil_pair_job":
+        # naming the one center rule in the document changes nothing
+        path.write_text(json.dumps({**NIL_PAIR_JOB, "strategy": "euclid"}))
+        assert run(capsys, argv) == (code, out, "")
+
+
 def test_triangulate_document(capsys):
     code, doc, _ = run_json(capsys, ["triangulate"] + STAIRCASE_ARGS +
                             ["--dmax", "3"])
@@ -115,6 +150,9 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
     assert run(capsys, ["frobnicate"])[0] == EXIT_USAGE
     # malformed generators
     assert run(capsys, ["compute", "--gens", "x,y"])[0] == EXIT_USAGE
+    # there is one center rule and no flag to choose it
+    assert run(capsys, ["tower", "--gens", "1,0;0,1",
+                        "--strategy", "euclid"])[0] == EXIT_USAGE
     # bad dmax
     assert run(capsys, ["compute"] + STAIRCASE_ARGS +
                ["--dmax", "0"])[0] == EXIT_USAGE
@@ -137,6 +175,7 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
         json.dumps({"generators": [[1, 0]]}),
         "[1, 2]",
         json.dumps({**good, "strategy": "zonk"}),
+        json.dumps({**good, "strategy": "lex"}),
     ]
     for text in bad_docs:
         for command in ("compute", "tower", "verify"):

@@ -1,16 +1,14 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from monomial_segre.chow import base_ring
-from monomial_segre.errors import MonomialSegreError, TowerDivergenceError
+from monomial_segre.chow import base_ring, blow_up, pullback_generators
+from monomial_segre.errors import TowerDivergenceError
 from monomial_segre.lattice import MonomialPresentation, presentation
-from monomial_segre.principalize import (DEFAULT_STRATEGY, STRATEGIES,
-                                         admissible_pairs, principalize,
+from monomial_segre.principalize import (admissible_pairs, principalize,
                                          select_center)
-
-
-def test_strategy_registry():
-    assert set(STRATEGIES) == {"lex", "max_drop", "euclid"}
-    assert DEFAULT_STRATEGY in STRATEGIES
 
 
 def test_admissible_pairs_skip_empty_strata():
@@ -25,30 +23,54 @@ def test_select_center_none_for_principal():
     assert select_center(base_ring(2), p) is None
 
 
-def test_select_center_unknown_strategy():
-    with pytest.raises(MonomialSegreError):
-        select_center(base_ring(2), presentation(((1, 0), (0, 1))), "nope")
-
-
 def test_level_one_center_under_lex():
     # total transform of the staircase ideal after blowing up the origin:
     # generators (3,3,0), (2,1,1), (3,0,3) in (E1, ~X1, ~X2), where the
-    # two strict transforms no longer meet
+    # two strict transforms no longer meet.  The lexicographically first
+    # admissible pair is (0, 1); the center rule attacks the first
+    # incomparable generator pair at its largest leftover slot instead
     r = base_ring(3, labels=("E1", "~X1", "~X2"),
                   nil_pairs=[("~X1", "~X2")])
     p = MonomialPresentation(3, ((3, 3, 0), (2, 1, 1), (3, 0, 3)),
                              ("E1", "~X1", "~X2"))
-    assert select_center(r, p, "lex") == (0, 1)
+    assert list(admissible_pairs(r, p)) == [(0, 1), (0, 2)]
+    assert select_center(r, p) == (0, 2)
 
 
-def staircase_trace(strategy=DEFAULT_STRATEGY):
+@st.composite
+def center_queries(draw):
+    """(ring, presentation): random generators in n = 2..4 variables over a
+    base ring with random nil pairs, or their total transform one blow-up
+    up."""
+    n = draw(st.integers(2, 4))
+    pairs = list(combinations([f"X{k + 1}" for k in range(n)], 2))
+    nils = draw(st.lists(st.sampled_from(pairs), unique=True))
+    ring = base_ring(n, nil_pairs=nils)
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n),
+                         min_size=1, max_size=5, unique=True))
+    p = presentation(gens, num_vars=n)
+    centers = [pair for pair in pairs if pair not in nils]
+    if centers and draw(st.booleans()):
+        step = blow_up(ring, *draw(st.sampled_from(centers)))
+        ring, p = step.upper, pullback_generators(step, p)
+    return ring, p
+
+
+@given(center_queries())
+@settings(max_examples=200, deadline=None)
+def test_select_center_none_iff_no_admissible_pair(query):
+    ring, p = query
+    assert (select_center(ring, p) is None) == \
+        (list(admissible_pairs(ring, p)) == [])
+
+
+def staircase_trace():
     p = presentation(((3, 0), (1, 1), (0, 3)))
-    return principalize(base_ring(2), p, strategy=strategy)
+    return principalize(base_ring(2), p)
 
 
 def test_staircase_tower_shape():
     trace = staircase_trace()
-    assert trace.iterations_used == 3
     assert len(trace.steps) == 3
     assert len(trace.levels) == 4
     assert trace.top_ring.num_vars == 5
@@ -61,14 +83,14 @@ def test_staircase_tower_shape():
 
 def test_already_principal_is_depth_zero():
     trace = principalize(base_ring(2), presentation(((1, 1),)))
-    assert trace.iterations_used == 0
+    assert len(trace.steps) == 0
     assert trace.terminal_divisor == (1, 1)
 
 
 def test_divisor_modulo_nils_is_depth_zero():
     r = base_ring(2, nil_pairs=[("X1", "X2")])
     trace = principalize(r, presentation(((2, 1), (1, 2))))
-    assert trace.iterations_used == 0
+    assert len(trace.steps) == 0
     assert trace.terminal_divisor == (1, 1)
 
 
@@ -79,13 +101,7 @@ def test_divisor_modulo_nils_is_depth_zero():
 ])
 def test_known_depths(gens, depth):
     trace = principalize(base_ring(len(gens[0])), presentation(gens))
-    assert trace.iterations_used == depth
-
-
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_all_strategies_terminate_on_staircase(strategy):
-    trace = staircase_trace(strategy)
-    assert trace.terminal_divisor != (0,) * trace.top_ring.num_vars
+    assert len(trace.steps) == depth
 
 
 def test_deterministic():
@@ -100,7 +116,6 @@ def test_divergence_carries_partial_trace():
     with pytest.raises(TowerDivergenceError) as exc:
         principalize(base_ring(2), p, cap=1)
     trace = exc.value.trace
-    assert trace.iterations_used == 1
     assert len(trace.steps) == 1
     assert len(trace.levels) == 2
 
@@ -110,4 +125,4 @@ def test_hard_instances_terminate():
     for gens in [((1, 0, 4), (2, 1, 1), (2, 4, 3), (4, 3, 2)),
                  ((1, 3, 3), (1, 3, 4), (3, 0, 0), (4, 1, 4))]:
         trace = principalize(base_ring(3), presentation(gens), cap=40)
-        assert trace.iterations_used <= 40
+        assert len(trace.steps) <= 40
