@@ -1,6 +1,12 @@
 """Formal intersection-ring model of a simple-normal-crossings divisor
 configuration, with codimension-2 blow-ups, pull-back, and push-forward.
 
+A level stores which strata (intersections of its divisors) are nonempty as
+a simplicial complex, listed by its facets.  Blowing up divisors i and j is
+the stellar subdivision of the edge {i, j}: each facet F through both becomes
+E + F - {i} and E + F - {j}, in proper-transform labels (Cox-Little-Schenck,
+Toric Varieties, Sec. 3.3).
+
 Push-forward is in closed form: rewrite every proper transform through
 Y~ = p*Y - E at the two center variables (Y~ = p*Y at the others), then push
 each power of E down with p_*(1) = 1, p_*(E) = 0 and, for k >= 2,
@@ -29,17 +35,18 @@ NilPair = frozenset[str]
 
 @dataclass(frozen=True)
 class LevelRing:
-    """Named divisor variables with tracked empty intersection strata.
+    """Named divisor variables and the facets of their complex of nonempty
+    strata; build one with `base_ring` or `blow_up`.
 
-    declared_nils are the variable pairs whose divisors do not meet.  A
-    stratum (variable subset) is empty when it contains one of them, or when
-    it is larger than the ambient dimension: a generic normal-crossings
-    configuration has no deeper strata.  Higher up a tower pairs are not
-    enough, since a blow-up can create three divisors that meet pairwise but
-    share no point; `_BlownUpRing` answers those queries."""
+    declared_nils are the variable pairs whose divisors do not meet.  On the
+    base ring a stratum (variable subset) is empty when it contains one of
+    them, or when it is larger than the ambient dimension: a generic
+    normal-crossings configuration has no deeper strata.  `base_ring` derives
+    the facets from exactly this rule."""
 
     ambient_dim: int
     variables: tuple[str, ...]
+    facets: tuple[frozenset[str], ...]
     declared_nils: frozenset[NilPair] = frozenset()
     depth: int = 0
 
@@ -68,49 +75,18 @@ class LevelRing:
             any(pair <= s for pair in self.declared_nils)
 
 
-@dataclass(frozen=True)
 class _BlownUpRing(LevelRing):
-    """Ring one level above a blow-up, with lazy stratum emptiness.
+    """Ring one level above a blow-up: a stratum is empty unless it lies in
+    one of the facets `blow_up` subdivided from the level below.
 
-    Towers get deep and wide (dozens of variables near the top), so listing
-    every empty subset eagerly is wasteful; instead each query is answered
-    from the level below and memoized.  The rules: the proper transforms of
-    the two center divisors are disjoint, any other stratum survives iff its
-    image below is nonempty, and a stratum through E lies over the image cut
-    down to the center."""
-
-    lower: LevelRing = None
-    center: tuple[str, str] = ("", "")
-    exceptional: str = ""
-
-    def __post_init__(self):
-        super().__post_init__()
-        object.__setattr__(self, "_cache", {})
+    This class keeps its own `stratum_is_empty` rather than sharing one with
+    `LevelRing`: the benchmark tracer (bench/tracing.py) counts calls by
+    wrapping the function in each class's namespace, and one function bound
+    in both would be counted twice."""
 
     def stratum_is_empty(self, labels: Iterable[str]) -> bool:
         s = frozenset(labels)
-        if len(s) > self.ambient_dim:
-            return True
-        if len(s) < 2:
-            return False
-        cached = self._cache.get(s)
-        if cached is None:
-            cached = self._compute(s)
-            self._cache[s] = cached
-        return cached
-
-    def _compute(self, s: frozenset[str]) -> bool:
-        i, j = self.center
-        ti, tj = "~" + i, "~" + j
-
-        def back(lab: str) -> str:
-            return lab[1:] if lab in (ti, tj) else lab
-
-        if self.exceptional in s:
-            low = {back(lab) for lab in s - {self.exceptional}}
-            return ({i, j} <= low) or self.lower.stratum_is_empty(low | {i, j})
-        low = {back(lab) for lab in s}
-        return ({i, j} <= low) or self.lower.stratum_is_empty(low)
+        return not any(s <= f for f in self.facets)
 
 
 def base_ring(n: int, labels: Iterable[str] | None = None,
@@ -123,7 +99,14 @@ def base_ring(n: int, labels: Iterable[str] | None = None,
         if not s <= set(labels):
             raise MonomialSegreError(
                 f"nil pair {sorted(s)} uses a label outside {list(labels)}")
-    return LevelRing(n, labels, seeds)
+    # split every largest stratum along each nil pair it contains
+    facets = [frozenset(f) for f in combinations(labels, min(n, len(labels)))]
+    for a, b in sorted(sorted(s) for s in seeds):
+        facets = [g for f in facets
+                  for g in ((f - {a}, f - {b}) if {a, b} <= f else (f,))]
+    facets = list(dict.fromkeys(facets))
+    maximal = tuple(f for f in facets if not any(f < g for g in facets))
+    return LevelRing(n, labels, maximal, seeds)
 
 
 @dataclass(frozen=True)
@@ -151,7 +134,8 @@ class BlowupStep:
 
 
 def blow_up(r: LevelRing, i: str, j: str) -> BlowupStep:
-    """Blow up along the intersection of divisors i and j."""
+    """Blow up along the intersection of divisors i and j: the stellar
+    subdivision of the edge {i, j} of the lower ring's complex."""
     if i == j:
         raise MonomialSegreError("center labels must differ")
     r.index(i), r.index(j)  # validate labels
@@ -162,9 +146,16 @@ def blow_up(r: LevelRing, i: str, j: str) -> BlowupStep:
     def transform(lab: str) -> str:
         return "~" + lab if lab in (i, j) else lab
 
+    facets = []
+    for f in r.facets:
+        if {i, j} <= f:
+            facets += [frozenset(map(transform, f - {c})) | {exceptional}
+                       for c in (i, j)]
+        else:
+            facets.append(frozenset(map(transform, f)))
     upper_vars = (exceptional,) + tuple(transform(v) for v in r.variables)
-    upper = _BlownUpRing(r.ambient_dim, upper_vars, depth=r.depth + 1,
-                         lower=r, center=(i, j), exceptional=exceptional)
+    upper = _BlownUpRing(r.ambient_dim, upper_vars, tuple(facets),
+                         depth=r.depth + 1)
     return BlowupStep(lower=r, upper=upper, center=(i, j),
                       exceptional_label=exceptional)
 
@@ -249,43 +240,39 @@ def pushforward(step: BlowupStep, c: ChowClass) -> ChowClass:
 
 
 def reduce_nils(r: LevelRing, c: ChowClass | TruncatedSeries):
-    """Delete every term supported on a known-empty stratum."""
+    """Delete every term whose support lies in no facet (an empty stratum)."""
     series = c.series if isinstance(c, ChowClass) else c
     if series.num_vars != r.num_vars:
         raise LevelMismatchError("series does not match the ring")
     labels = r.variables
+    nonempty: dict[frozenset[str], bool] = {}  # many terms share a support
     terms = {}
     for e, v in series.terms.items():
         supp = frozenset(labels[k] for k, a in enumerate(e) if a > 0)
-        if len(supp) >= 2 and r.stratum_is_empty(supp):
-            continue
-        terms[e] = v
+        if supp not in nonempty:
+            nonempty[supp] = any(supp <= f for f in r.facets)
+        if nonempty[supp]:
+            terms[e] = v
     out = TruncatedSeries(r.num_vars, series.degree_bound, terms)
     return ChowClass(r, out) if isinstance(c, ChowClass) else out
 
 
 def scheme_is_empty(r: LevelRing, p: MonomialPresentation) -> bool:
-    """True when no transversal variable set (a nonempty stratum) meets the
-    support of every generator.
+    """True when no facet of the ring's complex meets the support of every
+    generator.
 
     A point of the scheme would lie on one component of each generating
     divisor; collecting those components gives a variable set with nonempty
-    joint intersection that hits every support.  Conversely such a set
-    certifies a point of the scheme."""
+    joint intersection that hits every support, and so does the facet
+    containing it.  Conversely such a facet certifies a point of the
+    scheme."""
     if p.variable_labels != r.variables:
         raise LevelMismatchError("presentation is not over this ring")
     if any(all(a == 0 for a in g) for g in p.generators):
         return True  # unit ideal
-    supports = [support(g) for g in p.generators]
-    indices = range(r.num_vars)
-    for size in range(1, r.ambient_dim + 1):
-        for cand in combinations(indices, size):
-            cs = set(cand)
-            if r.stratum_is_empty(frozenset(r.variables[k] for k in cand)):
-                continue
-            if all(s & cs for s in supports):
-                return False
-    return True
+    supports = [frozenset(r.variables[k] for k in support(g))
+                for g in p.generators]
+    return not any(all(supp & f for supp in supports) for f in r.facets)
 
 
 def scheme_is_divisor(r: LevelRing,

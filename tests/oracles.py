@@ -4,11 +4,15 @@ Closed-form rational functions are expanded through sympy's univariate
 series machinery (an auxiliary scaling variable makes the truncation a
 total-degree one), so the expected term dictionaries do not go through the
 package's own series arithmetic.  The blow-up push-forward has a normal-form
-reference that rewrites powers of E one step at a time.  The seeded draw rule
-for random presentations is here too, so that every suite draws the same way.
+reference that rewrites powers of E one step at a time.  Stratum emptiness up
+a blow-up tower has a recursive reference that asks the level below, and
+scheme emptiness a brute-force one that enumerates candidate strata.  The
+seeded draw rule for random presentations is here too, so that every suite
+draws the same way.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import sympy
@@ -82,3 +86,49 @@ def pushforward_by_normal_form(terms, pi, pj):
                 t[pos] += 1
             work.append((tuple(t), sign * c))
     return {e[1:]: c for e, c in reduced.items() if e[0] == 0 and c}
+
+
+def stratum_is_empty_by_recursion(base, steps, labels):
+    """Emptiness of a stratum on the top level of a tower, asked down the
+    tower one blow-up at a time.
+
+    base is the base ring and steps the blow-ups above it, lowest first.  On
+    the base a stratum is empty when it has more labels than the ambient
+    dimension or contains a declared nil pair.  Above a blow-up of
+    {i, j} with exceptional E: the proper transforms of i and j are
+    disjoint, any other stratum avoiding E is empty iff its image below is,
+    and a stratum through E is empty iff its image together with {i, j} is
+    empty below."""
+    s = frozenset(labels)
+    if len(s) > base.ambient_dim:
+        return True
+    if len(s) < 2:
+        return False
+    if not steps:
+        return any(pair <= s for pair in base.declared_nils)
+    step = steps[-1]
+    i, j = step.center
+    exceptional = step.exceptional_label
+    low = {lab[1:] if lab in ("~" + i, "~" + j) else lab
+           for lab in s - {exceptional}}
+    if {i, j} <= low:
+        return True
+    if exceptional in s:
+        low |= {i, j}
+    return stratum_is_empty_by_recursion(base, steps[:-1], low)
+
+
+def scheme_is_empty_by_enumeration(labels, ambient_dim, generators,
+                                   stratum_is_empty):
+    """True when no nonempty stratum of at most ambient_dim labels meets the
+    support of every generator, found by trying every label subset; a zero
+    generator (the unit ideal) makes the scheme empty."""
+    if any(not any(g) for g in generators):
+        return True
+    supports = [{labels[k] for k, a in enumerate(g) if a} for g in generators]
+    for size in range(1, ambient_dim + 1):
+        for cand in combinations(labels, size):
+            if not stratum_is_empty(cand) and \
+                    all(s & set(cand) for s in supports):
+                return False
+    return True

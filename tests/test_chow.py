@@ -12,9 +12,12 @@ from monomial_segre.chow import (ChowClass, base_ring, blow_up,
 from monomial_segre.errors import (EmptyCenterError, LevelMismatchError,
                                    MonomialSegreError)
 from monomial_segre.lattice import MonomialPresentation, presentation
+from monomial_segre.segre import _divisor_segre_reduced
 from monomial_segre.series import LinearForm, TruncatedSeries, reciprocal_one_plus
 
-from oracles import expand_terms, pushforward_by_normal_form, symbols
+from oracles import (expand_terms, pushforward_by_normal_form,
+                     scheme_is_empty_by_enumeration,
+                     stratum_is_empty_by_recursion, symbols)
 
 BOUND = 6
 
@@ -87,6 +90,14 @@ def test_second_level_triple_emptiness():
     # E2 meets ~E1 and ~~X1 separately, but the second center was
     # exactly E1 cap ~X1, so the triple is empty upstairs
     assert up.stratum_is_empty({"E2", "~E1", "~~X1"})
+
+
+def test_exceptional_label_may_repeat_a_base_label():
+    # the new E1 is not the base divisor E1, whose transform is ~E1
+    step = blow_up(base_ring(2, labels=("E1", "X2")), "E1", "X2")
+    assert step.upper.variables == ("E1", "~E1", "~X2")
+    assert sorted(map(sorted, step.upper.facets)) == \
+        [["E1", "~E1"], ["E1", "~X2"]]
 
 
 def test_pullback_generators_total_transform():
@@ -247,3 +258,71 @@ def test_scheme_predicates_check_labels():
     p = MonomialPresentation(2, ((1, 0),), ("A", "B"))
     with pytest.raises(LevelMismatchError):
         scheme_is_empty(r, p)
+
+
+# -- the facet model against the recursive and brute-force rules ------------
+
+
+@st.composite
+def towers(draw):
+    """(base, steps): a base ring in 2-4 variables with random declared nil
+    pairs, and up to six blow-ups above it, each at a center the recursive
+    oracle calls nonempty."""
+    n = draw(st.integers(2, 4))
+    pairs = list(combinations(base_ring(n).variables, 2))
+    base = base_ring(n, nil_pairs=draw(st.lists(st.sampled_from(pairs),
+                                                unique=True)))
+    ring, steps = base, []
+    for _ in range(draw(st.integers(0, 6))):
+        centers = [c for c in combinations(ring.variables, 2)
+                   if not stratum_is_empty_by_recursion(base, steps, c)]
+        if not centers:
+            break
+        steps.append(blow_up(ring, *draw(st.sampled_from(centers))))
+        ring = steps[-1].upper
+    return base, steps
+
+
+def sparse_generators(draw, num_vars):
+    """One to four distinct generators, each with at most three variables
+    (with multiplicity) in its support; the zero generator may occur."""
+    positions = st.lists(st.integers(0, num_vars - 1), max_size=3)
+    drawn = draw(st.lists(positions, min_size=1, max_size=4))
+    gens = {tuple(pos.count(k) for k in range(num_vars)) for pos in drawn}
+    return tuple(sorted(gens))
+
+
+@given(towers(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_facets_match_the_recursive_and_enumeration_oracles(tower, data):
+    base, steps = tower
+    for level, r in enumerate([base] + [s.upper for s in steps]):
+        def oracle(labels, level=level):
+            return stratum_is_empty_by_recursion(base, steps[:level], labels)
+        strata = [frozenset(c) for k in range(r.ambient_dim + 2)
+                  for c in combinations(r.variables, k)]
+        for s in strata:
+            assert r.stratum_is_empty(s) == oracle(s), (level, sorted(s))
+            if level == 0:
+                assert r.stratum_is_empty(s) == \
+                    (not any(s <= f for f in r.facets))
+        gens = sparse_generators(data.draw, r.num_vars)
+        p = MonomialPresentation(r.num_vars, gens, r.variables)
+        assert scheme_is_empty(r, p) == scheme_is_empty_by_enumeration(
+            r.variables, r.ambient_dim, gens, oracle), (level, gens)
+
+
+@given(towers(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_top_expansion_matches_the_filtered_dense_one(tower, data):
+    base, steps = tower
+    top = steps[-1].upper if steps else base
+    d = data.draw(st.lists(st.integers(0, 3), min_size=top.num_vars,
+                           max_size=top.num_vars))
+    bound = 4
+    dense = TruncatedSeries.one(top.num_vars, bound) - \
+        reciprocal_one_plus(LinearForm.of(1, d), bound)
+    want = {e: c for e, c in dense.terms.items()
+            if not stratum_is_empty_by_recursion(
+                base, steps, {top.variables[k] for k, a in enumerate(e) if a})}
+    assert _divisor_segre_reduced(top, d, bound).terms == want

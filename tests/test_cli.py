@@ -78,8 +78,10 @@ def test_verify_ok(capsys):
     assert all(c["passed"] for c in doc["checks"])
 
 
-# SHA-256 of the stdout of `tower` and `verify` on two inputs: the JSON these
-# commands print is part of the interface and must stay byte-identical
+# SHA-256 of the stdout of `tower` and `verify` on three inputs: the JSON these
+# commands print is part of the interface and must stay byte-identical.
+# depth50 is a 50-level tower, deep enough to exercise the stratum model far
+# above the base.
 NIL_PAIR_JOB = {"n": 3, "generators": [[2, 0, 1], [0, 2, 0], [1, 1, 2]],
                 "nil_pairs": [["X1", "X3"]], "dmax": 4}
 GOLDEN_DIGESTS = {
@@ -91,6 +93,8 @@ GOLDEN_DIGESTS = {
         "d281c415eea2f1e00993c3be00543aa7d21175e9c37ed4cfdb5732bf9b1c2449",
     ("verify", "nil_pair_job"):
         "08d4278533547d33493bb52f9ef5672657b3ac0eeb88a56b2ecc3ab0ce25e9c3",
+    ("tower", "depth50"):
+        "b73e66070b0aed65b248805c42fd57a156d2237ef3ac9eda555f47192b12bcc0",
 }
 
 
@@ -98,6 +102,8 @@ GOLDEN_DIGESTS = {
 def test_tower_and_verify_golden_bytes(capsys, tmp_path, command, job):
     if job == "staircase":
         argv = [command] + STAIRCASE_ARGS + ["--dmax", "4"]
+    elif job == "depth50":
+        argv = [command, "--gens", "0,0,3;0,3,1;3,0,0;3,1,2"]
     else:
         path = tmp_path / "job.json"
         path.write_text(json.dumps(NIL_PAIR_JOB))

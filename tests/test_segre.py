@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from monomial_segre import segre
 from monomial_segre.chow import base_ring
 from monomial_segre.lattice import presentation
 from monomial_segre.segre import (blowup_invariance_check, default_degree_bound,
@@ -115,6 +116,17 @@ def test_verify_aggregates_all_checks():
                      "order_independence", "support_property",
                      "blowup_invariance_1_2"):
         assert expected in names
+
+
+def test_verify_computes_the_default_integral_once(monkeypatch):
+    presets = []
+
+    def recording(p, degree_bound=None, order_preset="default", ring=None):
+        presets.append(order_preset)
+        return segre_integral(p, degree_bound, order_preset, ring)
+    monkeypatch.setattr(segre, "segre_integral", recording)
+    assert verify(STAIRCASE, 5, include_blowup_checks=False).ok
+    assert presets == ["default", "rays_first"]
 
 
 def test_verify_with_nils():
