@@ -22,7 +22,7 @@ from .principalize import TowerTrace, principalize, select_center
 from .segre import (SegreResult, blowup_invariance_check,
                     residual_identity_check, segre_integral, segre_tower,
                     simplex_contribution, verify)
-from .series import (LinearForm, TruncatedSeries, graded_piece,
-                     reciprocal_one_plus, tensor_line)
+from .series import (LinearForm, TruncatedSeries, divide_one_plus,
+                     graded_piece, reciprocal_one_plus, tensor_line)
 
 __version__ = "0.1.0"

@@ -12,8 +12,8 @@ import json
 import math
 import os
 import random
+import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .chow import base_ring
 from .errors import MonomialSegreError, TowerDivergenceError
@@ -24,6 +24,9 @@ from .segre import (default_degree_bound, orthant_triangulation, segre_integral,
                     segre_tower, simplex_contribution, split_cells, verify)
 
 ENV_DMAX = "MONOMIAL_SEGRE_DMAX"
+
+# the shape of the labels blow-ups generate: exceptional E<k>, proper ~X
+GENERATED_LABEL = re.compile(r"E[0-9]+|~.*", re.DOTALL)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -68,7 +71,8 @@ def load_job(args):
     """Build (presentation, dmax, nil_pairs, ring) from flags and/or an input
     document; ring is None unless nil pairs are declared.  Inline --gens and
     --input are mutually exclusive.  A document's optional "strategy" field
-    must name CENTER_RULE, the one center rule there is."""
+    must name CENTER_RULE, the one center rule there is, and its labels may
+    not have the shape of the ones blow-ups generate (GENERATED_LABEL)."""
     if (args.gens is None) == (getattr(args, "input", None) is None):
         raise UsageError("give exactly one of --gens or --input")
     nil_pairs = ()
@@ -95,6 +99,10 @@ def load_job(args):
         names = list(labels) + [lab for pr in nil_pairs for lab in pr]
         if any(type(lab) is not str for lab in names):
             raise UsageError("labels and nil_pairs entries must be strings")
+        for lab in labels:
+            if GENERATED_LABEL.fullmatch(lab):
+                raise UsageError(f"label {lab!r} is reserved for blow-up "
+                                 "divisors (E<k>, or a ~ prefix)")
         if doc.get("strategy", CENTER_RULE) != CENTER_RULE:
             raise UsageError(f"unknown strategy {doc['strategy']!r}")
     try:
@@ -315,6 +323,8 @@ def cmd_corpus(args) -> int:
     workers = corpus_workers(args.jobs, args.count)
     jobs = [(args.seed, k) for k in range(args.count)]
     if workers > 1:
+        # imported here, so that no other command pays for multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_corpus_check, jobs))
     else:

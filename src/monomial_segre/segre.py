@@ -10,7 +10,7 @@ agree termwise.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import chow
 from .chow import ChowClass, LevelRing, base_ring, pushforward, reduce_nils
@@ -22,7 +22,8 @@ from .lattice import (ExponentVector, MonomialPresentation, residual_split,
 from .polytope import (HalfSimplex, Triangulation, alpha, classify_blowup_cells,
                        complement_configuration, hvol, lift_to_H, link_cells,
                        placement_order, placing_triangulation)
-from .series import LinearForm, TruncatedSeries, reciprocal_one_plus, tensor_line
+from .series import (LinearForm, TruncatedSeries, divide_one_plus,
+                     reciprocal_one_plus, tensor_line)
 
 ORIGIN_LABEL = "O"
 
@@ -36,7 +37,15 @@ def default_degree_bound(n: int) -> int:
 
 def simplex_contribution(t: HalfSimplex, degree_bound: int) -> TruncatedSeries:
     """hvol(t) * prod of X_j over bounded directions, divided by (1 + v.X) for
-    every finite vertex; zero for degenerate simplices."""
+    every finite vertex; zero for degenerate simplices.
+
+    The monomial is multiplied by the reciprocal of the first vertex's form
+    and the product is divided by each other form in place.  The reciprocal
+    is taken at the full degree bound: a product has the smaller bound of
+    its operands, and a lower one would truncate the integral's sum.  The
+    first form goes through `reciprocal_one_plus` and a product, not a
+    division, so that the per-layer tracer in bench/tracing.py, which wraps
+    both, still times every nondegenerate cell."""
     volume = hvol(t)
     n = t.dim
     if volume == 0:
@@ -44,9 +53,10 @@ def simplex_contribution(t: HalfSimplex, degree_bound: int) -> TruncatedSeries:
     numerator = tuple(0 if d in t.infinite_directions else 1 for d in range(n))
     result = TruncatedSeries.monomial(numerator, n, degree_bound,
                                       coefficient=volume)
-    for v in t.finite_vertices:
-        result = result * reciprocal_one_plus(
-            LinearForm.of(1, v), degree_bound)
+    first, *rest = (LinearForm.of(1, v) for v in t.finite_vertices)
+    result = result * reciprocal_one_plus(first, degree_bound)
+    for f in rest:
+        result = divide_one_plus(result, f)
     return result
 
 
@@ -189,26 +199,26 @@ class ResidualReport:
 
 
 def residual_identity_check(p: MonomialPresentation,
-                            degree_bound: int | None = None) -> ResidualReport:
-    """Check the residual formula: the full integral equals
-    D/(1+D) + (1/(1+D)) (residual integral twisted by O(D))."""
+                            integral: TruncatedSeries) -> ResidualReport:
+    """Check the residual formula: the full integral of p, given as
+    `integral` (with no nil reduction), equals
+    D/(1+D) + (1/(1+D)) (residual integral twisted by O(D)); the right side
+    is computed here, at the degree bound of `integral`."""
     n = p.num_vars
-    if degree_bound is None:
-        degree_bound = default_degree_bound(n)
+    degree_bound = integral.degree_bound
     d, residual = residual_split(p)
     if all(a == 0 for a in d):
         return ResidualReport("skipped")
-    lhs = segre_integral(p, degree_bound).series
     d_form = LinearForm.of(1, d)
     inv = reciprocal_one_plus(d_form, degree_bound)
     d_series = TruncatedSeries.one(n, degree_bound) - inv
     residual_integral = segre_integral(residual, degree_bound).series
     twisted = tensor_line(residual_integral, LinearForm.of(0, d))
     rhs = d_series + inv * twisted
-    diff = _first_difference(lhs, rhs)
+    diff = _first_difference(integral, rhs)
     if diff is None:
-        return ResidualReport("equal", lhs, rhs)
-    return ResidualReport("mismatch", lhs, rhs, diff)
+        return ResidualReport("equal", integral, rhs)
+    return ResidualReport("mismatch", integral, rhs, diff)
 
 
 @dataclass(frozen=True)
@@ -221,14 +231,14 @@ class BlowupReport:
 
 
 def blowup_invariance_check(p: MonomialPresentation, i: int, j: int,
-                            degree_bound: int | None = None) -> BlowupReport:
+                            integral: TruncatedSeries) -> BlowupReport:
     """Verify that the lifted integral pushes forward to the base integral,
-    cell by cell: the U0 and U'' contributions die, the U' and U1
-    contributions land on their alpha images.  i, j are 0-based base
-    directions."""
+    given as `integral` (with no nil reduction), cell by cell: the U0 and
+    U'' contributions die, the U' and U1 contributions land on their alpha
+    images.  The lifted side is computed here, at the degree bound of
+    `integral`.  i, j are 0-based base directions."""
     n = p.num_vars
-    if degree_bound is None:
-        degree_bound = default_degree_bound(n)
+    degree_bound = integral.degree_bound
     ring = base_ring(n, p.variable_labels)
     step = chow.blow_up(ring, p.variable_labels[i], p.variable_labels[j])
 
@@ -273,16 +283,15 @@ def blowup_invariance_check(p: MonomialPresentation, i: int, j: int,
     # totals: push-forward of the lifted integral equals the base integral
     lifted_integral = TruncatedSeries.one(n + 1, degree_bound) - lifted_sum
     pushed_total = pushforward(step, ChowClass(step.upper, lifted_integral)).series
-    base_integral = segre_integral(p, degree_bound).series
-    if pushed_total != base_integral:
+    if pushed_total != integral:
         failures.append("total push-forward does not match the base integral")
-    if (TruncatedSeries.one(n, degree_bound) - base_sum) != base_integral:
+    if (TruncatedSeries.one(n, degree_bound) - base_sum) != integral:
         failures.append("link triangulation total differs from the base integral")
 
     sizes = (len(parts.U0), len(parts.U1), len(parts.Uprime),
              len(parts.Udoubleprime))
     return BlowupReport(not failures, tuple(failures), sizes,
-                        lifted_total=pushed_total, base_total=base_integral)
+                        lifted_total=pushed_total, base_total=integral)
 
 
 @dataclass(frozen=True)
@@ -317,7 +326,10 @@ def verify(p: MonomialPresentation, degree_bound: int | None = None,
         checks.append(CheckResult(name, passed, detail,
                                   time.perf_counter() - start))
 
-    integral = segre_integral(p, degree_bound, ring=ring)
+    # the unreduced integral feeds the residual and blow-up checks; the rest
+    # compare the ring-reduced one, as segre_integral(ring=ring) returns it
+    base = segre_integral(p, degree_bound)
+    integral = replace(base, series=reduce_nils(ring, base.series))
 
     def pipelines():
         tower = segre_tower(p, degree_bound, ring=ring)
@@ -328,7 +340,7 @@ def verify(p: MonomialPresentation, degree_bound: int | None = None,
     run("pipeline_equality", pipelines)
 
     def residual():
-        report = residual_identity_check(p, degree_bound)
+        report = residual_identity_check(p, base.series)
         return report.ok, report.status
     run("residual_identity", residual)
 
@@ -373,7 +385,7 @@ def verify(p: MonomialPresentation, degree_bound: int | None = None,
     if include_blowup_checks:
         for (bi, bj) in admissible_base_pairs(ring, p):
             def blowup(bi=bi, bj=bj):
-                report = blowup_invariance_check(p, bi, bj, degree_bound)
+                report = blowup_invariance_check(p, bi, bj, base.series)
                 detail = "; ".join(report.failures)
                 return report.ok, detail
             run(f"blowup_invariance_{bi + 1}_{bj + 1}", blowup)

@@ -5,6 +5,11 @@ integral; exponent tuples are the sparse term keys.  All arithmetic
 truncates at a total-degree bound, and binary operations inherit the
 minimum of the operand bounds.  Output ordering is graded lexicographic
 throughout, so printed and serialized forms are stable.
+
+Division by a linear form 1 + L is the one series primitive besides the
+ring operations: `divide_one_plus` solves (1 + L) * out = s degree by degree,
+with no series product.  `reciprocal_one_plus` and `tensor_line` are built
+on it.
 """
 
 from __future__ import annotations
@@ -76,12 +81,6 @@ class TruncatedSeries:
                  coefficient=1) -> "TruncatedSeries":
         return cls(num_vars, degree_bound, {tuple(exponent): coefficient})
 
-    @classmethod
-    def variable(cls, index: int, num_vars: int, degree_bound: int) -> "TruncatedSeries":
-        e = [0] * num_vars
-        e[index] = 1
-        return cls.monomial(e, num_vars, degree_bound)
-
     # -- basic queries ----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -102,9 +101,6 @@ class TruncatedSeries:
         if self.num_vars != other.num_vars:
             raise DimensionMismatchError(
                 f"variable counts differ: {self.num_vars} vs {other.num_vars}")
-
-    def truncate(self, degree_bound: int) -> "TruncatedSeries":
-        return TruncatedSeries(self.num_vars, degree_bound, self.terms)
 
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -166,18 +162,6 @@ class TruncatedSeries:
                                     {e: c for e, c in terms.items() if c})
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise MonomialSegreError("negative powers are not defined")
-        result = TruncatedSeries.one(self.num_vars, self.degree_bound)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     def __eq__(self, other):
         if isinstance(other, TruncatedSeries):
@@ -246,34 +230,38 @@ class LinearForm:
     def is_constant_free(self) -> bool:
         return self.constant == 0
 
-    def linear_part(self, degree_bound: int) -> TruncatedSeries:
-        n = self.num_vars
-        terms = {}
-        for i, c in enumerate(self.coefficients):
-            e = [0] * n
-            e[i] = 1
-            terms[tuple(e)] = c
-        return TruncatedSeries(n, degree_bound, terms)
 
-    def as_series(self, degree_bound: int) -> TruncatedSeries:
-        s = self.linear_part(degree_bound)
-        return s + TruncatedSeries.constant(self.constant, self.num_vars, degree_bound)
+def divide_one_plus(s: TruncatedSeries, f: LinearForm) -> TruncatedSeries:
+    """s / f for a linear form f = 1 + L, at the degree bound of s.
+
+    The degree-d part of the quotient is out_d = s_d - L * out_(d-1), so each
+    degree costs one pass over the previous one: O(terms * n), exact, and
+    with no series product."""
+    if f.constant != 1:
+        raise MonomialSegreError(
+            f"division needs a form with constant term 1, got {f.constant}")
+    if f.num_vars != s.num_vars:
+        raise DimensionMismatchError(
+            f"variable counts differ: {s.num_vars} vs {f.num_vars}")
+    steps = [(i, a) for i, a in enumerate(f.coefficients) if a]
+    by_degree: list[dict[Exponent, int]] = [{} for _ in range(s.degree_bound + 1)]
+    for e, c in s.terms.items():
+        by_degree[sum(e)][e] = c
+    out: dict[Exponent, int] = {}
+    prev: dict[Exponent, int] = {}
+    for cur in by_degree:
+        for e, c in prev.items():
+            for i, a in steps:
+                t = e[:i] + (e[i] + 1,) + e[i + 1:]
+                cur[t] = cur.get(t, 0) - a * c
+        prev = {e: c for e, c in cur.items() if c}
+        out.update(prev)
+    return TruncatedSeries._raw(s.num_vars, s.degree_bound, out)
 
 
 def reciprocal_one_plus(f: LinearForm, degree_bound: int) -> TruncatedSeries:
-    """Expand 1/f for a linear form f with constant term 1 (geometric series)."""
-    if f.constant != 1:
-        raise MonomialSegreError(
-            f"reciprocal expansion needs constant term 1, got {f.constant}")
-    g = f.linear_part(degree_bound)
-    acc = TruncatedSeries.one(f.num_vars, degree_bound)
-    power = acc
-    for _ in range(degree_bound):
-        power = power * (-g)
-        if power.is_zero():
-            break
-        acc = acc + power
-    return acc
+    """Expand 1/f for a linear form f with constant term 1."""
+    return divide_one_plus(TruncatedSeries.one(f.num_vars, degree_bound), f)
 
 
 def graded_piece(c: TruncatedSeries, p: int) -> TruncatedSeries:
@@ -283,18 +271,16 @@ def graded_piece(c: TruncatedSeries, p: int) -> TruncatedSeries:
 
 
 def tensor_line(c: TruncatedSeries, line: LinearForm) -> TruncatedSeries:
-    """Twist by a line class L: the degree-p piece of c is divided by (1+L)^p."""
+    """Twist by a line class L: the degree-p piece of c is divided by (1+L)^p.
+
+    Horner's rule in 1/(1+L): starting from the top degree, divide what is
+    accumulated by 1+L once and add the next piece down."""
     if not line.is_constant_free():
         raise MonomialSegreError("the twisting form must have zero constant term")
     if line.num_vars != c.num_vars:
         raise DimensionMismatchError("twisting form has the wrong variable count")
-    bound = c.degree_bound
-    inv = reciprocal_one_plus(LinearForm(1, line.coefficients), bound)
-    out = TruncatedSeries.zero(c.num_vars, bound)
-    inv_power = TruncatedSeries.one(c.num_vars, bound)
-    for p in range(bound + 1):
-        piece = graded_piece(c, p)
-        if not piece.is_zero():
-            out = out + piece * inv_power
-        inv_power = inv_power * inv
+    one_plus = LinearForm(1, line.coefficients)
+    out = TruncatedSeries.zero(c.num_vars, c.degree_bound)
+    for p in range(c.degree_bound, -1, -1):
+        out = graded_piece(c, p) + divide_one_plus(out, one_plus)
     return out

@@ -7,8 +7,10 @@ package's own series arithmetic.  The blow-up push-forward has a normal-form
 reference that rewrites powers of E one step at a time.  Stratum emptiness up
 a blow-up tower has a recursive reference that asks the level below, and
 scheme emptiness a brute-force one that enumerates candidate strata.  The
+reciprocal of 1 + L has the geometric series of series products as its
+reference, and a simplex contribution the product of such reciprocals.  The
 seeded draw rule for random presentations is here too, so that every suite
-draws the same way.
+draws the same way, with small series builders that only tests need.
 """
 
 from fractions import Fraction
@@ -18,6 +20,8 @@ from math import comb
 import sympy
 
 from monomial_segre.lattice import presentation
+from monomial_segre.polytope import hvol
+from monomial_segre.series import LinearForm, TruncatedSeries
 
 
 def expand_terms(expr, variables, degree_bound):
@@ -132,3 +136,45 @@ def scheme_is_empty_by_enumeration(labels, ambient_dim, generators,
                     all(s & set(cand) for s in supports):
                 return False
     return True
+
+
+def variable(index, num_vars, degree_bound):
+    """The series X_(index+1) in num_vars variables."""
+    e = tuple(int(k == index) for k in range(num_vars))
+    return TruncatedSeries.monomial(e, num_vars, degree_bound)
+
+
+def form_series(f, degree_bound):
+    """A linear form constant + sum c_i X_i as a series."""
+    n = f.num_vars
+    out = TruncatedSeries.constant(f.constant, n, degree_bound)
+    for i, c in enumerate(f.coefficients):
+        out = out + c * variable(i, n, degree_bound)
+    return out
+
+
+def reciprocal_by_geometric_series(f, degree_bound):
+    """1/f for f = 1 + L as the geometric series sum_k (-L)^k, one series
+    product per degree."""
+    assert f.constant == 1
+    minus_l = -(form_series(f, degree_bound) - 1)
+    acc = TruncatedSeries.one(f.num_vars, degree_bound)
+    power = acc
+    for _ in range(degree_bound):
+        power = power * minus_l
+        if power.is_zero():
+            break
+        acc = acc + power
+    return acc
+
+
+def simplex_contribution_by_products(t, degree_bound):
+    """hvol(t) X^b times the geometric reciprocal of 1 + v.X for every
+    finite vertex v, multiplied out one product per vertex."""
+    n = t.dim
+    b = tuple(0 if d in t.infinite_directions else 1 for d in range(n))
+    out = TruncatedSeries.monomial(b, n, degree_bound, coefficient=hvol(t))
+    for v in t.finite_vertices:
+        out = out * reciprocal_by_geometric_series(
+            LinearForm.of(1, v), degree_bound)
+    return out

@@ -17,7 +17,7 @@ from monomial_segre.segre import (blowup_invariance_check,
                                   segre_tower, simplex_contribution, verify)
 from monomial_segre.series import LinearForm, TruncatedSeries, reciprocal_one_plus
 
-from oracles import expand_terms, random_presentation, symbols
+from oracles import expand_terms, random_presentation, symbols, variable
 
 STAIRCASE = presentation(((3, 0), (1, 1), (0, 3)))
 
@@ -80,7 +80,8 @@ def test_criterion_2_column_simplex(capsys):
 
 
 def test_criterion_3_blowup_replay(capsys):
-    rep = blowup_invariance_check(STAIRCASE, 0, 1, 6)
+    rep = blowup_invariance_check(STAIRCASE, 0, 1,
+                                  segre_integral(STAIRCASE, 6).series)
     ok = rep.ok and rep.classification_sizes == (1, 1, 2, 1)
     assert report(
         capsys, 3, "blow-up cell classification and push-forward replay", ok)
@@ -108,7 +109,8 @@ def test_criterion_5_residual_identity(capsys):
             continue
         gens = tuple(tuple(a + b for a, b in zip(g, d))
                      for g in base.generators)
-        rep = residual_identity_check(presentation(gens))
+        p = presentation(gens)
+        rep = residual_identity_check(p, segre_integral(p).series)
         if rep.status == "skipped":
             continue  # gcd collapsed; try another draw
         checked += 1
@@ -159,7 +161,7 @@ def test_criterion_8_pushforward_identities(capsys):
     up, low = step.upper, step.lower
 
     def v(ring, label):
-        return TruncatedSeries.variable(ring.index(label), ring.num_vars, bound)
+        return variable(ring.index(label), ring.num_vars, bound)
 
     def push(series):
         return pushforward(step, ChowClass(up, series)).series

@@ -17,13 +17,13 @@ from monomial_segre.series import LinearForm, TruncatedSeries, reciprocal_one_pl
 
 from oracles import (expand_terms, pushforward_by_normal_form,
                      scheme_is_empty_by_enumeration,
-                     stratum_is_empty_by_recursion, symbols)
+                     stratum_is_empty_by_recursion, symbols, variable)
 
 BOUND = 6
 
 
 def var(ring, label, bound=BOUND):
-    return TruncatedSeries.variable(ring.index(label), ring.num_vars, bound)
+    return variable(ring.index(label), ring.num_vars, bound)
 
 
 def test_base_ring_defaults():

@@ -78,13 +78,22 @@ def test_verify_ok(capsys):
     assert all(c["passed"] for c in doc["checks"])
 
 
-# SHA-256 of the stdout of `tower` and `verify` on three inputs: the JSON these
-# commands print is part of the interface and must stay byte-identical.
-# depth50 is a 50-level tower, deep enough to exercise the stratum model far
-# above the base.
+# SHA-256 of the stdout of `compute`, `triangulate`, `tower` and `verify` on
+# four inputs: the JSON these commands print is part of the interface and must
+# stay byte-identical.  depth50 is a 50-level tower, deep enough to exercise
+# the stratum model far above the base; five is a five-generator ideal in four
+# variables; `triangulate` prints every cell's contribution.
 NIL_PAIR_JOB = {"n": 3, "generators": [[2, 0, 1], [0, 2, 0], [1, 1, 2]],
                 "nil_pairs": [["X1", "X3"]], "dmax": 4}
 GOLDEN_DIGESTS = {
+    ("compute", "staircase"):
+        "5dd43b6aaa082fd5c67ac28c83ec0ce98e7a2bb41dd686a5808b56bea49a33cf",
+    ("compute", "nil_pair_job"):
+        "67810534857286ef094ab1086077f0fa49ed0988d850ae1548167665efd84af9",
+    ("compute", "five"):
+        "dd0b37a89773a5a343b86088014d79b401c8e38a9ada1a7ff45cb7f67cdab336",
+    ("triangulate", "staircase"):
+        "42ac758f5c3ea4dfa4a5a898201f3166d8cb96dc5474057b0f27eb594a3e00d2",
     ("tower", "staircase"):
         "191d804cbc7fd60d4a1f7b38dfd2e85c9dab3f2435eeb427e6d5d409258135df",
     ("verify", "staircase"):
@@ -104,6 +113,8 @@ def test_tower_and_verify_golden_bytes(capsys, tmp_path, command, job):
         argv = [command] + STAIRCASE_ARGS + ["--dmax", "4"]
     elif job == "depth50":
         argv = [command, "--gens", "0,0,3;0,3,1;3,0,0;3,1,2"]
+    elif job == "five":
+        argv = [command, "--gens", "2,0,1,0;0,3,0,1;1,1,0,2;0,0,2,1;1,0,1,1"]
     else:
         path = tmp_path / "job.json"
         path.write_text(json.dumps(NIL_PAIR_JOB))
@@ -182,6 +193,11 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
         "[1, 2]",
         json.dumps({**good, "strategy": "zonk"}),
         json.dumps({**good, "strategy": "lex"}),
+        # labels of the shape blow-ups generate would collide up the tower
+        json.dumps({"n": 2, "generators": [[3, 0], [1, 1], [0, 3]],
+                    "labels": ["E1", "X2"]}),
+        json.dumps({"n": 2, "generators": [[3, 0], [1, 1], [0, 3]],
+                    "labels": ["~X1", "X1"]}),
     ]
     for text in bad_docs:
         for command in ("compute", "tower", "verify"):

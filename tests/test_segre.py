@@ -2,17 +2,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monomial_segre import segre
 from monomial_segre.chow import base_ring
 from monomial_segre.lattice import presentation
 from monomial_segre.segre import (blowup_invariance_check, default_degree_bound,
+                                  orthant_triangulation,
                                   residual_identity_check, segre_integral,
                                   segre_tower, simplex_contribution, verify)
 from monomial_segre.polytope import HalfSimplex
 from monomial_segre.series import TruncatedSeries
 
-from oracles import expand_terms, random_presentation, symbols
+from oracles import (expand_terms, random_presentation,
+                     simplex_contribution_by_products, symbols)
 
 STAIRCASE = presentation(((3, 0), (1, 1), (0, 3)))
 
@@ -31,6 +35,16 @@ def test_column_simplex_contribution():
         2 * X1 * X2 / ((1 + X3) * (1 + X1 + 2 * X3) * (1 + 2 * X2 + 3 * X3)),
         (X1, X2, X3), 4)
     assert got.terms == want
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from(("default", "rays_first")))
+@settings(max_examples=40, deadline=None)
+def test_contribution_matches_the_product_formula(seed, preset):
+    p = random_presentation(random.Random(seed))
+    bound = default_degree_bound(p.num_vars)
+    for cell in orthant_triangulation(p, preset).cells:
+        assert simplex_contribution(cell, bound) == \
+            simplex_contribution_by_products(cell, bound), cell
 
 
 def test_degenerate_simplex_contributes_zero():
@@ -68,8 +82,11 @@ def test_two_coordinate_lines_closed_form():
 
 
 def test_residual_identity_golden_and_skip():
-    assert residual_identity_check(presentation(((2, 1), (1, 2)))).status == "equal"
-    assert residual_identity_check(STAIRCASE).status == "skipped"
+    p = presentation(((2, 1), (1, 2)))
+    assert residual_identity_check(
+        p, segre_integral(p).series).status == "equal"
+    assert residual_identity_check(
+        STAIRCASE, segre_integral(STAIRCASE).series).status == "skipped"
 
 
 def test_order_independence_presets():
@@ -101,7 +118,8 @@ def test_empty_scheme_under_declared_nils_is_zero():
 
 
 def test_blowup_invariance_staircase():
-    report = blowup_invariance_check(STAIRCASE, 0, 1, 6)
+    report = blowup_invariance_check(STAIRCASE, 0, 1,
+                                     segre_integral(STAIRCASE, 6).series)
     assert report.ok, report.failures
     assert report.classification_sizes == (1, 1, 2, 1)
     assert report.lifted_total == report.base_total
@@ -127,6 +145,47 @@ def test_verify_computes_the_default_integral_once(monkeypatch):
     monkeypatch.setattr(segre, "segre_integral", recording)
     assert verify(STAIRCASE, 5, include_blowup_checks=False).ok
     assert presets == ["default", "rays_first"]
+
+
+def _record_integrals(monkeypatch):
+    calls = []
+
+    def recording(p, degree_bound=None, order_preset="default", ring=None):
+        calls.append((p.generators, order_preset, ring is not None))
+        return segre_integral(p, degree_bound, order_preset, ring)
+    monkeypatch.setattr(segre, "segre_integral", recording)
+    return calls
+
+
+def test_verify_computes_the_base_integral_once_for_every_check(monkeypatch):
+    # the residual and blow-up checks take the default integral verify holds
+    calls = _record_integrals(monkeypatch)
+    p = presentation(((4, 1), (2, 2), (1, 4)))
+    report = verify(p, 5)
+    assert report.ok
+    assert any(c.name.startswith("blowup_invariance") for c in report.checks)
+    assert calls == [(p.generators, "default", False),
+                     (STAIRCASE.generators, "default", False),
+                     (p.generators, "rays_first", True)]
+
+
+def test_verify_checks_the_unreduced_integral_under_nils(monkeypatch):
+    # with a declared nil pair the reduced and unreduced integrals differ;
+    # the residual and blow-up identities hold for the unreduced one
+    p = presentation(((3, 1, 1), (1, 2, 1), (1, 1, 3)))
+    nils = [("X1", "X3")]
+    ring = base_ring(3, nil_pairs=nils)
+    assert segre_integral(p, 5).series != \
+        segre_integral(p, 5, ring=ring).series
+    calls = _record_integrals(monkeypatch)
+    report = verify(p, 5, nil_pairs=nils)
+    assert report.ok, [c for c in report.checks if not c.passed]
+    names = [c.name for c in report.checks]
+    assert "residual_identity" in names
+    assert "blowup_invariance_1_2" in names
+    assert calls == [(p.generators, "default", False),
+                     (((2, 0, 0), (0, 1, 0), (0, 0, 2)), "default", False),
+                     (p.generators, "rays_first", True)]
 
 
 def test_verify_with_nils():

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monomial_segre.errors import DimensionMismatchError, MonomialSegreError
-from monomial_segre.series import (LinearForm, TruncatedSeries, graded_piece,
+from monomial_segre.series import (LinearForm, TruncatedSeries,
+                                   divide_one_plus, graded_piece,
                                    reciprocal_one_plus, tensor_line)
 
-from oracles import expand_terms, symbols
+from oracles import (expand_terms, form_series, reciprocal_by_geometric_series,
+                     symbols, variable)
 
 
 def test_constructor_drops_zero_and_overweight_terms():
@@ -36,9 +38,9 @@ def test_arithmetic_against_sympy():
 
 
 def test_mul_truncates_at_bound():
-    x = TruncatedSeries.variable(0, 1, 3)
-    assert (x ** 4).is_zero()
-    assert (x ** 3).terms == {(3,): Fraction(1)}
+    x = variable(0, 1, 3)
+    assert (x * x * x * x).is_zero()
+    assert (x * x * x).terms == {(3,): Fraction(1)}
 
 
 def test_reciprocal_matches_sympy():
@@ -61,7 +63,38 @@ coeff = st.integers(min_value=-3, max_value=3)
 def test_reciprocal_times_original_is_one(coeffs, bound):
     f = LinearForm.of(1, coeffs)
     inv = reciprocal_one_plus(f, bound)
-    assert inv * f.as_series(bound) == TruncatedSeries.one(len(coeffs), bound)
+    assert inv * form_series(f, bound) == TruncatedSeries.one(len(coeffs), bound)
+
+
+@st.composite
+def series_and_forms(draw):
+    """A random series in 1-4 variables at bound 0-6, and a form 1 + L."""
+    n = draw(st.integers(1, 4))
+    bound = draw(st.integers(0, 6))
+    exponents = st.tuples(*[st.integers(0, 3)] * n)
+    terms = draw(st.dictionaries(exponents, coeff, max_size=8))
+    coeffs = draw(st.lists(coeff, min_size=n, max_size=n))
+    return TruncatedSeries(n, bound, terms), LinearForm.of(1, coeffs)
+
+
+@given(series_and_forms())
+@settings(max_examples=150, deadline=None)
+def test_divide_one_plus_matches_the_geometric_reciprocal(case):
+    s, f = case
+    got = divide_one_plus(s, f)
+    assert got.degree_bound == s.degree_bound
+    assert got.is_integral()
+    assert got == s * reciprocal_by_geometric_series(f, s.degree_bound)
+
+
+@given(series_and_forms(), st.integers(-3, 3).filter(lambda c: c != 1))
+@settings(max_examples=30, deadline=None)
+def test_divide_one_plus_rejects_bad_forms(case, constant):
+    s, f = case
+    with pytest.raises(MonomialSegreError):
+        divide_one_plus(s, LinearForm(constant, f.coefficients))
+    with pytest.raises(DimensionMismatchError):
+        divide_one_plus(s, LinearForm(1, f.coefficients + (1,)))
 
 
 @given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
@@ -74,7 +107,10 @@ def test_truncation_commutes_with_product(ta, tb, b1, b2):
     lo = min(b1, b2)
     a = TruncatedSeries(2, max(b1, b2), ta)
     b = TruncatedSeries(2, max(b1, b2), tb)
-    assert (a * b).truncate(lo) == a.truncate(lo) * b.truncate(lo)
+
+    def truncate(s):
+        return TruncatedSeries(s.num_vars, lo, s.terms)
+    assert truncate(a * b) == truncate(a) * truncate(b)
 
 
 def test_graded_pieces_sum_back():
