@@ -14,7 +14,28 @@ p_*(E^k) = -Y_i Y_j h_{k-2}(Y_i, Y_j), where h is the complete homogeneous
 symmetric polynomial.  This is Fulton, Intersection Theory, Cor. 4.2.2, with
 the center's normal bundle Segre class s(N) = 1/((1+Y_i)(1+Y_j)); it is the
 normal form of E^k under E^2 = E p*(Y_i + Y_j) - p*(Y_i Y_j), read off in one
-step.
+step.  So a term v E^k0 Y~_i^ai Y~_j^aj Y^b pushes to v Y^b times
+
+    [k0 = 0] Y_i^ai Y_j^aj  -  sum over r1 <= ai, r2 <= aj, k >= 2 of
+    (-1)^(r1+r2) C(ai, r1) C(aj, r2) Y_i^(ai-r1) Y_j^(aj-r2) Y_i Y_j h_{k-2},
+
+with k = k0 + r1 + r2.  The first part (the E^0 part) is the term itself;
+the second (the E^{>=2} part) depends only on (k0, ai, aj) and is kept in a
+memoized table.  A term with no E and no center exponent has no E^{>=2}
+part, and passes through with E dropped.
+
+Which pushed terms lie on empty strata is known in advance when the upper
+class is reduced (every term's support lies in an upper facet):
+  - every E^0 term lies on a nonempty lower stratum, since an upper facet
+    without E is a lower facet, or a lower facet minus i or j, relabelled;
+  - an E^{>=2} term has support R + {i, j}, where R is the term's support off
+    E, i and j, so it lies on a nonempty stratum exactly when R is inside
+    F - {i, j} for a lower facet F through {i, j}: the *star* of the center
+    edge.  R does not depend on the binomial split, so one test per term
+    decides its whole E^{>=2} part.
+`pushforward` leaves out the E^{>=2} parts that fail the star test, which
+are zero in the lower ring.  Its result on a reduced class is therefore
+reduced, and the tower needs no nil reduction between levels.
 """
 
 from __future__ import annotations
@@ -180,12 +201,12 @@ def pullback_class(step: BlowupStep, c: ChowClass) -> ChowClass:
     bound = c.series.degree_bound
     lifted = TruncatedSeries._raw(step.upper.num_vars, bound,
                                   {(0,) + e: v for e, v in c.series.terms.items()})
-    return ChowClass(step.upper, _center_substitute(lifted, pi, pj, sign=1))
+    return ChowClass(step.upper, _center_substitute(lifted, pi, pj))
 
 
-def _center_substitute(series: TruncatedSeries, pi: int, pj: int,
-                       sign: int) -> TruncatedSeries:
-    """Substitute Y~_center -> p*Y + sign*E in the working layout
+def _center_substitute(series: TruncatedSeries, pi: int,
+                       pj: int) -> TruncatedSeries:
+    """Substitute Y_center -> Y~ + E in the working layout
     (E, Y_1, ..., Y_n); all other variables map to themselves.
 
     Only two variables have nontrivial images, so each term expands into a
@@ -198,8 +219,6 @@ def _center_substitute(series: TruncatedSeries, pi: int, pj: int,
         for r1 in range(ai + 1):
             for r2 in range(aj + 1):
                 coeff = c * comb(ai, r1) * comb(aj, r2)
-                if sign < 0 and (r1 + r2) % 2:
-                    coeff = -coeff
                 t = list(e)
                 t[0] = e[0] + r1 + r2
                 t[pi + 1] = ai - r1
@@ -211,31 +230,73 @@ def _center_substitute(series: TruncatedSeries, pi: int, pj: int,
                                 {e: v for e, v in out.items() if v})
 
 
-def pushforward(step: BlowupStep, c: ChowClass) -> ChowClass:
-    """Proper push-forward of a class on the upper ring down one level.
+# the E^{>=2} part of p_*(E^k0 Y~_i^ai Y~_j^aj), keyed by (k0, ai, aj); it
+# depends on nothing else, so one table serves every level of every tower
+_DEEP_PUSH: dict[tuple[int, int, int], tuple[tuple[int, int, int], ...]] = {}
 
-    After Y~_center -> p*Y - E, a term v E^k p*Y^a pushes to v Y^a for k = 0,
-    to 0 for k = 1, and to -v h_{k-2}(Y_i, Y_j) Y_i Y_j Y^a for k >= 2 (see
-    the module docstring)."""
+
+def _deep_push(k0: int, ai: int, aj: int) -> tuple[tuple[int, int, int], ...]:
+    """The E^{>=2} part of p_*(E^k0 Y~_i^ai Y~_j^aj) as (x, y, w) triples,
+    one for each term w Y_i^x Y_j^y (see the module docstring)."""
+    key = (k0, ai, aj)
+    table = _DEEP_PUSH.get(key)
+    if table is None:
+        acc: dict[tuple[int, int], int] = {}
+        for r1 in range(ai + 1):
+            for r2 in range(aj + 1):
+                k = k0 + r1 + r2
+                w = comb(ai, r1) * comb(aj, r2) * (-1) ** (r1 + r2)
+                # the monomials Y_i^(r+1) Y_j^(k-1-r) of Y_i Y_j h_{k-2}
+                for r in range(k - 1):
+                    xy = (ai - r1 + r + 1, aj - r2 + k - 1 - r)
+                    acc[xy] = acc.get(xy, 0) - w
+        table = _DEEP_PUSH[key] = tuple((x, y, w) for (x, y), w in acc.items()
+                                        if w)
+    return table
+
+
+def pushforward(step: BlowupStep, c: ChowClass) -> ChowClass:
+    """Proper push-forward of a class on the upper ring down one level, with
+    the E^{>=2} terms on empty lower strata left out.
+
+    A term v E^k0 Y~_i^ai Y~_j^aj Y^b keeps its E^0 part v Y_i^ai Y_j^aj Y^b
+    when k0 = 0.  Its E^{>=2} part, v Y^b times the `_deep_push` table of
+    (k0, ai, aj), is added only when the support of Y^b lies in the star of
+    the center edge, the facets through {i, j} minus i and j.  On a reduced
+    class the result is reduced (module docstring); on any other class only
+    its E^0 terms may lie on empty strata.  On a base ring with no declared
+    nil pairs every E^{>=2} term passes, and the result is the full closed
+    form."""
     if c.ring != step.upper:
         raise LevelMismatchError("class is not on the upper ring")
     pi, pj = step.center_positions()
-    working = _center_substitute(c.series, pi, pj, sign=-1)
+    i, j = step.center
+    lower = step.lower
+    star = [frozenset(lower.index(lab) for lab in f - {i, j})
+            for f in lower.facets if i in f and j in f]
+    in_star: dict[frozenset[int], bool] = {}  # many terms share a support
     out: dict[tuple[int, ...], int] = {}
-    for e, v in working.terms.items():
-        k = e[0]
-        if k == 0:
-            out[e[1:]] = out.get(e[1:], 0) + v
+    for e, v in c.series.terms.items():
+        k0, low = e[0], e[1:]
+        if not k0:
+            out[low] = out.get(low, 0) + v
+        ai, aj = low[pi], low[pj]
+        if k0 + ai + aj < 2:
+            continue  # no E^{>=2} part
+        rest = frozenset(m for m, a in enumerate(low)
+                         if a and m != pi and m != pj)
+        ok = in_star.get(rest)
+        if ok is None:
+            ok = in_star[rest] = any(rest <= f for f in star)
+        if not ok:
             continue
-        # the monomials Y_i^(r+1) Y_j^(k-1-r) of Y_i Y_j h_{k-2}; none for k = 1
-        for r in range(k - 1):
-            t = list(e[1:])
-            t[pi] += r + 1
-            t[pj] += k - 1 - r
-            t = tuple(t)  # total degree is unchanged
-            out[t] = out.get(t, 0) - v
-    return ChowClass(step.lower, TruncatedSeries._raw(
-        step.lower.num_vars, c.series.degree_bound,
+        t = list(low)
+        for x, y, w in _deep_push(k0, ai, aj):
+            t[pi], t[pj] = x, y
+            tt = tuple(t)  # total degree is unchanged
+            out[tt] = out.get(tt, 0) + w * v
+    return ChowClass(lower, TruncatedSeries._raw(
+        lower.num_vars, c.series.degree_bound,
         {e: v for e, v in out.items() if v}))
 
 

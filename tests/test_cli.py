@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import io
 import json
@@ -79,9 +80,10 @@ def test_verify_ok(capsys):
 
 
 # SHA-256 of the stdout of `compute`, `triangulate`, `tower` and `verify` on
-# four inputs: the JSON these commands print is part of the interface and must
-# stay byte-identical.  depth50 is a 50-level tower, deep enough to exercise
-# the stratum model far above the base; five is a five-generator ideal in four
+# these inputs: the JSON these commands print is part of the interface and must
+# stay byte-identical.  depth90, depth50, depth37 and depth29 are the deepest
+# towers of the acceptance corpus, deep enough to exercise the stratum model
+# and the push-down far above the base; five is a five-generator ideal in four
 # variables; `triangulate` prints every cell's contribution.
 NIL_PAIR_JOB = {"n": 3, "generators": [[2, 0, 1], [0, 2, 0], [1, 1, 2]],
                 "nil_pairs": [["X1", "X3"]], "dmax": 4}
@@ -104,15 +106,25 @@ GOLDEN_DIGESTS = {
         "08d4278533547d33493bb52f9ef5672657b3ac0eeb88a56b2ecc3ab0ce25e9c3",
     ("tower", "depth50"):
         "b73e66070b0aed65b248805c42fd57a156d2237ef3ac9eda555f47192b12bcc0",
+    ("tower", "depth90"):
+        "4402524798ab4ddb3a001c4658dd0763504f5f4754f110a314f34fcaa74f12f9",
+    ("tower", "depth37"):
+        "c8f4b5874a719ec84706cfac79287e0c9a16f49363396086c1b946117376ee45",
+    ("tower", "depth29"):
+        "a82a18f02f2aa1c50a3f557f6d117d5933c2bf086f9b6a727f49d89b64b41d71",
 }
+DEEP_TOWERS = {"depth90": "0,1,2;1,4,1;2,3,4;4,0,0",
+               "depth50": "0,0,3;0,3,1;3,0,0;3,1,2",
+               "depth37": "0,4,4;1,0,3;4,0,1",
+               "depth29": "0,2,4;1,1,1;2,1,2;3,0,3"}
 
 
 @pytest.mark.parametrize("command, job", sorted(GOLDEN_DIGESTS))
 def test_tower_and_verify_golden_bytes(capsys, tmp_path, command, job):
     if job == "staircase":
         argv = [command] + STAIRCASE_ARGS + ["--dmax", "4"]
-    elif job == "depth50":
-        argv = [command, "--gens", "0,0,3;0,3,1;3,0,0;3,1,2"]
+    elif job in DEEP_TOWERS:
+        argv = [command, "--gens", DEEP_TOWERS[job]]
     elif job == "five":
         argv = [command, "--gens", "2,0,1,0;0,3,0,1;1,1,0,2;0,0,2,1;1,0,1,1"]
     else:
@@ -259,6 +271,21 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
                             ["--dmax", "3"])
     assert code == EXIT_FAIL
     assert doc["ok"] is False
+
+
+def test_divergence_names_the_partial_centers(capsys, monkeypatch):
+    # a cap of two stops the depth-50 tower after its first two centers
+    from monomial_segre import segre
+    from monomial_segre.principalize import principalize
+
+    monkeypatch.setattr(segre, "run_principalize",
+                        functools.partial(principalize, cap=2))
+    code, out, err = run(capsys, ["tower", "--gens", DEEP_TOWERS["depth50"]])
+    assert code == EXIT_DIVERGED
+    assert out == ""
+    assert err.splitlines() == [
+        "tower divergence: no divisor reached within 2 blow-ups",
+        "partial tower centers: X2,X3 E1,~X3"]
 
 
 def test_corpus_small_run(capsys):

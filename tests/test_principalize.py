@@ -8,7 +8,7 @@ from monomial_segre.chow import base_ring, blow_up, pullback_generators
 from monomial_segre.errors import TowerDivergenceError
 from monomial_segre.lattice import MonomialPresentation, presentation
 from monomial_segre.principalize import (admissible_pairs, principalize,
-                                         select_center)
+                                         ring_edges, select_center)
 
 
 def test_admissible_pairs_skip_empty_strata():
@@ -16,6 +16,16 @@ def test_admissible_pairs_skip_empty_strata():
     assert list(admissible_pairs(base_ring(2), p)) == [(0, 1)]
     r_nil = base_ring(2, nil_pairs=[("X1", "X2")])
     assert list(admissible_pairs(r_nil, p)) == []
+
+
+@pytest.mark.parametrize("n, nils", [
+    (1, []), (2, []), (2, [("X1", "X2")]), (3, [("X1", "X3")]),
+    (4, [("X1", "X2"), ("X3", "X4")]),
+])
+def test_ring_edges_are_the_nonempty_pairs(n, nils):
+    r = base_ring(n, nil_pairs=nils)
+    pairs = {frozenset(pr) for pr in combinations(r.variables, 2)}
+    assert ring_edges(r) == {pr for pr in pairs if not r.stratum_is_empty(pr)}
 
 
 def test_select_center_none_for_principal():

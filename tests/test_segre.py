@@ -210,3 +210,72 @@ def test_tower_result_carries_trace():
     assert result.trace is not None
     assert result.pipeline == "tower"
     assert segre_integral(STAIRCASE, 5).pipeline == "integral"
+
+
+# -- the paper's invariants, on both pipelines --------------------------------
+# Each randomized invariant runs on at most 15 `random_presentation` draws, so
+# that the three together stay near a second.
+
+INVARIANT_EXAMPLES = 15
+
+
+def both_pipelines(p):
+    return segre_integral(p).series.terms, segre_tower(p).series.terms
+
+
+def regenerate(p, gens):
+    return presentation(tuple(sorted(gens)), num_vars=p.num_vars)
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from((2, 3)))
+@settings(max_examples=INVARIANT_EXAMPLES, deadline=None)
+def test_scaling_the_exponents_scales_each_degree(seed, k):
+    # s(k G) is s(G) with every X_i replaced by k X_i
+    p = random_presentation(random.Random(seed))
+    base, _ = both_pipelines(p)
+    scaled = regenerate(p, [tuple(k * a for a in g) for g in p.generators])
+    want = {e: k ** sum(e) * c for e, c in base.items()}
+    for got in both_pipelines(scaled):
+        assert got == want, p.generators
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=INVARIANT_EXAMPLES, deadline=None)
+def test_permuting_the_variables_permutes_the_exponents(seed):
+    rnd = random.Random(seed)
+    p = random_presentation(rnd)
+    perm = list(range(p.num_vars))
+    rnd.shuffle(perm)
+    base, _ = both_pipelines(p)
+    permuted = regenerate(p, [tuple(g[m] for m in perm) for g in p.generators])
+    want = {tuple(e[m] for m in perm): c for e, c in base.items()}
+    for got in both_pipelines(permuted):
+        assert got == want, (p.generators, perm)
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=INVARIANT_EXAMPLES, deadline=None)
+def test_a_dominated_generator_changes_nothing(seed):
+    rnd = random.Random(seed)
+    p = random_presentation(rnd)
+    g = rnd.choice(p.generators)
+    h = tuple(a + rnd.randint(0, 2) for a in g)
+    h = h if h != g else tuple(a + 1 for a in g)
+    base, _ = both_pipelines(p)
+    bigger = regenerate(p, set(p.generators) | {h})
+    for got in both_pipelines(bigger):
+        assert got == base, (p.generators, h)
+
+
+@pytest.mark.parametrize("gens, extra", [
+    (((4, 0), (0, 4)), (2, 2)),
+    (((6, 0), (0, 3)), (2, 2)),
+    (((3, 0, 0), (0, 3, 0), (0, 0, 3)), (1, 1, 1)),
+])
+def test_a_generator_in_the_integral_closure_changes_nothing(gens, extra):
+    # extra lies on the Newton polytope's boundary face, so the two ideals
+    # have the same integral closure and the same Segre class
+    base, tower = both_pipelines(presentation(gens))
+    assert base == tower
+    for got in both_pipelines(presentation(gens + (extra,))):
+        assert got == base
