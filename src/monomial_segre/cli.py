@@ -23,11 +23,15 @@ from .polytope import ORDER_PRESETS, hvol
 from .principalize import CENTER_RULE
 from .segre import (default_degree_bound, orthant_triangulation, segre_integral,
                     segre_tower, simplex_contribution, split_cells, verify)
+from .series import check_term_budget
 
 ENV_DMAX = "MONOMIAL_SEGRE_DMAX"
 
 # the shape of the labels blow-ups generate: exceptional E<k>, proper ~X
 GENERATED_LABEL = re.compile(r"E[0-9]+|~.*", re.DOTALL)
+
+# the placement orders of a base configuration; "blowup" needs a lifted one
+CLI_PRESETS = tuple(p for p in ORDER_PRESETS if p != "blowup")
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -73,7 +77,9 @@ def load_job(args):
     document; ring is None unless nil pairs are declared.  Inline --gens and
     --input are mutually exclusive.  A document's optional "strategy" field
     must name CENTER_RULE, the one center rule there is, and its labels may
-    not have the shape of the ones blow-ups generate (GENERATED_LABEL)."""
+    not have the shape of the ones blow-ups generate (GENERATED_LABEL).  A
+    series at dmax may have no more terms than series.TERM_BUDGET, in n
+    variables, or in n + 1 for verify."""
     if (args.gens is None) == (getattr(args, "input", None) is None):
         raise UsageError("give exactly one of --gens or --input")
     nil_pairs = ()
@@ -123,6 +129,12 @@ def load_job(args):
         dmax = default_degree_bound(p.num_vars)
     if dmax < 1:
         raise UsageError("dmax must be >= 1")
+    # verify's blow-up checks lift the configuration to one more variable
+    width = p.num_vars + (args.command == "verify")
+    try:
+        check_term_budget(width, dmax)
+    except MonomialSegreError as exc:
+        raise UsageError(str(exc))
     return p, dmax, nil_pairs, ring
 
 
@@ -352,7 +364,7 @@ def _add_input_flags(sp, with_dmax=True, with_preset=False):
         sp.add_argument("--dmax", type=int, help="truncation degree "
                         f"(default n+3, or ${ENV_DMAX})")
     if with_preset:
-        sp.add_argument("--preset", choices=ORDER_PRESETS, default="default",
+        sp.add_argument("--preset", choices=CLI_PRESETS, default="default",
                         help="placement-order preset")
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from . import chow
 from .chow import ChowClass, LevelRing, base_ring, pushforward, reduce_nils
@@ -69,11 +70,23 @@ class SimplexTerm:
 
 @dataclass(frozen=True)
 class SegreResult:
+    """A pipeline's Segre class, with what produced it.
+
+    The integral pipeline keeps the cells of its triangulation: the
+    complement cells with their contributions, which its sum reads, and the
+    Newton cells bare.  `per_simplex` computes the Newton cells'
+    contributions on first read, at the series' degree bound, and keeps
+    them; only `verify`'s checks and the tests read them."""
+
     series: TruncatedSeries
-    per_simplex: tuple[SimplexTerm, ...]          # cells covering the Newton region
+    newton_cells: tuple[HalfSimplex, ...]         # cells covering the Newton region
     complement_terms: tuple[SimplexTerm, ...]     # cells covering its convex complement
     pipeline: str
     trace: TowerTrace | None = None
+
+    @cached_property
+    def per_simplex(self) -> tuple[SimplexTerm, ...]:
+        return _terms_for(self.newton_cells, self.series.degree_bound)
 
 
 def _terms_for(cells, degree_bound: int) -> tuple[SimplexTerm, ...]:
@@ -106,20 +119,22 @@ def split_cells(t: Triangulation):
 def segre_integral(p: MonomialPresentation, degree_bound: int | None = None,
                    order_preset: str = "default",
                    ring: LevelRing | None = None) -> SegreResult:
-    """Newton-region integral pipeline: 1 minus the complement contributions."""
+    """Newton-region integral pipeline: 1 minus the complement contributions.
+
+    Only the complement cells' series are computed here; the Newton cells'
+    wait in the result until `SegreResult.per_simplex` is read."""
     n = p.num_vars
     if degree_bound is None:
         degree_bound = default_degree_bound(n)
     tri = orthant_triangulation(p, order_preset)
     complement, newton = split_cells(tri)
     comp_terms = _terms_for(complement, degree_bound)
-    newton_terms = _terms_for(newton, degree_bound)
     series = TruncatedSeries.one(n, degree_bound)
     for term in comp_terms:
         series = series - term.series
     if ring is not None:
         series = reduce_nils(ring, series)
-    return SegreResult(series, newton_terms, comp_terms, pipeline="integral")
+    return SegreResult(series, newton, comp_terms, pipeline="integral")
 
 
 def _divisor_segre_reduced(top: LevelRing, d, degree_bound: int):
@@ -129,7 +144,9 @@ def _divisor_segre_reduced(top: LevelRing, d, degree_bound: int):
     form in dozens of variables).  Instead each term of D^k is multiplied
     only by the variables of D in its link, the union of the facets through
     its support: any other product, and every multiple of it, lies on an
-    empty stratum."""
+    empty stratum.  Every term has degree k <= degree_bound and a positive
+    coefficient (D has no negative entry), so the terms go to the trusted
+    constructor, which does not scan each wide exponent again."""
     labels = top.variables
     links: dict[frozenset[str], list[int]] = {}
     power = {(0,) * top.num_vars: 1}
@@ -147,7 +164,7 @@ def _divisor_segre_reduced(top: LevelRing, d, degree_bound: int):
                 nxt[t] = nxt.get(t, 0) + c * d[m]
         power = nxt
         total.update((e, c if k % 2 else -c) for e, c in power.items())
-    return TruncatedSeries(top.num_vars, degree_bound, total)
+    return TruncatedSeries._raw(top.num_vars, degree_bound, total)
 
 
 def segre_tower(p: MonomialPresentation, degree_bound: int | None = None,

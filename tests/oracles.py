@@ -10,7 +10,9 @@ which strata are empty.  Stratum emptiness up a blow-up tower has a recursive
 reference that asks the level below, and scheme emptiness a brute-force one
 that enumerates candidate strata.  The
 reciprocal of 1 + L has the geometric series of series products as its
-reference, and a simplex contribution the product of such reciprocals.  The
+reference, and a simplex contribution the product of such reciprocals.
+Division by 1 + L has a degree-by-degree recurrence on term dicts as its
+reference.  The
 seeded draw rule for random presentations is here too, so that every suite
 draws the same way, with small series builders that only tests need.
 """
@@ -210,3 +212,23 @@ def simplex_contribution_by_products(t, degree_bound):
         out = out * reciprocal_by_geometric_series(
             LinearForm.of(1, v), degree_bound)
     return out
+
+
+def divide_by_degree(s, f):
+    """s / f for f = 1 + L, degree by degree on term dicts: the degree-d part
+    of the quotient is out_d = s_d - L * out_(d-1)."""
+    assert f.constant == 1 and f.num_vars == s.num_vars
+    steps = [(i, a) for i, a in enumerate(f.coefficients) if a]
+    by_degree = [{} for _ in range(s.degree_bound + 1)]
+    for e, c in s.terms.items():
+        by_degree[sum(e)][e] = c
+    out = {}
+    prev = {}
+    for cur in by_degree:
+        for e, c in prev.items():
+            for i, a in steps:
+                t = e[:i] + (e[i] + 1,) + e[i + 1:]
+                cur[t] = cur.get(t, 0) - a * c
+        prev = {e: c for e, c in cur.items() if c}
+        out.update(prev)
+    return TruncatedSeries(s.num_vars, s.degree_bound, out)

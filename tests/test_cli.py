@@ -185,6 +185,26 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
     # bad dmax
     assert run(capsys, ["compute"] + STAIRCASE_ARGS +
                ["--dmax", "0"])[0] == EXIT_USAGE
+    # the blowup preset orders a lifted configuration, never a base one
+    for command in ("compute", "triangulate"):
+        assert run(capsys, [command, "--gens", "1,0;0,1",
+                            "--preset", "blowup"])[0] == EXIT_USAGE
+    # over the term budget, C(3 + 65, 3) > TERM_BUDGET, whichever way dmax
+    # comes; verify's blow-up checks, at C(4 + 31, 4), count one more variable
+    budget_runs = [(["compute", "--gens", "1,1,1", "--dmax", "65"], None),
+                   (["verify", "--gens", "1,1,1", "--dmax", "31"], None),
+                   (["compute", "--input", "-"], None),
+                   (["compute", "--gens", "1,1,1"], "65")]
+    for argv, env_dmax in budget_runs:
+        if env_dmax is not None:
+            monkeypatch.setenv(cli.ENV_DMAX, env_dmax)
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(
+            {"n": 3, "generators": [[1, 1, 1]], "dmax": 65})))
+        code, out, err = run(capsys, argv)
+        assert code == EXIT_USAGE, argv
+        assert out == "" and err.count("\n") == 1, err
+        assert err.startswith("error: ") and "budget" in err, err
+    monkeypatch.delenv(cli.ENV_DMAX)
     # no workers, negative count
     assert run(capsys, ["corpus", "--count", "2", "--jobs", "0"])[0] == EXIT_USAGE
     assert run(capsys, ["corpus", "--count", "-2", "--jobs", "1"])[0] == EXIT_USAGE

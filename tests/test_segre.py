@@ -147,6 +147,35 @@ def test_verify_computes_the_default_integral_once(monkeypatch):
     assert presets == ["default", "rays_first"]
 
 
+def test_newton_cells_are_computed_only_where_they_are_read(monkeypatch):
+    # segre_integral's sum reads the complement cells alone; verify reads
+    # the Newton cells through per_simplex, and computes each of them once
+    cells = []
+
+    def recording(t, degree_bound):
+        cells.append(t)
+        return simplex_contribution(t, degree_bound)
+    monkeypatch.setattr(segre, "simplex_contribution", recording)
+    p = presentation(((4, 1), (2, 2), (1, 4)))
+    result = segre_integral(p, 5)
+    assert cells == [t.simplex for t in result.complement_terms]
+    assert all(segre.ORIGIN_LABEL not in c.provenance for c in cells)
+    cells.clear()
+    terms = result.per_simplex
+    assert result.per_simplex is terms
+    assert cells == [t.simplex for t in terms] == list(result.newton_cells)
+    assert all(segre.ORIGIN_LABEL in c.provenance for c in cells)
+    for t in terms:
+        assert t.series.degree_bound == 5
+        assert t.series == simplex_contribution(t.simplex, 5)
+    cells.clear()
+    report = verify(p, 5)
+    assert report.ok
+    assert any(c.name.startswith("blowup_invariance") for c in report.checks)
+    newton = [c for c in cells if segre.ORIGIN_LABEL in c.provenance]
+    assert newton == list(result.newton_cells)
+
+
 def _record_integrals(monkeypatch):
     calls = []
 

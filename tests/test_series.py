@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 import sympy
@@ -6,17 +7,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monomial_segre.errors import DimensionMismatchError, MonomialSegreError
-from monomial_segre.series import (LinearForm, TruncatedSeries,
-                                   divide_one_plus, graded_piece,
-                                   reciprocal_one_plus, tensor_line)
+from monomial_segre.series import (TERM_BUDGET, LinearForm, TruncatedSeries,
+                                   check_term_budget, divide_one_plus,
+                                   graded_piece, reciprocal_one_plus,
+                                   tensor_line)
 
-from oracles import (expand_terms, form_series, reciprocal_by_geometric_series,
-                     symbols, variable)
+from oracles import (divide_by_degree, expand_terms, form_series,
+                     reciprocal_by_geometric_series, symbols, variable)
 
 
 def test_constructor_drops_zero_and_overweight_terms():
     s = TruncatedSeries(2, 3, {(1, 1): 5, (4, 0): 7, (0, 2): 0})
     assert s.terms == {(1, 1): Fraction(5)}
+
+
+def test_constructor_rejects_negative_exponent_entries():
+    with pytest.raises(MonomialSegreError):
+        TruncatedSeries(2, 3, {(-1, 2): 1})
+    with pytest.raises(MonomialSegreError):
+        TruncatedSeries(2, 3, {(0, -1): 0})
 
 
 def test_dimension_mismatch_raises():
@@ -85,6 +94,40 @@ def test_divide_one_plus_matches_the_geometric_reciprocal(case):
     assert got.degree_bound == s.degree_bound
     assert got.is_integral()
     assert got == s * reciprocal_by_geometric_series(f, s.degree_bound)
+
+
+@st.composite
+def sparse_series_and_forms(draw):
+    """A sparse series in 1-6 variables at bound 0-8, with terms of mixed
+    degree (some past the bound), and a form 1 + L with zero coefficients
+    allowed, the all-zero form of the origin vertex among them."""
+    n = draw(st.integers(1, 6))
+    bound = draw(st.integers(0, 8))
+    exponents = st.tuples(*[st.integers(0, bound // n + 1)] * n)
+    terms = draw(st.dictionaries(exponents, coeff, max_size=6))
+    coeffs = draw(st.just((0,) * n) | st.tuples(*[coeff] * n))
+    return TruncatedSeries(n, bound, terms), LinearForm.of(1, coeffs)
+
+
+@given(sparse_series_and_forms())
+@settings(max_examples=200, deadline=None)
+def test_divide_one_plus_matches_the_degree_recurrence(case):
+    s, f = case
+    got = divide_one_plus(s, f)
+    want = divide_by_degree(s, f)
+    assert (got.num_vars, got.degree_bound) == (s.num_vars, s.degree_bound)
+    assert got.terms == want.terms
+
+
+def test_term_budget_bounds_the_dense_layout():
+    # n = 7 at its default bound, and its blow-up checks in 8 variables
+    check_term_budget(7, 10)
+    check_term_budget(8, 10)
+    assert comb(3 + 65, 3) > TERM_BUDGET
+    with pytest.raises(MonomialSegreError):
+        check_term_budget(3, 65)
+    with pytest.raises(MonomialSegreError):
+        reciprocal_one_plus(LinearForm.of(1, (1, 2, 3)), 65)
 
 
 @given(series_and_forms(), st.integers(-3, 3).filter(lambda c: c != 1))
