@@ -6,15 +6,14 @@ the divisor class back down.  Agreement of the two is the headline check.
 """
 
 from .chow import (BlowupStep, ChowClass, LevelRing, base_ring, blow_up,
-                   pullback_class, pullback_generators, pushforward,
-                   reduce_nils, scheme_is_divisor, scheme_is_empty)
+                   pullback_generators, pushforward, reduce_nils,
+                   scheme_is_divisor, scheme_is_empty)
 from .errors import (ClassificationError, DegenerateConfigurationError,
                      DimensionMismatchError, EmptyCenterError,
                      LevelMismatchError, MonomialSegreError,
                      NoAdmissibleCenterError, TowerDivergenceError)
-from .lattice import (ExponentVector, MonomialPresentation, is_principal,
-                      minimalize, presentation, residual_split,
-                      support_cover_check)
+from .lattice import (ExponentVector, MonomialPresentation, minimalize,
+                      presentation, residual_split, support_cover_check)
 from .polytope import (HalfSimplex, PointConfiguration, Triangulation, alpha,
                        classify_blowup_cells, complement_configuration, hvol,
                        lift_to_H, placing_triangulation)

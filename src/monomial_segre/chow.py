@@ -1,11 +1,13 @@
 """Formal intersection-ring model of a simple-normal-crossings divisor
-configuration, with codimension-2 blow-ups, pull-back, and push-forward.
+configuration, with codimension-2 blow-ups, the total transform of monomial
+generators, and push-forward.
 
 A level stores which strata (intersections of its divisors) are nonempty as
-a simplicial complex, listed by its facets.  Blowing up divisors i and j is
-the stellar subdivision of the edge {i, j}: each facet F through both becomes
-E + F - {i} and E + F - {j}, in proper-transform labels (Cox-Little-Schenck,
-Toric Varieties, Sec. 3.3).
+a simplicial complex, listed by its facets; a stratum is empty exactly when
+no facet contains it, on the base ring as on every level above.  Blowing up
+divisors i and j is the stellar subdivision of the edge {i, j}: each facet F
+through both becomes E + F - {i} and E + F - {j}, in proper-transform labels
+(Cox-Little-Schenck, Toric Varieties, Sec. 3.3).
 
 Push-forward is in closed form: rewrite every proper transform through
 Y~ = p*Y - E at the two center variables (Y~ = p*Y at the others), then push
@@ -45,38 +47,24 @@ from itertools import combinations
 from math import comb
 from typing import Iterable
 
-from .errors import (DimensionMismatchError, EmptyCenterError,
-                     LevelMismatchError, MonomialSegreError)
-from .lattice import (ExponentVector, MonomialPresentation, residual_split,
-                      support)
+from .errors import EmptyCenterError, LevelMismatchError, MonomialSegreError
+from .lattice import (ExponentVector, MonomialPresentation, default_labels,
+                      residual_split, support)
 from .series import TruncatedSeries
-
-NilPair = frozenset[str]
 
 
 @dataclass(frozen=True)
 class LevelRing:
     """Named divisor variables and the facets of their complex of nonempty
-    strata; build one with `base_ring` or `blow_up`.
+    strata; build one with `base_ring` or `blow_up`.  A stratum (variable
+    subset) is nonempty exactly when it lies in a facet."""
 
-    declared_nils are the variable pairs whose divisors do not meet.  On the
-    base ring a stratum (variable subset) is empty when it contains one of
-    them, or when it is larger than the ambient dimension: a generic
-    normal-crossings configuration has no deeper strata.  `base_ring` derives
-    the facets from exactly this rule."""
-
-    ambient_dim: int
     variables: tuple[str, ...]
     facets: tuple[frozenset[str], ...]
-    declared_nils: frozenset[NilPair] = frozenset()
     depth: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
-        object.__setattr__(self, "declared_nils",
-                           frozenset(frozenset(s) for s in self.declared_nils))
-        if self.ambient_dim < 1:
-            raise MonomialSegreError("ambient_dim must be positive")
         if len(set(self.variables)) != len(self.variables):
             raise MonomialSegreError("variable labels must be unique")
 
@@ -90,29 +78,35 @@ class LevelRing:
         except ValueError:
             raise MonomialSegreError(f"unknown variable {label!r}") from None
 
+    def in_facet(self, labels: frozenset[str]) -> bool:
+        """True when some facet contains the stratum `labels`."""
+        return any(labels <= f for f in self.facets)
+
     def stratum_is_empty(self, labels: Iterable[str]) -> bool:
-        s = frozenset(labels)
-        return len(s) > self.ambient_dim or \
-            any(pair <= s for pair in self.declared_nils)
+        return not self.in_facet(frozenset(labels))
 
 
 class _BlownUpRing(LevelRing):
-    """Ring one level above a blow-up: a stratum is empty unless it lies in
-    one of the facets `blow_up` subdivided from the level below.
+    """Ring one level above a blow-up; its strata follow the same facet rule
+    as the base ring's.
 
-    This class keeps its own `stratum_is_empty` rather than sharing one with
-    `LevelRing`: the benchmark tracer (bench/tracing.py) counts calls by
-    wrapping the function in each class's namespace, and one function bound
-    in both would be counted twice."""
+    The class exists only to give `stratum_is_empty` a binding of its own:
+    the benchmark tracer (bench/tracing.py) counts calls by wrapping the
+    function in each class's namespace, and one function bound in both
+    classes would be counted twice."""
 
     def stratum_is_empty(self, labels: Iterable[str]) -> bool:
-        s = frozenset(labels)
-        return not any(s <= f for f in self.facets)
+        return not self.in_facet(frozenset(labels))
 
 
 def base_ring(n: int, labels: Iterable[str] | None = None,
               nil_pairs: Iterable[Iterable[str]] = ()) -> LevelRing:
-    labels = tuple(labels) if labels else tuple(f"X{i + 1}" for i in range(n))
+    """The ambient divisors of an n-dimensional variety, as a generic
+    normal-crossings configuration: a stratum is empty when it has more than
+    n labels or contains one of the nil pairs, whose divisors do not meet."""
+    if n < 1:
+        raise MonomialSegreError("the dimension n must be positive")
+    labels = tuple(labels) if labels else default_labels(n)
     seeds = {frozenset(p) for p in nil_pairs}
     for s in seeds:
         if len(s) != 2:
@@ -127,7 +121,7 @@ def base_ring(n: int, labels: Iterable[str] | None = None,
                   for g in ((f - {a}, f - {b}) if {a, b} <= f else (f,))]
     facets = list(dict.fromkeys(facets))
     maximal = tuple(f for f in facets if not any(f < g for g in facets))
-    return LevelRing(n, labels, maximal, seeds)
+    return LevelRing(labels, maximal)
 
 
 @dataclass(frozen=True)
@@ -175,8 +169,7 @@ def blow_up(r: LevelRing, i: str, j: str) -> BlowupStep:
         else:
             facets.append(frozenset(map(transform, f)))
     upper_vars = (exceptional,) + tuple(transform(v) for v in r.variables)
-    upper = _BlownUpRing(r.ambient_dim, upper_vars, tuple(facets),
-                         depth=r.depth + 1)
+    upper = _BlownUpRing(upper_vars, tuple(facets), depth=r.depth + 1)
     return BlowupStep(lower=r, upper=upper, center=(i, j),
                       exceptional_label=exceptional)
 
@@ -190,44 +183,6 @@ def pullback_generators(step: BlowupStep,
     pi, pj = step.center_positions()
     gens = tuple((g[pi] + g[pj],) + g for g in p.generators)
     return MonomialPresentation(p.num_vars + 1, gens, step.upper.variables)
-
-
-def pullback_class(step: BlowupStep, c: ChowClass) -> ChowClass:
-    """p* on classes: center variables map to transform + E, others to their
-    transform."""
-    if c.ring is not step.lower and c.ring != step.lower:
-        raise LevelMismatchError("class is not on the lower ring")
-    pi, pj = step.center_positions()
-    bound = c.series.degree_bound
-    lifted = TruncatedSeries._raw(step.upper.num_vars, bound,
-                                  {(0,) + e: v for e, v in c.series.terms.items()})
-    return ChowClass(step.upper, _center_substitute(lifted, pi, pj))
-
-
-def _center_substitute(series: TruncatedSeries, pi: int,
-                       pj: int) -> TruncatedSeries:
-    """Substitute Y_center -> Y~ + E in the working layout
-    (E, Y_1, ..., Y_n); all other variables map to themselves.
-
-    Only two variables have nontrivial images, so each term expands into a
-    small binomial sum; this avoids generic series substitution, which is
-    painfully slow high in a tower."""
-    bound = series.degree_bound
-    out: dict[tuple[int, ...], int] = {}
-    for e, c in series.terms.items():
-        ai, aj = e[pi + 1], e[pj + 1]
-        for r1 in range(ai + 1):
-            for r2 in range(aj + 1):
-                coeff = c * comb(ai, r1) * comb(aj, r2)
-                t = list(e)
-                t[0] = e[0] + r1 + r2
-                t[pi + 1] = ai - r1
-                t[pj + 1] = aj - r2
-                tt = tuple(t)  # total degree is unchanged
-                v = out.get(tt)
-                out[tt] = coeff if v is None else v + coeff
-    return TruncatedSeries._raw(series.num_vars, bound,
-                                {e: v for e, v in out.items() if v})
 
 
 # the E^{>=2} part of p_*(E^k0 Y~_i^ai Y~_j^aj), keyed by (k0, ai, aj); it
@@ -300,9 +255,8 @@ def pushforward(step: BlowupStep, c: ChowClass) -> ChowClass:
         {e: v for e, v in out.items() if v}))
 
 
-def reduce_nils(r: LevelRing, c: ChowClass | TruncatedSeries):
+def reduce_nils(r: LevelRing, series: TruncatedSeries) -> TruncatedSeries:
     """Delete every term whose support lies in no facet (an empty stratum)."""
-    series = c.series if isinstance(c, ChowClass) else c
     if series.num_vars != r.num_vars:
         raise LevelMismatchError("series does not match the ring")
     labels = r.variables
@@ -311,11 +265,10 @@ def reduce_nils(r: LevelRing, c: ChowClass | TruncatedSeries):
     for e, v in series.terms.items():
         supp = frozenset(labels[k] for k, a in enumerate(e) if a > 0)
         if supp not in nonempty:
-            nonempty[supp] = any(supp <= f for f in r.facets)
+            nonempty[supp] = r.in_facet(supp)
         if nonempty[supp]:
             terms[e] = v
-    out = TruncatedSeries(r.num_vars, series.degree_bound, terms)
-    return ChowClass(r, out) if isinstance(c, ChowClass) else out
+    return TruncatedSeries(r.num_vars, series.degree_bound, terms)
 
 
 def scheme_is_empty(r: LevelRing, p: MonomialPresentation) -> bool:

@@ -30,9 +30,6 @@ ENV_DMAX = "MONOMIAL_SEGRE_DMAX"
 # the shape of the labels blow-ups generate: exceptional E<k>, proper ~X
 GENERATED_LABEL = re.compile(r"E[0-9]+|~.*", re.DOTALL)
 
-# the placement orders of a base configuration; "blowup" needs a lifted one
-CLI_PRESETS = tuple(p for p in ORDER_PRESETS if p != "blowup")
-
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
@@ -86,7 +83,7 @@ def load_job(args):
     dmax = None
     if args.gens is not None:
         gens = parse_inline_generators(args.gens)
-        n = args.n if args.n is not None else len(gens[0])
+        n = len(gens[0])
         labels = None
     else:
         doc = _read_document(args.input)
@@ -359,12 +356,11 @@ def cmd_corpus(args) -> int:
 def _add_input_flags(sp, with_dmax=True, with_preset=False):
     sp.add_argument("--gens", help='inline generators, e.g. "3,0;1,1;0,3"')
     sp.add_argument("--input", help="path to a JSON job document, - for stdin")
-    sp.add_argument("--n", type=int, help="number of variables")
     if with_dmax:
         sp.add_argument("--dmax", type=int, help="truncation degree "
                         f"(default n+3, or ${ENV_DMAX})")
     if with_preset:
-        sp.add_argument("--preset", choices=CLI_PRESETS, default="default",
+        sp.add_argument("--preset", choices=ORDER_PRESETS, default="default",
                         help="placement-order preset")
 
 

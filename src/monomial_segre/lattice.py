@@ -87,12 +87,6 @@ def residual_split(p: MonomialPresentation) -> tuple[ExponentVector, MonomialPre
     return d, residual
 
 
-def is_principal(p: MonomialPresentation) -> bool:
-    """True when some generator divides all others (the gcd is a generator)."""
-    _, residual = residual_split(p)
-    return (0,) * p.num_vars in residual.generators
-
-
 def support(g: ExponentVector) -> frozenset[int]:
     return frozenset(i for i, a in enumerate(g) if a > 0)
 

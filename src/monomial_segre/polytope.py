@@ -156,9 +156,6 @@ class HalfSimplex:
         if len(self.finite_vertices) - 1 + len(self.infinite_directions) > self.dim:
             raise MonomialSegreError("too many vertices for the ambient dimension")
 
-    def is_top_dimensional(self) -> bool:
-        return len(self.finite_vertices) - 1 + len(self.infinite_directions) == self.dim
-
     def key(self):
         """Identity of the simplex as a geometric object (vertex order ignored)."""
         return (frozenset(self.finite_vertices), self.infinite_directions)
@@ -192,21 +189,19 @@ def complement_configuration(p: MonomialPresentation) -> PointConfiguration:
 
 # -- placing -----------------------------------------------------------------
 
-ORDER_PRESETS = ("default", "rays_first", "finite_reversed", "blowup")
+ORDER_PRESETS = ("default", "rays_first", "finite_reversed")
 
 
 def placement_order(config: PointConfiguration, preset: str = "default") -> list[Label]:
+    """The labels of a configuration in the order a preset places them.  A
+    lifted configuration (see `lift_to_H`) has one order of its own, and
+    takes no preset but the default."""
     finite = [lab for lab, _ in config.finite_points]
     ray_dirs = sorted(config.rays)
-    if preset == "default":
-        return finite + [config.ray_label(d) for d in ray_dirs]
-    if preset == "rays_first":
-        return [config.ray_label(d) for d in ray_dirs] + finite
-    if preset == "finite_reversed":
-        return list(reversed(finite)) + [config.ray_label(d) for d in ray_dirs]
-    if preset == "blowup":
-        if config.lift_centers is None or 0 not in config.rays:
-            raise MonomialSegreError("the blowup preset needs a lifted configuration")
+    if config.lift_centers is not None:
+        if preset != "default":
+            raise MonomialSegreError(
+                f"a lifted configuration takes no order preset, got {preset!r}")
         ci, cj = config.lift_centers
         rest = [d for d in ray_dirs if d not in (0, ci, cj)]
         # the rays off the center plane lie in H and join the lifted base
@@ -215,6 +210,12 @@ def placement_order(config: PointConfiguration, preset: str = "default") -> list
         # first or the exceptional one
         return finite + [config.ray_label(d) for d in rest] + \
             [config.ray_label(ci), config.ray_label(cj)] + [config.ray_label(0)]
+    if preset == "default":
+        return finite + [config.ray_label(d) for d in ray_dirs]
+    if preset == "rays_first":
+        return [config.ray_label(d) for d in ray_dirs] + finite
+    if preset == "finite_reversed":
+        return list(reversed(finite)) + [config.ray_label(d) for d in ray_dirs]
     raise MonomialSegreError(f"unknown order preset {preset!r}")
 
 

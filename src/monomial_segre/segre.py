@@ -18,7 +18,7 @@ from .chow import ChowClass, LevelRing, base_ring, pushforward, reduce_nils
 from .principalize import (TowerTrace, admissible_pairs,
                            principalize as run_principalize)
 from .errors import MonomialSegreError, TowerDivergenceError
-from .lattice import (ExponentVector, MonomialPresentation, residual_split,
+from .lattice import (MonomialPresentation, residual_split, support,
                       support_cover_check)
 from .polytope import (HalfSimplex, Triangulation, alpha, classify_blowup_cells,
                        complement_configuration, hvol, lift_to_H, link_cells,
@@ -190,8 +190,8 @@ def segre_tower(p: MonomialPresentation, degree_bound: int | None = None,
     c = ChowClass(top, _divisor_segre_reduced(top, d, degree_bound))
     for step in reversed(trace.steps):
         c = pushforward(step, c)
-    c = reduce_nils(ring, c)
-    return SegreResult(c.series, (), (), pipeline="tower", trace=trace)
+    return SegreResult(reduce_nils(ring, c.series), (), (), pipeline="tower",
+                       trace=trace)
 
 
 # -- identity checks ---------------------------------------------------------
@@ -215,8 +215,6 @@ class CheckResult:
 @dataclass(frozen=True)
 class ResidualReport:
     status: str  # "equal", "skipped", or "mismatch"
-    lhs: TruncatedSeries | None = None
-    rhs: TruncatedSeries | None = None
     first_difference: tuple | None = None
 
     @property
@@ -243,8 +241,8 @@ def residual_identity_check(p: MonomialPresentation,
     rhs = d_series + inv * twisted
     diff = _first_difference(integral, rhs)
     if diff is None:
-        return ResidualReport("equal", integral, rhs)
-    return ResidualReport("mismatch", integral, rhs, diff)
+        return ResidualReport("equal")
+    return ResidualReport("mismatch", diff)
 
 
 @dataclass(frozen=True)
@@ -270,7 +268,7 @@ def blowup_invariance_check(p: MonomialPresentation, i: int, j: int,
 
     config = complement_configuration(p)
     lifted = lift_to_H(config, i, j)
-    tri_hat = placing_triangulation(lifted, preset="blowup")
+    tri_hat = placing_triangulation(lifted)
     parts = classify_blowup_cells(tri_hat)
     centers = lifted.lift_centers
 
@@ -367,7 +365,9 @@ def verify(p: MonomialPresentation, degree_bound: int | None = None,
 
     def residual():
         report = residual_identity_check(p, base.series)
-        return report.ok, report.status
+        if report.ok:
+            return True, report.status
+        return False, f"mismatch, first differing term {report.first_difference}"
     run("residual_identity", residual)
 
     def integrality():
@@ -400,16 +400,15 @@ def verify(p: MonomialPresentation, degree_bound: int | None = None,
             if not support_cover_check(p, term.support):
                 return False, f"cell {term.simplex.provenance} fails the cover check"
         for e in integral.series.terms:
-            if not support_cover_check(p, support_of_exponent(e)):
+            if not support_cover_check(p, support(e)):
                 return False, f"term {e} is not supported on the scheme"
-        if chow.scheme_is_empty(ring, with_ring_labels(p, ring)) \
-                and not integral.series.is_zero():
+        if chow.scheme_is_empty(ring, p) and not integral.series.is_zero():
             return False, "empty scheme with nonzero class"
         return True, ""
     run("support_property", supports)
 
     if include_blowup_checks:
-        for (bi, bj) in admissible_base_pairs(ring, p):
+        for (bi, bj) in admissible_pairs(ring, p):
             def blowup(bi=bi, bj=bj):
                 report = blowup_invariance_check(p, bi, bj, base.series)
                 detail = "; ".join(report.failures)
@@ -417,17 +416,3 @@ def verify(p: MonomialPresentation, degree_bound: int | None = None,
             run(f"blowup_invariance_{bi + 1}_{bj + 1}", blowup)
 
     return VerifyReport(p, tuple(checks), diverged)
-
-
-def support_of_exponent(e: ExponentVector) -> frozenset[int]:
-    return frozenset(i for i, a in enumerate(e) if a > 0)
-
-
-def with_ring_labels(p: MonomialPresentation, ring: LevelRing) -> MonomialPresentation:
-    if p.variable_labels == ring.variables:
-        return p
-    return MonomialPresentation(p.num_vars, p.generators, ring.variables)
-
-
-def admissible_base_pairs(ring: LevelRing, p: MonomialPresentation):
-    return list(dict.fromkeys(admissible_pairs(ring, with_ring_labels(p, ring))))

@@ -21,6 +21,7 @@ from math import comb
 from typing import Iterable, Mapping
 
 from .errors import DimensionMismatchError, MonomialSegreError
+from .lattice import default_labels
 
 Exponent = tuple[int, ...]
 
@@ -175,19 +176,19 @@ class TruncatedSeries:
 
     def __eq__(self, other):
         if isinstance(other, TruncatedSeries):
-            return self.num_vars == other.num_vars and self.terms == other.terms
+            return (self.num_vars, self.degree_bound, self.terms) == \
+                (other.num_vars, other.degree_bound, other.terms)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.num_vars, frozenset(self.terms.items())))
+        return hash((self.num_vars, self.degree_bound,
+                     frozenset(self.terms.items())))
 
     # -- display ----------------------------------------------------------
 
     def render(self, labels: Iterable[str] | None = None) -> str:
-        if labels is None:
-            labels = [f"X{i + 1}" for i in range(self.num_vars)]
-        else:
-            labels = list(labels)
+        labels = default_labels(self.num_vars) if labels is None else \
+            list(labels)
         if not self.terms:
             return "0"
         parts = []

@@ -6,7 +6,8 @@ total-degree one), so the expected term dictionaries do not go through the
 package's own series arithmetic.  The blow-up push-forward has a normal-form
 reference that rewrites powers of E one step at a time, and a closed-form one
 that substitutes every term and expands every power of E, with no test of
-which strata are empty.  Stratum emptiness up a blow-up tower has a recursive
+which strata are empty; the pull-back is the same substitution with the
+opposite sign.  Stratum emptiness up a blow-up tower has a recursive
 reference that asks the level below, and scheme emptiness a brute-force one
 that enumerates candidate strata.  The
 reciprocal of 1 + L has the geometric series of series products as its
@@ -58,9 +59,11 @@ def random_presentation(rnd):
     return presentation(tuple(sorted(gens)))
 
 
-def substitute_center(terms, pi, pj):
-    """Substitute Y~_center -> Y - E into terms over the upper layout
-    (E, Y~_1, ..., Y~_n), term by term by the binomial theorem."""
+def substitute_center(terms, pi, pj, sign):
+    """Binomial substitution at the two center positions of terms laid out
+    as (E, Y_1, ..., Y_n): each center power Y^a becomes (Y + sign E)^a,
+    expanded term by term.  Sign -1 rewrites the transforms Y~ as Y - E, for
+    a push-forward; sign +1 pulls Y back to Y~ + E."""
     working = {}
     for e, c in terms.items():
         ai, aj = e[pi + 1], e[pj + 1]
@@ -71,9 +74,17 @@ def substitute_center(terms, pi, pj):
                 t[pi + 1] -= r1
                 t[pj + 1] -= r2
                 t = tuple(t)
-                v = (-1) ** (r1 + r2) * comb(ai, r1) * comb(aj, r2) * c
+                v = sign ** (r1 + r2) * comb(ai, r1) * comb(aj, r2) * c
                 working[t] = working.get(t, 0) + v
     return working
+
+
+def pullback(terms, pi, pj):
+    """p* down one blow-up on plain term dicts over (Y_1, ..., Y_n): each
+    center variable maps to its transform plus E, every other variable to
+    its transform.  Returns the nonzero terms over (E, Y~_1, ..., Y~_n)."""
+    lifted = {(0,) + e: c for e, c in terms.items()}
+    return {e: c for e, c in substitute_center(lifted, pi, pj, 1).items() if c}
 
 
 def pushforward_by_normal_form(terms, pi, pj):
@@ -84,7 +95,7 @@ def pushforward_by_normal_form(terms, pi, pj):
     Substitute Y~_center -> Y - E, rewrite E^k (k >= 2) with
     E^2 = E(Y_i + Y_j) - Y_i Y_j until every power of E is below 2, then keep
     the E-free part.  Returns the nonzero terms over (Y_1, ..., Y_n)."""
-    working = substitute_center(terms, pi, pj)
+    working = substitute_center(terms, pi, pj, -1)
     reduced = {}
     work = list(working.items())
     while work:
@@ -110,7 +121,7 @@ def pushforward_by_substitution(terms, pi, pj):
     Substitute Y~_center -> Y - E into every term, then push each power of E
     down with p_*(1) = 1, p_*(E) = 0 and p_*(E^k) = -Y_i Y_j h_{k-2}(Y_i, Y_j)
     for k >= 2.  Every term is kept, whether or not its stratum is empty."""
-    working = substitute_center(terms, pi, pj)
+    working = substitute_center(terms, pi, pj, -1)
     out = {}
     for e, c in working.items():
         k = e[0]
@@ -126,24 +137,25 @@ def pushforward_by_substitution(terms, pi, pj):
     return {e: c for e, c in out.items() if c}
 
 
-def stratum_is_empty_by_recursion(base, steps, labels):
+def stratum_is_empty_by_recursion(dim, nil_pairs, steps, labels):
     """Emptiness of a stratum on the top level of a tower, asked down the
     tower one blow-up at a time.
 
-    base is the base ring and steps the blow-ups above it, lowest first.  On
-    the base a stratum is empty when it has more labels than the ambient
-    dimension or contains a declared nil pair.  Above a blow-up of
+    dim is the ambient dimension, nil_pairs the label pairs declared not to
+    meet on the base, and steps the blow-ups above the base, lowest first.
+    On the base a stratum is empty when it has more than dim labels or
+    contains a nil pair.  Above a blow-up of
     {i, j} with exceptional E: the proper transforms of i and j are
     disjoint, any other stratum avoiding E is empty iff its image below is,
     and a stratum through E is empty iff its image together with {i, j} is
     empty below."""
     s = frozenset(labels)
-    if len(s) > base.ambient_dim:
+    if len(s) > dim:
         return True
     if len(s) < 2:
         return False
     if not steps:
-        return any(pair <= s for pair in base.declared_nils)
+        return any(frozenset(pair) <= s for pair in nil_pairs)
     step = steps[-1]
     i, j = step.center
     exceptional = step.exceptional_label
@@ -153,7 +165,7 @@ def stratum_is_empty_by_recursion(base, steps, labels):
         return True
     if exceptional in s:
         low |= {i, j}
-    return stratum_is_empty_by_recursion(base, steps[:-1], low)
+    return stratum_is_empty_by_recursion(dim, nil_pairs, steps[:-1], low)
 
 
 def scheme_is_empty_by_enumeration(labels, ambient_dim, generators,

@@ -185,7 +185,10 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
     # bad dmax
     assert run(capsys, ["compute"] + STAIRCASE_ARGS +
                ["--dmax", "0"])[0] == EXIT_USAGE
-    # the blowup preset orders a lifted configuration, never a base one
+    # the number of variables is the generators' length; there is no flag
+    assert run(capsys, ["compute", "--gens", "1,0;0,1",
+                        "--n", "2"])[0] == EXIT_USAGE
+    # a lifted configuration has its own order, and no preset names it
     for command in ("compute", "triangulate"):
         assert run(capsys, [command, "--gens", "1,0;0,1",
                             "--preset", "blowup"])[0] == EXIT_USAGE

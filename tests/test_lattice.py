@@ -4,9 +4,8 @@ from hypothesis import strategies as st
 
 from monomial_segre.errors import DimensionMismatchError, MonomialSegreError
 from monomial_segre.lattice import (MonomialPresentation, dominates,
-                                    is_principal, minimalize, presentation,
-                                    residual_split, support,
-                                    support_cover_check)
+                                    minimalize, presentation, residual_split,
+                                    support, support_cover_check)
 
 
 def test_presentation_infers_dimension_and_labels():
@@ -71,12 +70,6 @@ def test_residual_has_trivial_gcd(gens):
     _, r = residual_split(presentation(tuple(gens)))
     d2, _ = residual_split(r)
     assert d2 == (0, 0, 0)
-
-
-def test_is_principal():
-    assert is_principal(presentation(((1, 1),)))
-    assert is_principal(presentation(((1, 1), (2, 1))))
-    assert not is_principal(presentation(((1, 0), (0, 1))))
 
 
 def test_support_and_cover_check():

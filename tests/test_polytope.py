@@ -79,7 +79,7 @@ def test_placing_staircase_complement():
 
 def test_placing_lifted_staircase_five_cells():
     lifted = lift_to_H(complement_configuration(STAIRCASE), 0, 1)
-    t = placing_triangulation(lifted, preset="blowup")
+    t = placing_triangulation(lifted)
     assert cell_labels(t) == {
         frozenset({"v0", "v1", "v2", "a1"}),
         frozenset({"v1", "v2", "a1", "a2"}),
@@ -102,7 +102,13 @@ def test_placement_order_presets():
     with pytest.raises(MonomialSegreError):
         placement_order(c, "no_such_preset")
     with pytest.raises(MonomialSegreError):
-        placement_order(c, "blowup")  # needs a lifted configuration
+        placement_order(c, "blowup")  # the lifted order is not a preset
+    # a lifted configuration has its own order: the rays off the center
+    # plane, then the two center rays and a0; it takes no other preset
+    lifted = lift_to_H(c, 0, 1)
+    assert placement_order(lifted) == ["v0", "v1", "v2", "a1", "a2", "a0"]
+    with pytest.raises(MonomialSegreError):
+        placement_order(lifted, "rays_first")
 
 
 def test_lift_to_H_coordinates():
@@ -117,7 +123,7 @@ def test_lift_to_H_coordinates():
 
 def test_classification_golden():
     lifted = lift_to_H(complement_configuration(STAIRCASE), 0, 1)
-    t = placing_triangulation(lifted, preset="blowup")
+    t = placing_triangulation(lifted)
     parts = classify_blowup_cells(t)
     named = {
         "U0": {frozenset({"v0", "v1", "v2", "a0"})},
@@ -133,7 +139,7 @@ def test_classification_golden():
 
 def test_alpha_golden():
     lifted = lift_to_H(complement_configuration(STAIRCASE), 0, 1)
-    t = placing_triangulation(lifted, preset="blowup")
+    t = placing_triangulation(lifted)
     parts = classify_blowup_cells(t)
     base = placing_triangulation(complement_configuration(STAIRCASE))
     base_keys = {frozenset(c.provenance): c.key() for c in base.cells}
@@ -151,7 +157,7 @@ def test_alpha_golden():
 
 def test_links_match_base_triangulation():
     lifted = lift_to_H(complement_configuration(STAIRCASE), 0, 1)
-    t = placing_triangulation(lifted, preset="blowup")
+    t = placing_triangulation(lifted)
     base = placing_triangulation(complement_configuration(STAIRCASE))
     assert {c.key() for c in link_cells(t)} == {c.key() for c in base.cells}
 

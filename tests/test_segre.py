@@ -176,6 +176,34 @@ def test_newton_cells_are_computed_only_where_they_are_read(monkeypatch):
     assert newton == list(result.newton_cells)
 
 
+def test_verify_names_the_residual_mismatch(monkeypatch):
+    # an untwisted residual breaks the identity; the detail names the first
+    # differing term, as pipeline_equality's does
+    p = presentation(((2, 1), (1, 2)))
+    monkeypatch.setattr(segre, "tensor_line", lambda c, line: c)
+    want = residual_identity_check(p, segre_integral(p, 5).series)
+    assert want.status == "mismatch" and want.first_difference is not None
+    report = verify(p, 5, include_blowup_checks=False)
+    by_name = {c.name: c for c in report.checks}
+    assert not report.ok
+    assert not by_name["residual_identity"].passed
+    assert by_name["residual_identity"].detail == \
+        f"mismatch, first differing term {want.first_difference}"
+
+
+def test_orthant_check_sees_newton_cells_one_degree_low(monkeypatch):
+    # every cell's series is truncated at the integral's bound; Newton cell
+    # series at a lower bound no longer sum to the 1 at the full one
+    monkeypatch.setattr(segre.SegreResult, "per_simplex", property(
+        lambda self: segre._terms_for(self.newton_cells,
+                                      self.series.degree_bound - 1)))
+    report = verify(STAIRCASE, 5, include_blowup_checks=False)
+    by_name = {c.name: c for c in report.checks}
+    assert not by_name["orthant_normalization"].passed
+    assert by_name["orthant_normalization"].detail == \
+        "orthant contributions do not sum to 1"
+
+
 def _record_integrals(monkeypatch):
     calls = []
 

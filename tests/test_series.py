@@ -198,6 +198,16 @@ def test_tensor_line_rejects_constants():
         tensor_line(c, LinearForm.of(1, (1, 0)))
 
 
+def test_equality_compares_the_degree_bound():
+    # the same terms at two bounds are two truncations, not one
+    terms = {(1, 0): 2, (1, 1): -1}
+    a, b = TruncatedSeries(2, 3, terms), TruncatedSeries(2, 4, terms)
+    assert a != b
+    assert a == TruncatedSeries(2, 3, terms)
+    assert hash(a) == hash(TruncatedSeries(2, 3, terms))
+    assert len({a, b}) == 2
+
+
 def test_sorted_terms_graded_lex():
     s = TruncatedSeries(2, 4, {(0, 2): 1, (2, 0): 1, (1, 0): 1, (1, 1): 1})
     assert [e for e, _ in s.sorted_terms()] == [(1, 0), (0, 2), (1, 1), (2, 0)]
