@@ -6,8 +6,8 @@ the divisor class back down.  Agreement of the two is the headline check.
 """
 
 from .chow import (BlowupStep, ChowClass, LevelRing, base_ring, blow_up,
-                   pullback_generators, pushforward, reduce_nils,
-                   scheme_is_divisor, scheme_is_empty)
+                   pushforward, reduce_nils, scheme_is_divisor,
+                   scheme_is_empty)
 from .errors import (ClassificationError, DegenerateConfigurationError,
                      DimensionMismatchError, EmptyCenterError,
                      LevelMismatchError, MonomialSegreError,

@@ -1,6 +1,6 @@
 """Formal intersection-ring model of a simple-normal-crossings divisor
-configuration, with codimension-2 blow-ups, the total transform of monomial
-generators, and push-forward.
+configuration, with codimension-2 blow-ups, the rays of their divisors, and
+push-forward.
 
 A level stores which strata (intersections of its divisors) are nonempty as
 a simplicial complex, listed by its facets; a stratum is empty exactly when
@@ -8,6 +8,12 @@ no facet contains it, on the base ring as on every level above.  Blowing up
 divisors i and j is the stellar subdivision of the edge {i, j}: each facet F
 through both becomes E + F - {i} and E + F - {j}, in proper-transform labels
 (Cox-Little-Schenck, Toric Varieties, Sec. 3.3).
+
+Every divisor also has a ray in Z^n_{>=0}, over the n base divisors: X_k has
+e_k, and the exceptional divisor of the blow-up of {i, j} has v_i + v_j.  A
+base monomial g then has exponent g.v on the divisor with ray v, so its total
+transform on any level is read off the rays (Sec. 11.1 there), and no level
+stores transformed generators.
 
 Push-forward is in closed form: rewrite every proper transform through
 Y~ = p*Y - E at the two center variables (Y~ = p*Y at the others), then push
@@ -45,22 +51,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from operator import add, mul, sub
 from typing import Iterable
 
 from .errors import EmptyCenterError, LevelMismatchError, MonomialSegreError
 from .lattice import (ExponentVector, MonomialPresentation, default_labels,
-                      residual_split, support)
+                      support)
 from .series import TruncatedSeries
 
 
 @dataclass(frozen=True)
 class LevelRing:
-    """Named divisor variables and the facets of their complex of nonempty
-    strata; build one with `base_ring` or `blow_up`.  A stratum (variable
-    subset) is nonempty exactly when it lies in a facet."""
+    """Named divisor variables, the facets of their complex of nonempty
+    strata, and one ray per variable; build one with `base_ring` or
+    `blow_up`.  A stratum (variable subset) is nonempty exactly when it lies
+    in a facet."""
 
     variables: tuple[str, ...]
     facets: tuple[frozenset[str], ...]
+    rays: tuple[ExponentVector, ...]
     depth: int = 0
 
     def __post_init__(self):
@@ -77,6 +86,15 @@ class LevelRing:
             return self.variables.index(label)
         except ValueError:
             raise MonomialSegreError(f"unknown variable {label!r}") from None
+
+    def exponents(self, g: ExponentVector) -> ExponentVector:
+        """The total transform of the base monomial g: its exponent g.v on
+        each divisor, v the divisor's ray."""
+        if len(g) != len(self.rays[0]):
+            raise LevelMismatchError(
+                f"monomial {g} is not over the {len(self.rays[0])} base "
+                "variables")
+        return tuple(sum(map(mul, g, v)) for v in self.rays)
 
     def in_facet(self, labels: frozenset[str]) -> bool:
         """True when some facet contains the stratum `labels`."""
@@ -103,25 +121,31 @@ def base_ring(n: int, labels: Iterable[str] | None = None,
               nil_pairs: Iterable[Iterable[str]] = ()) -> LevelRing:
     """The ambient divisors of an n-dimensional variety, as a generic
     normal-crossings configuration: a stratum is empty when it has more than
-    n labels or contains one of the nil pairs, whose divisors do not meet."""
+    n labels or contains one of the nil pairs, whose divisors do not meet.
+    The pairs are checked in the order given, so an error names the first
+    bad one.  Each label's ray is its unit vector."""
     if n < 1:
         raise MonomialSegreError("the dimension n must be positive")
     labels = tuple(labels) if labels else default_labels(n)
-    seeds = {frozenset(p) for p in nil_pairs}
-    for s in seeds:
-        if len(s) != 2:
-            raise MonomialSegreError(f"nil pair {sorted(s)} is not a pair")
-        if not s <= set(labels):
+    seeds = set()
+    for pair in map(tuple, nil_pairs):
+        if len(pair) != 2 or pair[0] == pair[1]:
             raise MonomialSegreError(
-                f"nil pair {sorted(s)} uses a label outside {list(labels)}")
+                f"nil pair {list(pair)} is not a pair of distinct labels")
+        if not set(pair) <= set(labels):
+            raise MonomialSegreError(
+                f"nil pair {list(pair)} uses a label outside {list(labels)}")
+        seeds.add(tuple(sorted(pair)))
     # split every largest stratum along each nil pair it contains
     facets = [frozenset(f) for f in combinations(labels, min(n, len(labels)))]
-    for a, b in sorted(sorted(s) for s in seeds):
+    for a, b in sorted(seeds):
         facets = [g for f in facets
                   for g in ((f - {a}, f - {b}) if {a, b} <= f else (f,))]
     facets = list(dict.fromkeys(facets))
     maximal = tuple(f for f in facets if not any(f < g for g in facets))
-    return LevelRing(labels, maximal)
+    rays = tuple(tuple(int(k == m) for k in range(len(labels)))
+                 for m in range(len(labels)))
+    return LevelRing(labels, maximal, rays)
 
 
 @dataclass(frozen=True)
@@ -150,10 +174,11 @@ class BlowupStep:
 
 def blow_up(r: LevelRing, i: str, j: str) -> BlowupStep:
     """Blow up along the intersection of divisors i and j: the stellar
-    subdivision of the edge {i, j} of the lower ring's complex."""
+    subdivision of the edge {i, j} of the lower ring's complex.  The
+    exceptional divisor's ray is the sum of the two centers' rays."""
     if i == j:
         raise MonomialSegreError("center labels must differ")
-    r.index(i), r.index(j)  # validate labels
+    pi, pj = r.index(i), r.index(j)
     if r.stratum_is_empty({i, j}):
         raise EmptyCenterError(f"center ({i}, {j}) is a known-empty intersection")
     exceptional = f"E{r.depth + 1}"
@@ -169,20 +194,10 @@ def blow_up(r: LevelRing, i: str, j: str) -> BlowupStep:
         else:
             facets.append(frozenset(map(transform, f)))
     upper_vars = (exceptional,) + tuple(transform(v) for v in r.variables)
-    upper = _BlownUpRing(upper_vars, tuple(facets), depth=r.depth + 1)
+    rays = (tuple(map(add, r.rays[pi], r.rays[pj])),) + r.rays
+    upper = _BlownUpRing(upper_vars, tuple(facets), rays, depth=r.depth + 1)
     return BlowupStep(lower=r, upper=upper, center=(i, j),
                       exceptional_label=exceptional)
-
-
-def pullback_generators(step: BlowupStep,
-                        p: MonomialPresentation) -> MonomialPresentation:
-    """Total transform of each monomial: the E-entry is the sum of the two
-    center entries."""
-    if p.variable_labels != step.lower.variables:
-        raise LevelMismatchError("presentation is not over the lower ring")
-    pi, pj = step.center_positions()
-    gens = tuple((g[pi] + g[pj],) + g for g in p.generators)
-    return MonomialPresentation(p.num_vars + 1, gens, step.upper.variables)
 
 
 # the E^{>=2} part of p_*(E^k0 Y~_i^ai Y~_j^aj), keyed by (k0, ai, aj); it
@@ -291,8 +306,14 @@ def scheme_is_empty(r: LevelRing, p: MonomialPresentation) -> bool:
 
 def scheme_is_divisor(r: LevelRing,
                       p: MonomialPresentation) -> ExponentVector | None:
-    """The common-factor divisor when the residual scheme is empty, else None."""
-    d, residual = residual_split(p)
+    """The divisor D when the total transform on r of the base presentation p
+    is D plus an empty residual scheme, else None.  D is the least exponent
+    on each divisor (`LevelRing.exponents`).  The residual rows are distinct,
+    because the base divisors' rays persist up the tower."""
+    gens = [r.exponents(g) for g in p.generators]
+    d = tuple(map(min, zip(*gens)))
+    residual = MonomialPresentation(
+        r.num_vars, [tuple(map(sub, g, d)) for g in gens], r.variables)
     if scheme_is_empty(r, residual):
         return d
     return None

@@ -73,10 +73,11 @@ def load_job(args):
     """Build (presentation, dmax, nil_pairs, ring) from flags and/or an input
     document; ring is None unless nil pairs are declared.  Inline --gens and
     --input are mutually exclusive.  A document's optional "strategy" field
-    must name CENTER_RULE, the one center rule there is, and its labels may
-    not have the shape of the ones blow-ups generate (GENERATED_LABEL).  A
-    series at dmax may have no more terms than series.TERM_BUDGET, in n
-    variables, or in n + 1 for verify."""
+    must name CENTER_RULE, the one center rule there is; its labels and
+    nil_pairs must be JSON arrays, each nil pair an array of two labels, and
+    its labels may not have the shape of the ones blow-ups generate
+    (GENERATED_LABEL).  A series at dmax may have no more terms than
+    series.TERM_BUDGET, in n variables, or in n + 1 for verify."""
     if (args.gens is None) == (getattr(args, "input", None) is None):
         raise UsageError("give exactly one of --gens or --input")
     nil_pairs = ()
@@ -90,14 +91,20 @@ def load_job(args):
         try:
             n = doc["n"]
             gens = tuple(tuple(g) for g in doc["generators"])
-            labels = tuple(doc.get("labels") or ())
-            nil_pairs = tuple(tuple(pr) for pr in doc.get("nil_pairs", ()))
+            labels = doc.get("labels", [])
+            nil_pairs = doc.get("nil_pairs", [])
             dmax = doc.get("dmax")
         except KeyError as exc:
             raise UsageError(f"input document has no field {exc}")
         except TypeError:
             raise UsageError("input document must be an object whose "
                              "generators, labels and nil_pairs are lists")
+        if type(labels) is not list or type(nil_pairs) is not list or \
+                any(type(pr) is not list for pr in nil_pairs):
+            raise UsageError("labels must be a list, and nil_pairs a list "
+                             "of lists")
+        labels = tuple(labels)
+        nil_pairs = tuple(tuple(pr) for pr in nil_pairs)
         if type(n) is not int or (dmax is not None and type(dmax) is not int):
             raise UsageError("fields n and dmax must be integers")
         names = list(labels) + [lab for pr in nil_pairs for lab in pr]
@@ -154,7 +161,7 @@ def emit(doc, out=None):
 
 def cmd_compute(args) -> int:
     p, dmax, nil_pairs, ring = load_job(args)
-    result = segre_integral(p, dmax, order_preset=args.preset, ring=ring)
+    result = segre_integral(p, dmax, ring=ring)
     doc = presentation_doc(p, dmax, nil_pairs=nil_pairs)
     doc["pipeline"] = result.pipeline
     doc["series"] = series_doc(result.series)
@@ -222,8 +229,11 @@ def cmd_render(args) -> int:
         raise UsageError("render only supports n = 2")
     svg = render_svg(p)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(svg)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(svg)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.output}: {exc.strerror}")
     else:
         sys.stdout.write(svg)
     return EXIT_OK
@@ -353,15 +363,12 @@ def cmd_corpus(args) -> int:
     return EXIT_OK
 
 
-def _add_input_flags(sp, with_dmax=True, with_preset=False):
+def _add_input_flags(sp, with_dmax=True):
     sp.add_argument("--gens", help='inline generators, e.g. "3,0;1,1;0,3"')
     sp.add_argument("--input", help="path to a JSON job document, - for stdin")
     if with_dmax:
         sp.add_argument("--dmax", type=int, help="truncation degree "
                         f"(default n+3, or ${ENV_DMAX})")
-    if with_preset:
-        sp.add_argument("--preset", choices=ORDER_PRESETS, default="default",
-                        help="placement-order preset")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("compute", help="Newton-region integral pipeline")
-    _add_input_flags(sp, with_preset=True)
+    _add_input_flags(sp)
     sp.set_defaults(func=cmd_compute)
 
     sp = sub.add_parser("tower", help="blow-up tower pipeline with trace")
@@ -383,7 +390,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("triangulate", help="dump cells, hvol, contributions")
-    _add_input_flags(sp, with_preset=True)
+    _add_input_flags(sp)
+    # the series does not depend on the placement order, the cells do
+    sp.add_argument("--preset", choices=ORDER_PRESETS, default="default",
+                    help="placement-order preset")
     sp.set_defaults(func=cmd_triangulate)
 
     sp = sub.add_parser("render", help="n=2 Newton-region figure (SVG)")

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import sub
 
-from .chow import (BlowupStep, LevelRing, blow_up, pullback_generators,
-                   scheme_is_divisor)
+from .chow import BlowupStep, LevelRing, blow_up, scheme_is_divisor
 from .errors import NoAdmissibleCenterError, TowerDivergenceError
 from .lattice import ExponentVector, MonomialPresentation
 
@@ -23,32 +23,25 @@ DEFAULT_CAP = 200
 
 @dataclass(frozen=True)
 class TowerTrace:
-    levels: tuple[tuple[LevelRing, MonomialPresentation], ...]
-    steps: tuple[BlowupStep, ...]
-    terminal_divisor: ExponentVector
+    """The blow-ups of a tower, lowest first, its top ring, and the divisor
+    the base ideal's total transform is on that ring (zero on a partial
+    trace).  The rings below the top are the steps' lower rings."""
 
-    @property
-    def top_ring(self) -> LevelRing:
-        return self.levels[-1][0]
+    steps: tuple[BlowupStep, ...]
+    top_ring: LevelRing
+    terminal_divisor: ExponentVector
 
 
 def admissible_pairs(r: LevelRing, p: MonomialPresentation):
-    """Non-nil variable pairs (i, j) in which two generators are
-    incomparable."""
-    gens = p.generators
-    for i in range(r.num_vars):
-        for j in range(i + 1, r.num_vars):
-            if r.stratum_is_empty({r.variables[i], r.variables[j]}):
-                continue
-            for a in range(len(gens)):
-                for b in range(a + 1, len(gens)):
-                    u, v = gens[a], gens[b]
-                    if (u[i] - v[i]) * (u[j] - v[j]) < 0:
-                        yield i, j
-                        break
-                else:
-                    continue
-                break
+    """Non-nil variable pairs (i, j) in which the exponents on r of two
+    generators of the base presentation p are incomparable."""
+    gens = [r.exponents(g) for g in p.generators]
+    for i, j in combinations(range(r.num_vars), 2):
+        if r.stratum_is_empty({r.variables[i], r.variables[j]}):
+            continue
+        if any((u[i] - v[i]) * (u[j] - v[j]) < 0
+               for u, v in combinations(gens, 2)):
+            yield i, j
 
 
 def ring_edges(r: LevelRing) -> set[frozenset[str]]:
@@ -58,40 +51,29 @@ def ring_edges(r: LevelRing) -> set[frozenset[str]]:
 
 
 def select_center(r: LevelRing, p: MonomialPresentation) -> tuple[int, int] | None:
-    """Center from the first incomparable generator pair: strip the pairwise
-    gcd, then blow up at the largest-exponent slot across the two leftover
-    supports; None when no admissible pair exists.  A slot pair qualifies
-    when it is an edge of the ring's complex (`ring_edges`, built once per
-    call rather than asking every facet about every pair).
+    """Center from the first incomparable generator pair of the base
+    presentation p, read on r: with u and v the two generators' exponents on
+    r's divisors and delta = u - v, blow up at the largest-scoring slot, an
+    edge (i, j) of the ring's complex (`ring_edges`, built once per call)
+    with delta_i > 0 > delta_j, scored delta_i - delta_j; None when no pair
+    has a slot.  A comparable pair has none, and neither has a pair whose
+    leftover scheme, after the pairwise gcd, is already empty.
 
     Sticking with one generator pair matters.  The exceptional exponents of
     the attacked slot shrink like a run of the Euclidean algorithm, and a
     pair once comparable stays comparable under total transforms, so pairs
     get retired one by one.  Scanning all pairs greedily instead lets each
     new exceptional re-bridge the two supports and the driver orbits."""
-    gens = p.generators
+    gens = [r.exponents(g) for g in p.generators]
     edges = ring_edges(r)
     labels = r.variables
-    for a in range(len(gens)):
-        for b in range(a + 1, len(gens)):
-            u, v = gens[a], gens[b]
-            if all(x <= y for x, y in zip(u, v)) or \
-               all(y <= x for x, y in zip(u, v)):
-                continue
-            w = [x - min(x, y) for x, y in zip(u, v)]
-            z = [y - min(x, y) for x, y in zip(u, v)]
-            slots = []
-            for i in range(len(w)):
-                if w[i] == 0:
-                    continue
-                for j in range(len(z)):
-                    if z[j] == 0:
-                        continue
-                    if frozenset((labels[i], labels[j])) not in edges:
-                        continue
-                    slots.append((w[i] + z[j], i, j))
-            if not slots:
-                continue  # this pair's leftover scheme is already empty
+    for u, v in combinations(gens, 2):
+        delta = tuple(map(sub, u, v))
+        below = [j for j, x in enumerate(delta) if x < 0]
+        slots = [(x - delta[j], i, j)
+                 for i, x in enumerate(delta) if x > 0 for j in below
+                 if frozenset((labels[i], labels[j])) in edges]
+        if slots:
             _, i, j = max(slots, key=lambda s: (s[0], -s[1], -s[2]))
             return (i, j) if i < j else (j, i)
     return None
@@ -99,35 +81,32 @@ def select_center(r: LevelRing, p: MonomialPresentation) -> tuple[int, int] | No
 
 def principalize(r0: LevelRing, p0: MonomialPresentation,
                  cap: int = DEFAULT_CAP) -> TowerTrace:
-    """Blow up at selected centers until the total transform is a divisor.
+    """Blow up at selected centers until the total transform of p0 is a
+    divisor.
 
-    Each level asks `scheme_is_divisor` first and stops there; otherwise
-    `select_center` picks the center, `blow_up` subdivides the ring's
-    complex and `pullback_generators` takes the total transform.  After cap
-    blow-ups without a divisor, TowerDivergenceError carries the partial
-    trace (the CLI prints its centers)."""
-    if p0.variable_labels != r0.variables:
-        p0 = MonomialPresentation(p0.num_vars, p0.generators, r0.variables)
-    ring, pres = r0, p0
-    levels = [(ring, pres)]
+    p0 is over the base ring r0, and every level reads its generators'
+    exponents through its rays.  Each level asks `scheme_is_divisor` first
+    and stops there; otherwise `select_center` picks the center and
+    `blow_up` subdivides the ring's complex.  After cap blow-ups without a
+    divisor, TowerDivergenceError carries the partial trace (the CLI prints
+    its centers)."""
+    ring = r0
     steps: list[BlowupStep] = []
     for iteration in range(cap + 1):
-        d = scheme_is_divisor(ring, pres)
+        d = scheme_is_divisor(ring, p0)
         if d is not None:
-            return TowerTrace(tuple(levels), tuple(steps), d)
+            return TowerTrace(tuple(steps), ring, d)
         if iteration == cap:
             break
-        center = select_center(ring, pres)
+        center = select_center(ring, p0)
         if center is None:
             raise NoAdmissibleCenterError(
                 "non-divisor presentation admits no incomparability witness; "
                 "this indicates a model bug")
-        i, j = ring.variables[center[0]], ring.variables[center[1]]
-        step = blow_up(ring, i, j)
-        pres = pullback_generators(step, pres)
+        step = blow_up(ring, ring.variables[center[0]],
+                       ring.variables[center[1]])
         ring = step.upper
         steps.append(step)
-        levels.append((ring, pres))
-    partial = TowerTrace(tuple(levels), tuple(steps), (0,) * ring.num_vars)
+    partial = TowerTrace(tuple(steps), ring, (0,) * ring.num_vars)
     raise TowerDivergenceError(
         f"no divisor reached within {cap} blow-ups", trace=partial)

@@ -250,8 +250,6 @@ class BlowupReport:
     ok: bool
     failures: tuple[str, ...]
     classification_sizes: tuple[int, int, int, int]
-    lifted_total: TruncatedSeries | None = None
-    base_total: TruncatedSeries | None = None
 
 
 def blowup_invariance_check(p: MonomialPresentation, i: int, j: int,
@@ -314,8 +312,7 @@ def blowup_invariance_check(p: MonomialPresentation, i: int, j: int,
 
     sizes = (len(parts.U0), len(parts.U1), len(parts.Uprime),
              len(parts.Udoubleprime))
-    return BlowupReport(not failures, tuple(failures), sizes,
-                        lifted_total=pushed_total, base_total=integral)
+    return BlowupReport(not failures, tuple(failures), sizes)
 
 
 @dataclass(frozen=True)
@@ -330,7 +327,7 @@ class VerifyReport:
 
 
 def verify(p: MonomialPresentation, degree_bound: int | None = None,
-           nil_pairs=(), include_blowup_checks: bool = True) -> VerifyReport:
+           nil_pairs=()) -> VerifyReport:
     """Run every identity check on one presentation and aggregate a report."""
     n = p.num_vars
     if degree_bound is None:
@@ -407,12 +404,11 @@ def verify(p: MonomialPresentation, degree_bound: int | None = None,
         return True, ""
     run("support_property", supports)
 
-    if include_blowup_checks:
-        for (bi, bj) in admissible_pairs(ring, p):
-            def blowup(bi=bi, bj=bj):
-                report = blowup_invariance_check(p, bi, bj, base.series)
-                detail = "; ".join(report.failures)
-                return report.ok, detail
-            run(f"blowup_invariance_{bi + 1}_{bj + 1}", blowup)
+    for (bi, bj) in admissible_pairs(ring, p):
+        def blowup(bi=bi, bj=bj):
+            report = blowup_invariance_check(p, bi, bj, base.series)
+            detail = "; ".join(report.failures)
+            return report.ok, detail
+        run(f"blowup_invariance_{bi + 1}_{bj + 1}", blowup)
 
     return VerifyReport(p, tuple(checks), diverged)

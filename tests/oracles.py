@@ -12,6 +12,8 @@ reference that asks the level below, and scheme emptiness a brute-force one
 that enumerates candidate strata.  The
 reciprocal of 1 + L has the geometric series of series products as its
 reference, and a simplex contribution the product of such reciprocals.
+The total transform of generators up a tower has a step-by-step reference
+that widens them by one exponent per blow-up.
 Division by 1 + L has a degree-by-degree recurrence on term dicts as its
 reference.  The
 seeded draw rule for random presentations is here too, so that every suite
@@ -85,6 +87,18 @@ def pullback(terms, pi, pj):
     its transform.  Returns the nonzero terms over (E, Y~_1, ..., Y~_n)."""
     lifted = {(0,) + e: c for e, c in terms.items()}
     return {e: c for e, c in substitute_center(lifted, pi, pj, 1).items() if c}
+
+
+def total_transform(generators, steps):
+    """The generators' exponents on the top level of a tower, one blow-up at
+    a time: above the blow-up of {i, j}, a generator g gains the exponent
+    g_i + g_j on the new exceptional divisor, in front, and keeps its other
+    entries on the proper transforms."""
+    gens = [tuple(g) for g in generators]
+    for step in steps:
+        pi, pj = step.center_positions()
+        gens = [(g[pi] + g[pj],) + g for g in gens]
+    return gens
 
 
 def pushforward_by_normal_form(terms, pi, pj):

@@ -186,7 +186,7 @@ def test_criterion_8_pushforward_identities(capsys):
 
 
 def test_criterion_9_support_and_emptiness(capsys):
-    rep = verify(STAIRCASE, 6, include_blowup_checks=False)
+    rep = verify(STAIRCASE, 6)
     support_ok = next(c.passed for c in rep.checks
                       if c.name == "support_property")
     ring = base_ring(2, nil_pairs=[("X1", "X2")])

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monomial_segre.chow import (ChowClass, base_ring, blow_up,
-                                 pullback_generators, pushforward, reduce_nils,
-                                 scheme_is_divisor, scheme_is_empty)
+from monomial_segre.chow import (ChowClass, base_ring, blow_up, pushforward,
+                                 reduce_nils, scheme_is_divisor,
+                                 scheme_is_empty)
 from monomial_segre.errors import (EmptyCenterError, LevelMismatchError,
                                    MonomialSegreError)
 from monomial_segre.lattice import MonomialPresentation, presentation
@@ -18,7 +18,8 @@ from monomial_segre.series import LinearForm, TruncatedSeries, reciprocal_one_pl
 from oracles import (expand_terms, pullback, pushforward_by_normal_form,
                      pushforward_by_substitution,
                      scheme_is_empty_by_enumeration,
-                     stratum_is_empty_by_recursion, symbols, variable)
+                     stratum_is_empty_by_recursion, symbols,
+                     total_transform, variable)
 
 BOUND = 6
 
@@ -108,12 +109,15 @@ def test_exceptional_label_may_repeat_a_base_label():
         [["E1", "~E1"], ["E1", "~X2"]]
 
 
-def test_pullback_generators_total_transform():
-    p = presentation(((3, 0), (1, 1), (0, 3)))
+def test_exponents_are_read_off_the_rays():
     step = blow_up(base_ring(2), "X1", "X2")
-    lifted = pullback_generators(step, p)
-    assert lifted.generators == ((3, 3, 0), (2, 1, 1), (3, 0, 3))
-    assert lifted.variable_labels == ("E1", "~X1", "~X2")
+    assert step.upper.rays == ((1, 1), (1, 0), (0, 1))
+    assert [step.upper.exponents(g) for g in ((3, 0), (1, 1), (0, 3))] == \
+        [(3, 3, 0), (2, 1, 1), (3, 0, 3)]
+    # a monomial over any other width would be truncated by the dot product
+    for g in ((1,), (1, 0, 0)):
+        with pytest.raises(LevelMismatchError):
+            step.upper.exponents(g)
 
 
 def test_pullback_then_pushforward_is_identity():
@@ -253,6 +257,9 @@ def test_scheme_is_divisor():
     r = base_ring(2)
     assert scheme_is_divisor(r, presentation(((2, 1),))) == (2, 1)
     assert scheme_is_divisor(r, presentation(((1, 0), (0, 1)))) is None
+    # one blow-up up, the base presentation's total transform is E1
+    up = blow_up(r, "X1", "X2").upper
+    assert scheme_is_divisor(up, presentation(((1, 0), (0, 1)))) == (1, 0, 0)
     r_nil = base_ring(2, nil_pairs=[("X1", "X2")])
     assert scheme_is_divisor(
         r_nil, presentation(((2, 1), (1, 2)))) == (1, 1)
@@ -319,6 +326,18 @@ def test_facets_match_the_recursive_and_enumeration_oracles(tower, data):
         p = MonomialPresentation(r.num_vars, gens, r.variables)
         assert scheme_is_empty(r, p) == scheme_is_empty_by_enumeration(
             r.variables, n, gens, oracle), (level, gens)
+
+
+@given(towers(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_exponents_match_the_step_by_step_transform(tower, data):
+    base, _, steps = tower
+    n = base.num_vars
+    gens = data.draw(st.lists(st.tuples(*[st.integers(0, 4)] * n),
+                              min_size=1, max_size=4))
+    for level, r in enumerate([base] + [s.upper for s in steps]):
+        assert [r.exponents(g) for g in gens] == \
+            total_transform(gens, steps[:level]), level
 
 
 @given(towers(), st.data())

@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -166,6 +168,16 @@ def test_render_svg_sanity(capsys, tmp_path):
     assert out2 == svg
 
 
+def test_render_to_an_unwritable_path(capsys, tmp_path):
+    for target in (tmp_path / "missing" / "fig.svg", tmp_path):
+        code, out, err = run(capsys, ["render"] + STAIRCASE_ARGS +
+                             ["-o", str(target)])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert err.count("\n") == 1, err
+
+
 def test_render_rejects_n3(capsys):
     code, _, err = run(capsys, ["render", "--gens", "1,0,0;0,1,0"])
     assert code == EXIT_USAGE
@@ -192,6 +204,10 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
     for command in ("compute", "triangulate"):
         assert run(capsys, [command, "--gens", "1,0;0,1",
                             "--preset", "blowup"])[0] == EXIT_USAGE
+    # the series does not depend on the placement order, so compute has no
+    # preset to choose
+    assert run(capsys, ["compute", "--gens", "1,0;0,1",
+                        "--preset", "rays_first"])[0] == EXIT_USAGE
     # over the term budget, C(3 + 65, 3) > TERM_BUDGET, whichever way dmax
     # comes; verify's blow-up checks, at C(4 + 31, 4), count one more variable
     budget_runs = [(["compute", "--gens", "1,1,1", "--dmax", "65"], None),
@@ -224,6 +240,11 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
         json.dumps({**good, "nil_pairs": [[["X1"], "X2"]]}),
         json.dumps({**good, "labels": ["a", 3]}),
         json.dumps({**good, "labels": 5}),
+        # labels and nil pairs are arrays, not strings read letter by letter
+        json.dumps({**good, "labels": "AB"}),
+        json.dumps({**good, "nil_pairs": "X1"}),
+        json.dumps({**good, "labels": ["A", "B"], "nil_pairs": ["AB"]}),
+        json.dumps({**good, "nil_pairs": [["X1", "X2", "X1"]]}),
         json.dumps({"generators": [[1, 0]]}),
         "[1, 2]",
         json.dumps({**good, "strategy": "zonk"}),
@@ -244,6 +265,23 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
                                 str(tmp_path / "missing.json")])
     assert code == EXIT_USAGE
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_nil_pair_error_does_not_depend_on_the_hash_seed():
+    # the pairs are checked in the order given: the first bad one is named
+    doc = json.dumps({"n": 2, "generators": [[1, 0], [0, 1]],
+                      "nil_pairs": [["X1", "X9"], ["X2", "X8"]]})
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    for seed in ("0", "5"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-m", "monomial_segre.cli", "tower", "--input",
+             "-"], input=doc, capture_output=True, text=True, env=env,
+            timeout=60)
+        assert done.returncode == EXIT_USAGE
+        assert done.stdout == ""
+        assert done.stderr == ("error: nil pair ['X1', 'X9'] uses a label "
+                               "outside ['X1', 'X2']\n")
 
 
 def test_env_var_dmax(capsys, monkeypatch):

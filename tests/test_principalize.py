@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monomial_segre.chow import base_ring, blow_up, pullback_generators
+from monomial_segre.chow import base_ring, blow_up
 from monomial_segre.errors import TowerDivergenceError
-from monomial_segre.lattice import MonomialPresentation, presentation
+from monomial_segre.lattice import presentation
 from monomial_segre.principalize import (admissible_pairs, principalize,
                                          ring_edges, select_center)
 
@@ -34,15 +34,13 @@ def test_select_center_none_for_principal():
 
 
 def test_level_one_center_under_lex():
-    # total transform of the staircase ideal after blowing up the origin:
-    # generators (3,3,0), (2,1,1), (3,0,3) in (E1, ~X1, ~X2), where the
-    # two strict transforms no longer meet.  The lexicographically first
-    # admissible pair is (0, 1); the center rule attacks the first
-    # incomparable generator pair at its largest leftover slot instead
-    r = base_ring(3, labels=("E1", "~X1", "~X2"),
-                  nil_pairs=[("~X1", "~X2")])
-    p = MonomialPresentation(3, ((3, 3, 0), (2, 1, 1), (3, 0, 3)),
-                             ("E1", "~X1", "~X2"))
+    # the staircase ideal after blowing up the origin: its generators read
+    # (3,3,0), (2,1,1), (3,0,3) in (E1, ~X1, ~X2), where the two strict
+    # transforms no longer meet.  The lexicographically first admissible
+    # pair is (0, 1); the center rule attacks the first incomparable
+    # generator pair at its largest leftover slot instead
+    r = blow_up(base_ring(2), "X1", "X2").upper
+    p = presentation(((3, 0), (1, 1), (0, 3)))
     assert list(admissible_pairs(r, p)) == [(0, 1), (0, 2)]
     assert select_center(r, p) == (0, 2)
 
@@ -50,8 +48,7 @@ def test_level_one_center_under_lex():
 @st.composite
 def center_queries(draw):
     """(ring, presentation): random generators in n = 2..4 variables over a
-    base ring with random nil pairs, or their total transform one blow-up
-    up."""
+    base ring with random nil pairs, or over the ring one blow-up up."""
     n = draw(st.integers(2, 4))
     pairs = list(combinations([f"X{k + 1}" for k in range(n)], 2))
     nils = draw(st.lists(st.sampled_from(pairs), unique=True))
@@ -62,7 +59,7 @@ def center_queries(draw):
     centers = [pair for pair in pairs if pair not in nils]
     if centers and draw(st.booleans()):
         step = blow_up(ring, *draw(st.sampled_from(centers)))
-        ring, p = step.upper, pullback_generators(step, p)
+        ring = step.upper
     return ring, p
 
 
@@ -82,13 +79,12 @@ def staircase_trace():
 def test_staircase_tower_shape():
     trace = staircase_trace()
     assert len(trace.steps) == 3
-    assert len(trace.levels) == 4
+    assert trace.top_ring is trace.steps[-1].upper
     assert trace.top_ring.num_vars == 5
     # the terminal divisor really divides every top-level generator
-    top_ring, top_pres = trace.levels[-1]
-    assert top_ring is trace.top_ring
-    for g in top_pres.generators:
-        assert all(x >= y for x, y in zip(g, trace.terminal_divisor))
+    for g in ((3, 0), (1, 1), (0, 3)):
+        assert all(x >= y for x, y in zip(trace.top_ring.exponents(g),
+                                          trace.terminal_divisor))
 
 
 def test_already_principal_is_depth_zero():
@@ -127,7 +123,7 @@ def test_divergence_carries_partial_trace():
         principalize(base_ring(2), p, cap=1)
     trace = exc.value.trace
     assert len(trace.steps) == 1
-    assert len(trace.levels) == 2
+    assert trace.top_ring is trace.steps[0].upper
 
 
 def test_hard_instances_terminate():

@@ -104,7 +104,7 @@ def test_integer_coefficients_on_goldens():
 def test_support_property_staircase():
     # every term of the class involves both variables or comes from a face
     # meeting the scheme; the aggregated check is part of verify
-    report = verify(STAIRCASE, 5, include_blowup_checks=False)
+    report = verify(STAIRCASE, 5)
     by_name = {c.name: c for c in report.checks}
     assert by_name["support_property"].passed
     assert by_name["orthant_normalization"].passed
@@ -122,7 +122,6 @@ def test_blowup_invariance_staircase():
                                      segre_integral(STAIRCASE, 6).series)
     assert report.ok, report.failures
     assert report.classification_sizes == (1, 1, 2, 1)
-    assert report.lifted_total == report.base_total
 
 
 def test_verify_aggregates_all_checks():
@@ -143,7 +142,7 @@ def test_verify_computes_the_default_integral_once(monkeypatch):
         presets.append(order_preset)
         return segre_integral(p, degree_bound, order_preset, ring)
     monkeypatch.setattr(segre, "segre_integral", recording)
-    assert verify(STAIRCASE, 5, include_blowup_checks=False).ok
+    assert verify(STAIRCASE, 5).ok
     assert presets == ["default", "rays_first"]
 
 
@@ -183,7 +182,7 @@ def test_verify_names_the_residual_mismatch(monkeypatch):
     monkeypatch.setattr(segre, "tensor_line", lambda c, line: c)
     want = residual_identity_check(p, segre_integral(p, 5).series)
     assert want.status == "mismatch" and want.first_difference is not None
-    report = verify(p, 5, include_blowup_checks=False)
+    report = verify(p, 5)
     by_name = {c.name: c for c in report.checks}
     assert not report.ok
     assert not by_name["residual_identity"].passed
@@ -197,7 +196,7 @@ def test_orthant_check_sees_newton_cells_one_degree_low(monkeypatch):
     monkeypatch.setattr(segre.SegreResult, "per_simplex", property(
         lambda self: segre._terms_for(self.newton_cells,
                                       self.series.degree_bound - 1)))
-    report = verify(STAIRCASE, 5, include_blowup_checks=False)
+    report = verify(STAIRCASE, 5)
     by_name = {c.name: c for c in report.checks}
     assert not by_name["orthant_normalization"].passed
     assert by_name["orthant_normalization"].detail == \
