@@ -12,8 +12,8 @@ from .errors import (ClassificationError, DegenerateConfigurationError,
                      DimensionMismatchError, EmptyCenterError,
                      LevelMismatchError, MonomialSegreError,
                      NoAdmissibleCenterError, TowerDivergenceError)
-from .lattice import (ExponentVector, MonomialPresentation, minimalize,
-                      presentation, residual_split, support_cover_check)
+from .lattice import (ExponentVector, MonomialPresentation, presentation,
+                      residual_split, support_cover_check)
 from .polytope import (HalfSimplex, PointConfiguration, Triangulation, alpha,
                        classify_blowup_cells, complement_configuration, hvol,
                        lift_to_H, placing_triangulation)

@@ -204,6 +204,9 @@ def cmd_verify(args) -> int:
 
 def cmd_triangulate(args) -> int:
     p, dmax, nil_pairs, ring = load_job(args)
+    if nil_pairs:
+        raise UsageError("triangulate takes no nil_pairs: its cell "
+                         "contributions are not reduced by them")
     tri = orthant_triangulation(p, args.preset)
     complement, newton = split_cells(tri)
 

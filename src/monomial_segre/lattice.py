@@ -64,21 +64,6 @@ def presentation(gens: Iterable[Iterable[int]], num_vars: int | None = None,
     return MonomialPresentation(num_vars, gens, tuple(labels) if labels else ())
 
 
-def dominates(u: ExponentVector, v: ExponentVector) -> bool:
-    """u >= v componentwise."""
-    return all(a >= b for a, b in zip(u, v))
-
-
-def minimalize(p: MonomialPresentation) -> MonomialPresentation:
-    """Drop every generator dominated by another; survivor order is preserved."""
-    survivors = []
-    for u in p.generators:
-        if any(v != u and dominates(u, v) for v in p.generators):
-            continue
-        survivors.append(u)
-    return p.with_generators(survivors)
-
-
 def residual_split(p: MonomialPresentation) -> tuple[ExponentVector, MonomialPresentation]:
     """Largest common monomial factor d and the translated residual presentation."""
     d = tuple(min(g[i] for g in p.generators) for i in range(p.num_vars))

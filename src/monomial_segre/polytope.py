@@ -9,7 +9,8 @@ is the sign of an integer determinant, so there is no epsilon anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (ClassificationError, DegenerateConfigurationError,
@@ -70,70 +71,37 @@ def _rank(vectors: list[Sequence[int]]) -> int:
 
 @dataclass(frozen=True)
 class PointConfiguration:
-    """Finite lattice points plus a set of coordinate directions at infinity."""
+    """Labelled homogeneous vectors, listed in the default placement order:
+    a finite point v is (v, 1), the ray in coordinate direction d is (e_d, 0).
+    """
 
     dim: int
-    finite_points: tuple[tuple[Label, ExponentVector], ...]
-    rays: frozenset[int]
-    ray_labels: tuple[tuple[int, Label], ...] = field(default=())
-    lift_centers: tuple[int, int] | None = None
+    points: tuple[tuple[Label, tuple[int, ...]], ...]
 
     def __post_init__(self):
-        pts = tuple((lab, tuple(v)) for lab, v in self.finite_points)
-        object.__setattr__(self, "finite_points", pts)
-        object.__setattr__(self, "rays", frozenset(self.rays))
-        for lab, v in pts:
-            if len(v) != self.dim:
-                raise DimensionMismatchError(f"point {lab} has length {len(v)}")
-        if any(d < 0 or d >= self.dim for d in self.rays):
-            raise MonomialSegreError("ray direction out of range")
-        if not self.ray_labels:
-            object.__setattr__(
-                self, "ray_labels",
-                tuple((d, f"a{d + 1}") for d in sorted(self.rays)))
-        labels = [lab for lab, _ in pts] + [lab for _, lab in self.ray_labels]
-        if len(set(labels)) != len(labels):
+        for lab, h in self.points:
+            if len(h) != self.dim + 1:
+                raise DimensionMismatchError(f"point {lab} has length {len(h)}")
+            if h[-1] not in (0, 1) or \
+                    (h[-1] == 0 and sorted(h) != [0] * self.dim + [1]):
+                raise MonomialSegreError(
+                    f"point {lab} is neither (v, 1) nor a ray (e_d, 0)")
+        if len(self.homogeneous) != len(self.points):
             raise MonomialSegreError("labels must be unique")
 
-    # -- label bookkeeping -------------------------------------------------
+    @cached_property
+    def homogeneous(self) -> dict[Label, tuple[int, ...]]:
+        return dict(self.points)
 
-    def ray_label(self, direction: int) -> Label:
-        for d, lab in self.ray_labels:
-            if d == direction:
-                return lab
-        raise MonomialSegreError(f"no ray in direction {direction}")
 
-    def ray_direction(self, label: Label) -> int | None:
-        for d, lab in self.ray_labels:
-            if lab == label:
-                return d
-        return None
-
-    def point(self, label: Label) -> ExponentVector | None:
-        for lab, v in self.finite_points:
-            if lab == label:
-                return v
-        return None
-
-    def labels(self) -> list[Label]:
-        return [lab for lab, _ in self.finite_points] + \
-            [lab for _, lab in self.ray_labels]
-
-    def homogeneous(self, label: Label) -> tuple[int, ...]:
-        v = self.point(label)
-        if v is not None:
-            return v + (1,)
-        d = self.ray_direction(label)
-        if d is None:
-            raise MonomialSegreError(f"unknown label {label}")
-        e = [0] * (self.dim + 1)
-        e[d] = 1
-        return tuple(e)
-
-    def with_point(self, label: Label, coords: Iterable[int]) -> "PointConfiguration":
-        return PointConfiguration(
-            self.dim, self.finite_points + ((label, tuple(coords)),),
-            self.rays, self.ray_labels, self.lift_centers)
+def configuration(dim: int, finite_points: Iterable[tuple[Label, ExponentVector]],
+                  rays: Iterable[int]) -> PointConfiguration:
+    """The finite points in the order given, then the coordinate rays in
+    sorted direction order, the ray in direction d labelled a<d+1>."""
+    return PointConfiguration(dim, tuple(
+        (lab, tuple(v) + (1,)) for lab, v in finite_points) + tuple(
+        (f"a{d + 1}", tuple(int(k == d) for k in range(dim)) + (0,))
+        for d in sorted(rays)))
 
 
 @dataclass(frozen=True)
@@ -183,8 +151,9 @@ def hvol(s: HalfSimplex) -> int:
 
 def complement_configuration(p: MonomialPresentation) -> PointConfiguration:
     """The convex complement region: generators plus every coordinate ray."""
-    pts = tuple((f"v{k}", g) for k, g in enumerate(p.generators))
-    return PointConfiguration(p.num_vars, pts, frozenset(range(p.num_vars)))
+    return configuration(
+        p.num_vars, ((f"v{k}", g) for k, g in enumerate(p.generators)),
+        range(p.num_vars))
 
 
 # -- placing -----------------------------------------------------------------
@@ -192,66 +161,44 @@ def complement_configuration(p: MonomialPresentation) -> PointConfiguration:
 ORDER_PRESETS = ("default", "rays_first", "finite_reversed")
 
 
-def placement_order(config: PointConfiguration, preset: str = "default") -> list[Label]:
-    """The labels of a configuration in the order a preset places them.  A
-    lifted configuration (see `lift_to_H`) has one order of its own, and
-    takes no preset but the default."""
-    finite = [lab for lab, _ in config.finite_points]
-    ray_dirs = sorted(config.rays)
-    if config.lift_centers is not None:
-        if preset != "default":
-            raise MonomialSegreError(
-                f"a lifted configuration takes no order preset, got {preset!r}")
-        ci, cj = config.lift_centers
-        rest = [d for d in ray_dirs if d not in (0, ci, cj)]
-        # the rays off the center plane lie in H and join the lifted base
-        # triangulation; the two center rays and a0 come afterwards, in that
-        # order, so that no cell picks up the second center ray without the
-        # first or the exceptional one
-        return finite + [config.ray_label(d) for d in rest] + \
-            [config.ray_label(ci), config.ray_label(cj)] + [config.ray_label(0)]
+def placement_order(config: PointConfiguration, preset: str) -> list[Label]:
+    """The labels of a configuration in the order a preset places them;
+    `default` is the configuration's own order."""
+    finite = [lab for lab, h in config.points if h[-1]]
+    rays = [lab for lab, h in config.points if not h[-1]]
     if preset == "default":
-        return finite + [config.ray_label(d) for d in ray_dirs]
+        return [lab for lab, _ in config.points]
     if preset == "rays_first":
-        return [config.ray_label(d) for d in ray_dirs] + finite
+        return rays + finite
     if preset == "finite_reversed":
-        return list(reversed(finite)) + [config.ray_label(d) for d in ray_dirs]
+        return finite[::-1] + rays
     raise MonomialSegreError(f"unknown order preset {preset!r}")
 
 
 def _cell_from_labels(config: PointConfiguration, labels: Iterable[Label],
                       order_index: dict[Label, int]) -> HalfSimplex:
+    hom = config.homogeneous
     labs = sorted(labels, key=lambda l: order_index[l])
-    finite = []
-    dirs = set()
-    for lab in labs:
-        v = config.point(lab)
-        if v is not None:
-            finite.append(v)
-        else:
-            dirs.add(config.ray_direction(lab))
-    return HalfSimplex(config.dim, tuple(finite), frozenset(dirs),
-                       provenance=tuple(labs))
+    finite = tuple(hom[lab][:-1] for lab in labs if hom[lab][-1])
+    dirs = frozenset(hom[lab].index(1) for lab in labs if not hom[lab][-1])
+    return HalfSimplex(config.dim, finite, dirs, provenance=tuple(labs))
 
 
 def placing_triangulation(config: PointConfiguration,
-                          order: Sequence[Label] | None = None,
-                          preset: str = "default") -> Triangulation:
+                          order: Sequence[Label] | None = None) -> Triangulation:
     """Incremental (beneath-beyond) triangulation in homogeneous coordinates.
 
     The first dim+1 labels of the order that are linearly independent form the
     starting cell; every later label is coned over the boundary facets it
     strictly sees.  Points inside the current hull, and ties (point on a
-    facet's span), create no cells.
+    facet's span), create no cells.  The order defaults to the
+    configuration's own.
     """
-    if order is None:
-        order = placement_order(config, preset)
-    order = list(order)
-    expected = set(config.labels())
-    if set(order) != expected or len(order) != len(expected):
+    hom = config.homogeneous
+    order = [lab for lab, _ in config.points] if order is None else list(order)
+    if set(order) != hom.keys() or len(order) != len(hom):
         raise MonomialSegreError("order must enumerate all labels exactly once")
 
-    hom = {lab: config.homogeneous(lab) for lab in order}
     d1 = config.dim + 1
 
     # starting simplex: greedy independent prefix
@@ -308,16 +255,21 @@ def placing_triangulation(config: PointConfiguration,
 def lift_to_H(config: PointConfiguration, i: int, j: int) -> PointConfiguration:
     """Prepend the coordinate a0 = a_i + a_j; rays shift and gain the a0 ray.
 
-    i and j are 0-based directions of the base configuration.
+    i and j are 0-based directions of the base configuration.  The lift lists
+    its points in the one order it is placed in: the finite points, the rays
+    off the center plane, ray i, ray j, then a0.
     """
     if i == j or not (0 <= i < config.dim) or not (0 <= j < config.dim):
         raise MonomialSegreError(f"invalid center pair ({i}, {j})")
-    pts = tuple((lab, (v[i] + v[j],) + v) for lab, v in config.finite_points)
-    rays = frozenset({0} | {d + 1 for d in config.rays})
-    ray_labels = ((0, "a0"),) + tuple(
-        (d + 1, lab) for d, lab in config.ray_labels)
-    return PointConfiguration(config.dim + 1, pts, rays, ray_labels,
-                              lift_centers=(i + 1, j + 1))
+    # the rays off the center plane lie in H and join the lifted base
+    # triangulation; the two center rays and a0 come afterwards, in that
+    # order, so that no cell picks up the second center ray without the
+    # first or the exceptional one
+    placed = sorted(config.points,
+                    key=lambda p: (1 - p[1][-1]) * (1 + p[1][i] + 2 * p[1][j]))
+    a0 = (1,) + (0,) * (config.dim + 1)
+    return PointConfiguration(config.dim + 1, tuple(
+        (lab, ((h[i] + h[j]) * h[-1],) + h) for lab, h in placed) + (("a0", a0),))
 
 
 @dataclass(frozen=True)
@@ -330,11 +282,15 @@ class CellClassification:
     Udoubleprime: tuple[HalfSimplex, ...]
 
 
-def classify_blowup_cells(t: Triangulation) -> CellClassification:
-    centers = t.config.lift_centers
-    if centers is None:
-        raise ClassificationError("classification needs a lifted configuration")
-    ci, cj = centers
+def classify_blowup_cells(t: Triangulation, i: int,
+                          j: int) -> CellClassification:
+    """Split the cells of a placed lift (see `lift_to_H`) of the base center
+    directions i, j, which are directions i + 1 and j + 1 of the lift."""
+    if t.config.homogeneous[t.placement_order[-1]] != \
+            (1,) + (0,) * t.config.dim:
+        raise ClassificationError(
+            "classification needs a lift placed with the a0 ray last")
+    ci, cj = i + 1, j + 1
     u0, u1, up, upp = [], [], [], []
     for cell in t.cells:
         has0 = 0 in cell.infinite_directions
@@ -363,13 +319,13 @@ def _contract(cell: HalfSimplex, drop_direction: int) -> HalfSimplex:
 
 
 def alpha(cell: HalfSimplex, classification: CellClassification,
-          centers: tuple[int, int]) -> HalfSimplex:
-    """The push-forward-compatible bijection from Uprime + U1 to the base cells."""
-    ci, _ = centers
+          i: int) -> HalfSimplex:
+    """The push-forward-compatible bijection from Uprime + U1 to the base
+    cells; i is the first base center direction."""
     if cell in classification.Uprime:
         return _contract(cell, drop_direction=0)
     if cell in classification.U1:
-        return _contract(cell, drop_direction=ci)
+        return _contract(cell, drop_direction=i + 1)
     raise ClassificationError("alpha is only defined on Uprime and U1 cells")
 
 

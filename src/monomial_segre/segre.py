@@ -20,9 +20,10 @@ from .principalize import (TowerTrace, admissible_pairs,
 from .errors import MonomialSegreError, TowerDivergenceError
 from .lattice import (MonomialPresentation, residual_split, support,
                       support_cover_check)
-from .polytope import (HalfSimplex, Triangulation, alpha, classify_blowup_cells,
-                       complement_configuration, hvol, lift_to_H, link_cells,
-                       placement_order, placing_triangulation)
+from .polytope import (HalfSimplex, PointConfiguration, Triangulation, alpha,
+                       classify_blowup_cells, complement_configuration, hvol,
+                       lift_to_H, link_cells, placement_order,
+                       placing_triangulation)
 from .series import (LinearForm, TruncatedSeries, divide_one_plus,
                      reciprocal_one_plus, tensor_line)
 
@@ -105,7 +106,8 @@ def orthant_triangulation(p: MonomialPresentation,
     configuration, then the origin last.  Cells avoiding the origin cover the
     convex complement; cells through the origin cover the Newton region."""
     config = complement_configuration(p)
-    extended = config.with_point(ORIGIN_LABEL, (0,) * p.num_vars)
+    origin = (ORIGIN_LABEL, (0,) * p.num_vars + (1,))
+    extended = PointConfiguration(p.num_vars, config.points + (origin,))
     order = placement_order(config, order_preset) + [ORIGIN_LABEL]
     return placing_triangulation(extended, order=order)
 
@@ -264,11 +266,8 @@ def blowup_invariance_check(p: MonomialPresentation, i: int, j: int,
     ring = base_ring(n, p.variable_labels)
     step = chow.blow_up(ring, p.variable_labels[i], p.variable_labels[j])
 
-    config = complement_configuration(p)
-    lifted = lift_to_H(config, i, j)
-    tri_hat = placing_triangulation(lifted)
-    parts = classify_blowup_cells(tri_hat)
-    centers = lifted.lift_centers
+    tri_hat = placing_triangulation(lift_to_H(complement_configuration(p), i, j))
+    parts = classify_blowup_cells(tri_hat, i, j)
 
     failures = []
 
@@ -276,7 +275,7 @@ def blowup_invariance_check(p: MonomialPresentation, i: int, j: int,
     links = {c.key() for c in link_cells(tri_hat)}
     images = {}
     for cell in parts.Uprime + parts.U1:
-        img = alpha(cell, parts, centers)
+        img = alpha(cell, parts, i)
         images[cell.key()] = img
     image_keys = {img.key() for img in images.values()}
     if image_keys != links or len(images) != len(parts.Uprime) + len(parts.U1):

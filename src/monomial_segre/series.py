@@ -114,8 +114,6 @@ class TruncatedSeries:
                 f"variable counts differ: {self.num_vars} vs {other.num_vars}")
 
     def __add__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            other = TruncatedSeries.constant(other, self.num_vars, self.degree_bound)
         self._check_vars(other)
         bound = min(self.degree_bound, other.degree_bound)
         if bound == self.degree_bound:
@@ -136,19 +134,12 @@ class TruncatedSeries:
                     del terms[e]
         return TruncatedSeries._raw(self.num_vars, bound, terms)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return TruncatedSeries._raw(self.num_vars, self.degree_bound,
                                     {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            other = TruncatedSeries.constant(other, self.num_vars, self.degree_bound)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):

@@ -217,7 +217,7 @@ def reciprocal_by_geometric_series(f, degree_bound):
     """1/f for f = 1 + L as the geometric series sum_k (-L)^k, one series
     product per degree."""
     assert f.constant == 1
-    minus_l = -(form_series(f, degree_bound) - 1)
+    minus_l = -form_series(LinearForm(0, f.coefficients), degree_bound)
     acc = TruncatedSeries.one(f.num_vars, degree_bound)
     power = acc
     for _ in range(degree_bound):

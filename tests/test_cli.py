@@ -86,34 +86,43 @@ def test_verify_ok(capsys):
 # stay byte-identical.  depth90, depth50, depth37 and depth29 are the deepest
 # towers of the acceptance corpus, deep enough to exercise the stratum model
 # and the push-down far above the base; five is a five-generator ideal in four
-# variables; `triangulate` prints every cell's contribution.
+# variables; `triangulate` prints every cell's contribution, and on five it
+# runs under each placement-order preset.
 NIL_PAIR_JOB = {"n": 3, "generators": [[2, 0, 1], [0, 2, 0], [1, 1, 2]],
                 "nil_pairs": [["X1", "X3"]], "dmax": 4}
 GOLDEN_DIGESTS = {
-    ("compute", "staircase"):
+    ("compute", "staircase", None):
         "5dd43b6aaa082fd5c67ac28c83ec0ce98e7a2bb41dd686a5808b56bea49a33cf",
-    ("compute", "nil_pair_job"):
+    ("compute", "nil_pair_job", None):
         "67810534857286ef094ab1086077f0fa49ed0988d850ae1548167665efd84af9",
-    ("compute", "five"):
+    ("compute", "five", None):
         "dd0b37a89773a5a343b86088014d79b401c8e38a9ada1a7ff45cb7f67cdab336",
-    ("triangulate", "staircase"):
+    ("triangulate", "staircase", None):
         "42ac758f5c3ea4dfa4a5a898201f3166d8cb96dc5474057b0f27eb594a3e00d2",
-    ("tower", "staircase"):
+    ("tower", "staircase", None):
         "191d804cbc7fd60d4a1f7b38dfd2e85c9dab3f2435eeb427e6d5d409258135df",
-    ("verify", "staircase"):
+    ("verify", "staircase", None):
         "5fb390ce464465240276228587208ed819c67932ced7b33cd8b72a75309cccb9",
-    ("tower", "nil_pair_job"):
+    ("tower", "nil_pair_job", None):
         "d281c415eea2f1e00993c3be00543aa7d21175e9c37ed4cfdb5732bf9b1c2449",
-    ("verify", "nil_pair_job"):
+    ("verify", "nil_pair_job", None):
         "08d4278533547d33493bb52f9ef5672657b3ac0eeb88a56b2ecc3ab0ce25e9c3",
-    ("tower", "depth50"):
+    ("tower", "depth50", None):
         "b73e66070b0aed65b248805c42fd57a156d2237ef3ac9eda555f47192b12bcc0",
-    ("tower", "depth90"):
+    ("tower", "depth90", None):
         "4402524798ab4ddb3a001c4658dd0763504f5f4754f110a314f34fcaa74f12f9",
-    ("tower", "depth37"):
+    ("tower", "depth37", None):
         "c8f4b5874a719ec84706cfac79287e0c9a16f49363396086c1b946117376ee45",
-    ("tower", "depth29"):
+    ("tower", "depth29", None):
         "a82a18f02f2aa1c50a3f557f6d117d5933c2bf086f9b6a727f49d89b64b41d71",
+    ("verify", "five", None):
+        "e104a97c9f0938a0a204b517861dd9fac536b3f21b1d8e0e5dcc0bcb56e937c1",
+    ("triangulate", "five", "default"):
+        "de3db94ecaddf04318dc8d60eb9821eaaecc430b93a914be27a5fee3de9bf365",
+    ("triangulate", "five", "rays_first"):
+        "70f95681f235ea6681e802a4b0a5e5e5db2fb604b19de0a274cecb4859a84cdc",
+    ("triangulate", "five", "finite_reversed"):
+        "3edbbbb413dc4440bcc01e80c166b906b5f52008bd0cdfdcef1e8184f9cb5727",
 }
 DEEP_TOWERS = {"depth90": "0,1,2;1,4,1;2,3,4;4,0,0",
                "depth50": "0,0,3;0,3,1;3,0,0;3,1,2",
@@ -121,8 +130,12 @@ DEEP_TOWERS = {"depth90": "0,1,2;1,4,1;2,3,4;4,0,0",
                "depth29": "0,2,4;1,1,1;2,1,2;3,0,3"}
 
 
-@pytest.mark.parametrize("command, job", sorted(GOLDEN_DIGESTS))
-def test_tower_and_verify_golden_bytes(capsys, tmp_path, command, job):
+GOLDEN_RUNS = sorted(GOLDEN_DIGESTS, key=str)
+
+
+@pytest.mark.parametrize("command, job, preset", GOLDEN_RUNS,
+                         ids=["-".join(filter(None, k)) for k in GOLDEN_RUNS])
+def test_tower_and_verify_golden_bytes(capsys, tmp_path, command, job, preset):
     if job == "staircase":
         argv = [command] + STAIRCASE_ARGS + ["--dmax", "4"]
     elif job in DEEP_TOWERS:
@@ -133,10 +146,15 @@ def test_tower_and_verify_golden_bytes(capsys, tmp_path, command, job):
         path = tmp_path / "job.json"
         path.write_text(json.dumps(NIL_PAIR_JOB))
         argv = [command, "--input", str(path)]
+    if preset is not None:
+        argv += ["--preset", preset]
     code, out, _ = run(capsys, argv)
-    assert code == EXIT_OK
+    # the tower on five reaches no divisor within its cap of blow-ups, so
+    # verify reports pipeline_equality as failed there
+    assert code == (EXIT_FAIL if (command, job) == ("verify", "five")
+                    else EXIT_OK)
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        GOLDEN_DIGESTS[command, job]
+        GOLDEN_DIGESTS[command, job, preset]
     if job == "nil_pair_job":
         # naming the one center rule in the document changes nothing
         path.write_text(json.dumps({**NIL_PAIR_JOB, "strategy": "euclid"}))
@@ -153,6 +171,18 @@ def test_triangulate_document(capsys):
     assert rayed, "complement must contain unbounded cells"
     for c in doc["complement_cells"]:
         assert c["hvol"] >= 1
+
+
+def test_triangulate_rejects_nil_pairs(capsys, monkeypatch):
+    # its cell contributions are not reduced, so they would keep terms on
+    # the strata the document declares empty
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(
+        {"n": 2, "generators": [[2, 0], [1, 1], [0, 2]],
+         "nil_pairs": [["X1", "X2"]], "dmax": 3})))
+    code, out, err = run(capsys, ["triangulate", "--input", "-"])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_render_svg_sanity(capsys, tmp_path):

@@ -4,14 +4,13 @@ from hypothesis import strategies as st
 
 from monomial_segre.errors import (ClassificationError,
                                    DegenerateConfigurationError,
-                                   MonomialSegreError)
+                                   DimensionMismatchError, MonomialSegreError)
 from monomial_segre.lattice import presentation
-from monomial_segre.polytope import (HalfSimplex, PointConfiguration,
-                                     Triangulation, alpha,
+from monomial_segre.polytope import (HalfSimplex, PointConfiguration, alpha,
                                      classify_blowup_cells,
-                                     complement_configuration, det, hvol,
-                                     lift_to_H, link_cells, placement_order,
-                                     placing_triangulation)
+                                     complement_configuration, configuration,
+                                     det, hvol, lift_to_H, link_cells,
+                                     placement_order, placing_triangulation)
 
 STAIRCASE = presentation(((3, 0), (1, 1), (0, 3)))
 
@@ -52,19 +51,33 @@ def test_hvol_degenerate_is_zero():
 def test_complement_configuration_contents():
     c = complement_configuration(STAIRCASE)
     assert c.dim == 2
-    assert [lab for lab, _ in c.finite_points] == ["v0", "v1", "v2"]
-    assert c.rays == frozenset({0, 1})
+    assert c.points == (("v0", (3, 0, 1)), ("v1", (1, 1, 1)),
+                        ("v2", (0, 3, 1)), ("a1", (1, 0, 0)),
+                        ("a2", (0, 1, 0)))
+    assert c.homogeneous["a2"] == (0, 1, 0)
+
+
+def test_configuration_validation():
+    with pytest.raises(DimensionMismatchError):
+        configuration(2, (("v0", (1, 1, 1)),), ())
+    with pytest.raises(MonomialSegreError):
+        configuration(2, (("a1", (1, 1)),), (0,))  # labels must be unique
+    for d in (-1, 2):  # a ray direction outside the dimension
+        with pytest.raises(MonomialSegreError):
+            configuration(2, (("v0", (1, 1)),), (d,))
+    for h in ((1, 1, 0), (2, 0, 0), (1, 1, 2)):  # not a ray, not (v, 1)
+        with pytest.raises(MonomialSegreError):
+            PointConfiguration(2, (("h", h),))
 
 
 def test_placing_single_point_all_rays():
-    c = PointConfiguration(2, (("v0", (1, 1)),), frozenset({0, 1}))
+    c = configuration(2, (("v0", (1, 1)),), (0, 1))
     t = placing_triangulation(c)
     assert cell_labels(t) == {frozenset({"v0", "a1", "a2"})}
 
 
 def test_placing_two_points():
-    c = PointConfiguration(2, (("v0", (1, 0)), ("v1", (0, 1))),
-                           frozenset({0, 1}))
+    c = configuration(2, (("v0", (1, 0)), ("v1", (0, 1))), (0, 1))
     t = placing_triangulation(c, order=["v0", "v1", "a1", "a2"])
     assert cell_labels(t) == {frozenset({"v0", "v1", "a1"}),
                               frozenset({"v1", "a1", "a2"})}
@@ -90,7 +103,7 @@ def test_placing_lifted_staircase_five_cells():
 
 
 def test_placing_requires_full_dimension():
-    c = PointConfiguration(2, (("v0", (1, 1)), ("v1", (2, 2))), frozenset())
+    c = configuration(2, (("v0", (1, 1)), ("v1", (2, 2))), ())
     with pytest.raises(DegenerateConfigurationError):
         placing_triangulation(c)
 
@@ -99,32 +112,36 @@ def test_placement_order_presets():
     c = complement_configuration(STAIRCASE)
     assert placement_order(c, "default") == ["v0", "v1", "v2", "a1", "a2"]
     assert placement_order(c, "rays_first") == ["a1", "a2", "v0", "v1", "v2"]
+    assert placement_order(c, "finite_reversed") == \
+        ["v2", "v1", "v0", "a1", "a2"]
     with pytest.raises(MonomialSegreError):
         placement_order(c, "no_such_preset")
     with pytest.raises(MonomialSegreError):
         placement_order(c, "blowup")  # the lifted order is not a preset
-    # a lifted configuration has its own order: the rays off the center
-    # plane, then the two center rays and a0; it takes no other preset
-    lifted = lift_to_H(c, 0, 1)
-    assert placement_order(lifted) == ["v0", "v1", "v2", "a1", "a2", "a0"]
-    with pytest.raises(MonomialSegreError):
-        placement_order(lifted, "rays_first")
 
 
 def test_lift_to_H_coordinates():
     lifted = lift_to_H(complement_configuration(STAIRCASE), 0, 1)
-    pts = dict(lifted.finite_points)
-    assert pts["v0"] == (3, 3, 0)
-    assert pts["v1"] == (2, 1, 1)
-    assert pts["v2"] == (3, 0, 3)
-    assert lifted.rays == frozenset({0, 1, 2})
-    assert lifted.lift_centers == (1, 2)
+    assert lifted.points == (
+        ("v0", (3, 3, 0, 1)), ("v1", (2, 1, 1, 1)), ("v2", (3, 0, 3, 1)),
+        ("a1", (0, 1, 0, 0)), ("a2", (0, 0, 1, 0)), ("a0", (1, 0, 0, 0)))
+
+
+def test_lift_lists_its_points_in_placement_order():
+    # finite points, the rays off the center plane, ray i, ray j, then a0
+    c = complement_configuration(presentation(((1, 2, 0, 1), (0, 1, 3, 2))))
+    order = {(i, j): [lab for lab, _ in lift_to_H(c, i, j).points]
+             for i, j in ((1, 3), (3, 1), (2, 0))}
+    assert order == {
+        (1, 3): ["v0", "v1", "a1", "a3", "a2", "a4", "a0"],
+        (3, 1): ["v0", "v1", "a1", "a3", "a4", "a2", "a0"],
+        (2, 0): ["v0", "v1", "a2", "a4", "a3", "a1", "a0"]}
 
 
 def test_classification_golden():
     lifted = lift_to_H(complement_configuration(STAIRCASE), 0, 1)
     t = placing_triangulation(lifted)
-    parts = classify_blowup_cells(t)
+    parts = classify_blowup_cells(t, 0, 1)
     named = {
         "U0": {frozenset({"v0", "v1", "v2", "a0"})},
         "U1": {frozenset({"v0", "v1", "v2", "a1"})},
@@ -140,13 +157,12 @@ def test_classification_golden():
 def test_alpha_golden():
     lifted = lift_to_H(complement_configuration(STAIRCASE), 0, 1)
     t = placing_triangulation(lifted)
-    parts = classify_blowup_cells(t)
+    parts = classify_blowup_cells(t, 0, 1)
     base = placing_triangulation(complement_configuration(STAIRCASE))
     base_keys = {frozenset(c.provenance): c.key() for c in base.cells}
     images = {}
     for cell in parts.Uprime + parts.U1:
-        images[frozenset(cell.provenance)] = alpha(cell, parts,
-                                                   lifted.lift_centers).key()
+        images[frozenset(cell.provenance)] = alpha(cell, parts, 0).key()
     assert images[frozenset({"v0", "v1", "v2", "a1"})] == \
         base_keys[frozenset({"v0", "v1", "v2"})]
     assert images[frozenset({"v0", "v2", "a1", "a0"})] == \
@@ -163,9 +179,14 @@ def test_links_match_base_triangulation():
 
 
 def test_classification_needs_lift():
-    t = placing_triangulation(complement_configuration(STAIRCASE))
-    with pytest.raises(ClassificationError):
-        classify_blowup_cells(t)
+    # the base, or a lift placed in another order, does not place a0 last
+    c = complement_configuration(STAIRCASE)
+    lifted = lift_to_H(c, 0, 1)
+    for t in (placing_triangulation(c),
+              placing_triangulation(lifted, placement_order(lifted,
+                                                            "rays_first"))):
+        with pytest.raises(ClassificationError):
+            classify_blowup_cells(t, 0, 1)
 
 
 point2 = st.tuples(st.integers(0, 5), st.integers(0, 5))
@@ -176,12 +197,11 @@ point2 = st.tuples(st.integers(0, 5), st.integers(0, 5))
 def test_finite_volume_additivity_order_independent(points):
     # fully finite configuration: total normalized volume of the hull does
     # not depend on the placement order
-    c = PointConfiguration(
-        2, tuple((f"v{k}", pt) for k, pt in enumerate(points)), frozenset())
+    c = configuration(2, ((f"v{k}", pt) for k, pt in enumerate(points)), ())
     totals = []
     for preset in ("default", "finite_reversed"):
         try:
-            t = placing_triangulation(c, preset=preset)
+            t = placing_triangulation(c, placement_order(c, preset))
         except DegenerateConfigurationError:
             assume(False)
         totals.append(sum(hvol(s) for s in t.cells))

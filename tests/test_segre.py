@@ -124,6 +124,20 @@ def test_blowup_invariance_staircase():
     assert report.classification_sizes == (1, 1, 2, 1)
 
 
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=30, deadline=None)
+def test_blowup_invariance_for_every_ordered_center_pair(seed):
+    # verify visits admissible pairs with i < j only; the lift places ray i
+    # before ray j, so i > j places the center rays the other way round
+    p = random_presentation(random.Random(seed))
+    integral = segre_integral(p).series
+    for i in range(p.num_vars):
+        for j in range(p.num_vars):
+            if i != j:
+                report = blowup_invariance_check(p, i, j, integral)
+                assert report.ok, (p.generators, i, j, report.failures)
+
+
 def test_verify_aggregates_all_checks():
     report = verify(STAIRCASE, 6)
     assert report.ok
