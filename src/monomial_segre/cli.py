@@ -3,12 +3,14 @@ verifier, dump traces and triangulations, draw the n=2 picture.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
 error, 3 tower divergence (stderr then also lists the partial tower's
-centers, lowest first).
+centers, lowest first).  A failed write to stdout is exit 2 as well.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import math
 import os
@@ -23,7 +25,7 @@ from .polytope import ORDER_PRESETS, hvol
 from .principalize import CENTER_RULE
 from .segre import (default_degree_bound, orthant_triangulation, segre_integral,
                     segre_tower, simplex_contribution, split_cells, verify)
-from .series import check_term_budget
+from .series import TruncatedSeries, check_term_budget
 
 ENV_DMAX = "MONOMIAL_SEGRE_DMAX"
 
@@ -155,8 +157,82 @@ def presentation_doc(p: MonomialPresentation, dmax, nil_pairs=()):
     return doc
 
 
+@contextlib.contextmanager
+def _output(out):
+    """Yield out, the stream a command writes to, and flush it after.  A
+    failed write is a UsageError, and out is closed, so that the flush at
+    interpreter exit cannot fail on it again."""
+    try:
+        yield out
+        out.flush()
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            out.close()
+        raise UsageError(f"cannot write output: {exc.strerror or exc}")
+
+
 def emit(doc, out=None):
-    (out or sys.stdout).write(json.dumps(doc, indent=2) + "\n")
+    """Write doc and a newline to out (default stdout), byte for byte as
+    json.dumps(doc, indent=2) would, with each TruncatedSeries in it laid out
+    as its series_doc.  A series is written term by term, so neither its
+    list of terms nor the whole document is ever built.  The dicts that hold
+    a series must have string keys."""
+    with _output(sys.stdout if out is None else out) as out:
+        _write(doc, out, "")
+        out.write("\n")
+
+
+def _holds_series(value) -> bool:
+    if isinstance(value, TruncatedSeries):
+        return True
+    if isinstance(value, dict):
+        value = value.values()
+    elif not isinstance(value, (list, tuple)):
+        return False
+    return any(map(_holds_series, value))
+
+
+def _write(value, out, pad):
+    """Write value at indentation pad, as json.dumps(indent=2) lays it out."""
+    if isinstance(value, TruncatedSeries):
+        _write_series(value, out, pad)
+    elif not _holds_series(value):
+        out.write(json.dumps(value, indent=2).replace("\n", "\n" + pad))
+    else:
+        inner = pad + "  "
+        if isinstance(value, dict):
+            brackets = "{}"
+            items = ((json.dumps(k) + ": ", v) for k, v in value.items())
+        else:
+            brackets, items = "[]", (("", v) for v in value)
+        sep = brackets[0] + "\n" + inner
+        for key, v in items:
+            out.write(sep + key)
+            _write(v, out, inner)
+            sep = ",\n" + inner
+        out.write("\n" + pad + brackets[1])
+
+
+def _write_series(series, out, pad):
+    """series_doc(series) at indentation pad, one write per term."""
+    terms = series.terms
+    if not terms:
+        out.write("[]")
+        return
+    # lexicographic, then stably by degree: the order of sorted_terms,
+    # without a key tuple per term
+    exponents = sorted(terms)
+    exponents.sort(key=sum)
+    term_pad, key_pad, entry_pad = pad + "  ", pad + "    ", pad + "      "
+    between = ",\n" + entry_pad
+    sep = "[\n" + term_pad
+    for e in exponents:
+        entries = (f"[\n{entry_pad}{between.join(map(str, e))}\n{key_pad}]"
+                   if e else "[]")
+        out.write(f'{sep}{{\n{key_pad}"coefficient": {terms[e]},\n'
+                  f'{key_pad}"exponents": {entries}\n{term_pad}}}')
+        sep = ",\n" + term_pad
+    out.write("\n" + pad + "]")
 
 
 def cmd_compute(args) -> int:
@@ -164,7 +240,7 @@ def cmd_compute(args) -> int:
     result = segre_integral(p, dmax, ring=ring)
     doc = presentation_doc(p, dmax, nil_pairs=nil_pairs)
     doc["pipeline"] = result.pipeline
-    doc["series"] = series_doc(result.series)
+    doc["series"] = result.series
     emit(doc)
     return EXIT_OK
 
@@ -176,7 +252,7 @@ def cmd_tower(args) -> int:
     doc = presentation_doc(p, dmax, nil_pairs=nil_pairs)
     doc["strategy"] = CENTER_RULE
     doc["pipeline"] = result.pipeline
-    doc["series"] = series_doc(result.series)
+    doc["series"] = result.series
     doc["trace"] = {
         "strategy": CENTER_RULE,
         "iterations": len(trace.steps),
@@ -216,7 +292,7 @@ def cmd_triangulate(args) -> int:
                                               cell.infinite_directions),
                 "provenance": list(cell.provenance),
                 "hvol": hvol(cell),
-                "contribution": series_doc(simplex_contribution(cell, dmax))}
+                "contribution": simplex_contribution(cell, dmax)}
 
     doc = presentation_doc(p, dmax)
     doc["placement_order"] = list(tri.placement_order)
@@ -238,7 +314,8 @@ def cmd_render(args) -> int:
         except OSError as exc:
             raise UsageError(f"cannot write {args.output}: {exc.strerror}")
     else:
-        sys.stdout.write(svg)
+        with _output(sys.stdout) as out:
+            out.write(svg)
     return EXIT_OK
 
 
@@ -374,7 +451,10 @@ def _add_input_flags(sp, with_dmax=True):
                         f"(default n+3, or ${ENV_DMAX})")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use: it holds no
+    state between parse_args calls."""
     ap = argparse.ArgumentParser(
         prog="monomial-segre",
         description="Segre classes of monomial schemes, two ways.")

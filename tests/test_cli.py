@@ -1,3 +1,4 @@
+import errno
 import functools
 import hashlib
 import io
@@ -7,12 +8,15 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from monomial_segre import cli
 from monomial_segre.cli import (EXIT_DIVERGED, EXIT_FAIL, EXIT_OK, EXIT_USAGE,
                                 UsageError, main, parse_inline_generators,
                                 render_svg)
 from monomial_segre.lattice import presentation
+from monomial_segre.series import TruncatedSeries
 
 STAIRCASE_ARGS = ["--gens", "3,0;1,1;0,3"]
 
@@ -406,3 +410,149 @@ def test_render_svg_direct():
     svg = render_svg(presentation(((2, 0), (0, 2))))
     assert svg.count("<circle") == 2
     assert svg.rstrip().endswith("</svg>")
+
+
+# -- output ------------------------------------------------------------------
+
+SRC = os.path.dirname(os.path.dirname(cli.__file__))
+
+
+def as_plain(value):
+    """The document emit writes, with each series replaced by its
+    series_doc: what json.dumps(indent=2) must print for it."""
+    if isinstance(value, TruncatedSeries):
+        return cli.series_doc(value)
+    if isinstance(value, dict):
+        return {k: as_plain(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [as_plain(v) for v in value]
+    return value
+
+
+def emitted(doc) -> str:
+    buf = io.StringIO()
+    cli.emit(doc, buf)
+    return buf.getvalue()
+
+
+@st.composite
+def series(draw):
+    n = draw(st.integers(0, 3))
+    bound = draw(st.integers(0, 4))
+    exponents = st.tuples(*[st.integers(0, bound)] * n)
+    coefficients = st.integers(-3, 3) | st.integers(-10 ** 40, 10 ** 40)
+    return TruncatedSeries(n, bound, draw(st.dictionaries(
+        exponents, coefficients, max_size=6)))
+
+
+scalars = (st.none() | st.booleans() | st.integers() |
+           st.integers(-10 ** 30, 10 ** 30) | st.text() |
+           st.sampled_from(['"', "\\", "a\"b\\c", "\x00\x1f\n\t\r",
+                            "\u00e9\u20ac\U0001f600", ""]))
+documents = st.recursive(
+    scalars | series(),
+    lambda inner: st.lists(inner, max_size=4) |
+    st.dictionaries(st.text() | st.sampled_from(["series", 'k"\\']), inner,
+                    max_size=4),
+    max_leaves=20)
+
+
+@given(documents)
+@example(TruncatedSeries.zero(3, 4))
+@example({"series": TruncatedSeries.zero(3, 4)})
+@example([TruncatedSeries(2, 3, {(0, 1): -10 ** 50, (2, 1): -7, (1, 0): 3})])
+@example({"constant": TruncatedSeries(0, 2, {(): -(10 ** 60)})})
+@settings(max_examples=300, deadline=None)
+def test_emit_lays_out_documents_as_json_dumps(doc):
+    assert emitted(doc) == json.dumps(as_plain(doc), indent=2) + "\n"
+
+
+class RecordingStream(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def test_compute_writes_its_series_term_by_term(monkeypatch):
+    # no write carries more than one term, so the document is never built
+    stream = RecordingStream()
+    monkeypatch.setattr("sys.stdout", stream)
+    assert main(["compute", "--gens", "1,1,1", "--dmax", "20"]) == EXIT_OK
+    doc = json.loads(stream.getvalue())
+    assert len(doc["series"]) >= 1000
+    assert max(stream.sizes) <= 300
+
+
+class FailingStream(io.StringIO):
+    """Takes `room` characters, then raises exc on every write."""
+
+    def __init__(self, exc, room):
+        super().__init__()
+        self.exc, self.room = exc, room
+
+    def write(self, text):
+        if self.tell() + len(text) > self.room:
+            raise self.exc
+        return super().write(text)
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--gens", "1,1,1", "--dmax", "8"],
+    ["corpus", "--count", "3", "--jobs", "1"],
+], ids=["compute", "corpus"])
+@pytest.mark.parametrize("exc_type, code", [
+    (OSError, errno.ENOSPC), (BrokenPipeError, errno.EPIPE)],
+    ids=["ENOSPC", "EPIPE"])
+def test_a_failed_write_is_a_usage_error(capsys, monkeypatch, argv, exc_type,
+                                         code):
+    stream = FailingStream(exc_type(code, os.strerror(code)), room=100)
+    monkeypatch.setattr("sys.stdout", stream)
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == \
+        f"error: cannot write output: {os.strerror(code)}\n"
+    # closed, so that the flush at interpreter exit has nothing to retry
+    assert stream.closed
+
+
+@pytest.mark.parametrize("gens, dmax", [("3,0;1,1;0,3", "4"), ("1,1,1", "20")],
+                         ids=["within-one-buffer", "many-buffers"])
+def test_a_closed_pipe_ends_with_one_line(gens, dmax):
+    # the reader is gone before the first byte: every write fails with EPIPE;
+    # stdout is buffered, so output can be left over for the flush at exit
+    env = {**os.environ, "PYTHONPATH": SRC}
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "monomial_segre.cli", "compute", "--gens",
+             gens, "--dmax", dmax], stdout=write_end, stderr=subprocess.PIPE,
+            text=True, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == EXIT_USAGE
+    # and no "Exception ignored ... BrokenPipeError" at interpreter exit
+    assert done.stderr == "error: cannot write output: Broken pipe\n"
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    # the help text wraps at the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {**os.environ, "PYTHONPATH": SRC}
+    calls = [["compute"] + STAIRCASE_ARGS,
+             ["compute", "--gens", "1,0;0,1", "--dmax", "zero"],
+             ["--help"],
+             ["triangulate", "--preset", "rays_first"] + STAIRCASE_ARGS,
+             ["corpus", "--count", "2", "--jobs", "1"],
+             ["compute"] + STAIRCASE_ARGS]
+    for argv in calls:
+        code, out, _ = run(capsys, argv)
+        done = subprocess.run(
+            [sys.executable, "-m", "monomial_segre.cli"] + argv,
+            capture_output=True, env=env, timeout=60)
+        assert (code, out.encode()) == (done.returncode, done.stdout), argv
