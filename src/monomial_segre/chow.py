@@ -2,12 +2,15 @@
 configuration, with codimension-2 blow-ups, the rays of their divisors, and
 push-forward.
 
-A level stores which strata (intersections of its divisors) are nonempty as
-a simplicial complex, listed by its facets; a stratum is empty exactly when
-no facet contains it, on the base ring as on every level above.  Blowing up
-divisors i and j is the stellar subdivision of the edge {i, j}: each facet F
-through both becomes E + F - {i} and E + F - {j}, in proper-transform labels
-(Cox-Little-Schenck, Toric Varieties, Sec. 3.3).
+A divisor is its position among a level's variables, and a stratum (an
+intersection of divisors) is a set of positions.  A level stores which strata
+are nonempty as a simplicial complex, listed by its facets; a stratum is
+empty exactly when no facet contains it, on the base ring as on every level
+above.  Blowing up divisors i and j is the stellar subdivision of the edge
+{i, j}: each facet F through both becomes E + F - {i} and E + F - {j}, with E
+at position 0 and every lower divisor one position up (Cox-Little-Schenck,
+Toric Varieties, Sec. 3.3).  The variable names (E<d> for an exceptional
+divisor, a ~ prefix for a proper transform) are for display only.
 
 Every divisor also has a ray in Z^n_{>=0}, over the n base divisors: X_k has
 e_k, and the exceptional divisor of the blow-up of {i, j} has v_i + v_j.  A
@@ -35,7 +38,7 @@ part, and passes through with E dropped.
 Which pushed terms lie on empty strata is known in advance when the upper
 class is reduced (every term's support lies in an upper facet):
   - every E^0 term lies on a nonempty lower stratum, since an upper facet
-    without E is a lower facet, or a lower facet minus i or j, relabelled;
+    without E is a lower facet, or a lower facet minus i or j, shifted;
   - an E^{>=2} term has support R + {i, j}, where R is the term's support off
     E, i and j, so it lies on a nonempty stratum exactly when R is inside
     F - {i, j} for a lower facet F through {i, j}: the *star* of the center
@@ -64,11 +67,11 @@ from .series import TruncatedSeries
 class LevelRing:
     """Named divisor variables, the facets of their complex of nonempty
     strata, and one ray per variable; build one with `base_ring` or
-    `blow_up`.  A stratum (variable subset) is nonempty exactly when it lies
-    in a facet."""
+    `blow_up`.  A stratum, a set of variable positions, is nonempty exactly
+    when it lies in a facet."""
 
     variables: tuple[str, ...]
-    facets: tuple[frozenset[str], ...]
+    facets: tuple[frozenset[int], ...]
     rays: tuple[ExponentVector, ...]
     depth: int = 0
 
@@ -81,12 +84,6 @@ class LevelRing:
     def num_vars(self) -> int:
         return len(self.variables)
 
-    def index(self, label: str) -> int:
-        try:
-            return self.variables.index(label)
-        except ValueError:
-            raise MonomialSegreError(f"unknown variable {label!r}") from None
-
     def exponents(self, g: ExponentVector) -> ExponentVector:
         """The total transform of the base monomial g: its exponent g.v on
         each divisor, v the divisor's ray."""
@@ -96,12 +93,12 @@ class LevelRing:
                 "variables")
         return tuple(sum(map(mul, g, v)) for v in self.rays)
 
-    def in_facet(self, labels: frozenset[str]) -> bool:
-        """True when some facet contains the stratum `labels`."""
-        return any(labels <= f for f in self.facets)
+    def in_facet(self, stratum: frozenset[int]) -> bool:
+        """True when some facet contains the stratum, a set of positions."""
+        return any(stratum <= f for f in self.facets)
 
-    def stratum_is_empty(self, labels: Iterable[str]) -> bool:
-        return not self.in_facet(frozenset(labels))
+    def stratum_is_empty(self, stratum: Iterable[int]) -> bool:
+        return not self.in_facet(frozenset(stratum))
 
 
 class _BlownUpRing(LevelRing):
@@ -113,15 +110,15 @@ class _BlownUpRing(LevelRing):
     function in each class's namespace, and one function bound in both
     classes would be counted twice."""
 
-    def stratum_is_empty(self, labels: Iterable[str]) -> bool:
-        return not self.in_facet(frozenset(labels))
+    def stratum_is_empty(self, stratum: Iterable[int]) -> bool:
+        return not self.in_facet(frozenset(stratum))
 
 
 def base_ring(n: int, labels: Iterable[str] | None = None,
               nil_pairs: Iterable[Iterable[str]] = ()) -> LevelRing:
     """The ambient divisors of an n-dimensional variety, as a generic
     normal-crossings configuration: a stratum is empty when it has more than
-    n labels or contains one of the nil pairs, whose divisors do not meet.
+    n divisors or contains one of the nil pairs, whose divisors do not meet.
     The pairs are checked in the order given, so an error names the first
     bad one.  Each label's ray is its unit vector."""
     if n < 1:
@@ -135,9 +132,10 @@ def base_ring(n: int, labels: Iterable[str] | None = None,
         if not set(pair) <= set(labels):
             raise MonomialSegreError(
                 f"nil pair {list(pair)} uses a label outside {list(labels)}")
-        seeds.add(tuple(sorted(pair)))
+        seeds.add(tuple(sorted(map(labels.index, pair))))
     # split every largest stratum along each nil pair it contains
-    facets = [frozenset(f) for f in combinations(labels, min(n, len(labels)))]
+    facets = [frozenset(f) for f in
+              combinations(range(len(labels)), min(n, len(labels)))]
     for a, b in sorted(seeds):
         facets = [g for f in facets
                   for g in ((f - {a}, f - {b}) if {a, b} <= f else (f,))]
@@ -162,42 +160,38 @@ class ChowClass:
 
 @dataclass(frozen=True)
 class BlowupStep:
+    """One blow-up: the exceptional divisor is position 0 of `upper`, and
+    `center` holds the two blown-up positions of `lower`."""
+
     lower: LevelRing
     upper: LevelRing
-    center: tuple[str, str]
-    exceptional_label: str
-
-    def center_positions(self) -> tuple[int, int]:
-        i, j = self.center
-        return self.lower.index(i), self.lower.index(j)
+    center: tuple[int, int]
 
 
-def blow_up(r: LevelRing, i: str, j: str) -> BlowupStep:
-    """Blow up along the intersection of divisors i and j: the stellar
-    subdivision of the edge {i, j} of the lower ring's complex.  The
-    exceptional divisor's ray is the sum of the two centers' rays."""
-    if i == j:
-        raise MonomialSegreError("center labels must differ")
-    pi, pj = r.index(i), r.index(j)
-    if r.stratum_is_empty({i, j}):
-        raise EmptyCenterError(f"center ({i}, {j}) is a known-empty intersection")
-    exceptional = f"E{r.depth + 1}"
-
-    def transform(lab: str) -> str:
-        return "~" + lab if lab in (i, j) else lab
-
+def blow_up(r: LevelRing, i: int, j: int) -> BlowupStep:
+    """Blow up along the intersection of the divisors at positions i and j:
+    the stellar subdivision of the edge {i, j} of the lower ring's complex.
+    The exceptional divisor E<depth> goes in front, so lower position k is
+    upper position k + 1, and its ray is the sum of the two centers' rays."""
+    if i == j or not (0 <= i < r.num_vars and 0 <= j < r.num_vars):
+        raise MonomialSegreError(
+            f"center ({i}, {j}) is not two distinct positions among "
+            f"{r.num_vars} variables")
+    if r.stratum_is_empty((i, j)):
+        raise EmptyCenterError(f"center ({r.variables[i]}, {r.variables[j]}) "
+                               "is a known-empty intersection")
     facets = []
     for f in r.facets:
-        if {i, j} <= f:
-            facets += [frozenset(map(transform, f - {c})) | {exceptional}
-                       for c in (i, j)]
+        up = frozenset(k + 1 for k in f)
+        if i in f and j in f:
+            facets += [up - {i + 1} | {0}, up - {j + 1} | {0}]
         else:
-            facets.append(frozenset(map(transform, f)))
-    upper_vars = (exceptional,) + tuple(transform(v) for v in r.variables)
-    rays = (tuple(map(add, r.rays[pi], r.rays[pj])),) + r.rays
-    upper = _BlownUpRing(upper_vars, tuple(facets), rays, depth=r.depth + 1)
-    return BlowupStep(lower=r, upper=upper, center=(i, j),
-                      exceptional_label=exceptional)
+            facets.append(up)
+    variables = (f"E{r.depth + 1}",) + tuple(
+        "~" + lab if k in (i, j) else lab for k, lab in enumerate(r.variables))
+    rays = (tuple(map(add, r.rays[i], r.rays[j])),) + r.rays
+    upper = _BlownUpRing(variables, tuple(facets), rays, depth=r.depth + 1)
+    return BlowupStep(r, upper, (i, j))
 
 
 # the E^{>=2} part of p_*(E^k0 Y~_i^ai Y~_j^aj), keyed by (k0, ai, aj); it
@@ -239,11 +233,9 @@ def pushforward(step: BlowupStep, c: ChowClass) -> ChowClass:
     form."""
     if c.ring != step.upper:
         raise LevelMismatchError("class is not on the upper ring")
-    pi, pj = step.center_positions()
-    i, j = step.center
+    pi, pj = step.center
     lower = step.lower
-    star = [frozenset(lower.index(lab) for lab in f - {i, j})
-            for f in lower.facets if i in f and j in f]
+    star = [f - {pi, pj} for f in lower.facets if pi in f and pj in f]
     in_star: dict[frozenset[int], bool] = {}  # many terms share a support
     out: dict[tuple[int, ...], int] = {}
     for e, v in c.series.terms.items():
@@ -274,11 +266,10 @@ def reduce_nils(r: LevelRing, series: TruncatedSeries) -> TruncatedSeries:
     """Delete every term whose support lies in no facet (an empty stratum)."""
     if series.num_vars != r.num_vars:
         raise LevelMismatchError("series does not match the ring")
-    labels = r.variables
-    nonempty: dict[frozenset[str], bool] = {}  # many terms share a support
+    nonempty: dict[frozenset[int], bool] = {}  # many terms share a support
     terms = {}
     for e, v in series.terms.items():
-        supp = frozenset(labels[k] for k, a in enumerate(e) if a > 0)
+        supp = support(e)
         if supp not in nonempty:
             nonempty[supp] = r.in_facet(supp)
         if nonempty[supp]:
@@ -299,8 +290,7 @@ def scheme_is_empty(r: LevelRing, p: MonomialPresentation) -> bool:
         raise LevelMismatchError("presentation is not over this ring")
     if any(all(a == 0 for a in g) for g in p.generators):
         return True  # unit ideal
-    supports = [frozenset(r.variables[k] for k in support(g))
-                for g in p.generators]
+    supports = [support(g) for g in p.generators]
     return not any(all(supp & f for supp in supports) for f in r.facets)
 
 

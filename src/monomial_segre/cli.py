@@ -257,8 +257,8 @@ def cmd_tower(args) -> int:
         "strategy": CENTER_RULE,
         "iterations": len(trace.steps),
         "terminal_divisor": list(trace.terminal_divisor),
-        "steps": [{"center": list(s.center),
-                   "exceptional": s.exceptional_label,
+        "steps": [{"center": [s.lower.variables[k] for k in s.center],
+                   "exceptional": s.upper.variables[0],
                    "variables": list(s.upper.variables)}
                   for s in trace.steps],
     }
@@ -506,7 +506,9 @@ def main(argv=None) -> int:
     except TowerDivergenceError as exc:
         print(f"tower divergence: {exc}", file=sys.stderr)
         if exc.trace is not None:
-            centers = " ".join(",".join(s.center) for s in exc.trace.steps)
+            centers = " ".join(
+                ",".join(s.lower.variables[k] for k in s.center)
+                for s in exc.trace.steps)
             print(f"partial tower centers: {centers}", file=sys.stderr)
         return EXIT_DIVERGED
     except MonomialSegreError as exc:

@@ -37,15 +37,15 @@ def admissible_pairs(r: LevelRing, p: MonomialPresentation):
     generators of the base presentation p are incomparable."""
     gens = [r.exponents(g) for g in p.generators]
     for i, j in combinations(range(r.num_vars), 2):
-        if r.stratum_is_empty({r.variables[i], r.variables[j]}):
+        if r.stratum_is_empty((i, j)):
             continue
         if any((u[i] - v[i]) * (u[j] - v[j]) < 0
                for u, v in combinations(gens, 2)):
             yield i, j
 
 
-def ring_edges(r: LevelRing) -> set[frozenset[str]]:
-    """The variable pairs whose stratum is nonempty: the edges of the ring's
+def ring_edges(r: LevelRing) -> set[frozenset[int]]:
+    """The position pairs whose stratum is nonempty: the edges of the ring's
     complex, read off its facets in one pass."""
     return {frozenset(e) for f in r.facets for e in combinations(f, 2)}
 
@@ -66,13 +66,12 @@ def select_center(r: LevelRing, p: MonomialPresentation) -> tuple[int, int] | No
     new exceptional re-bridge the two supports and the driver orbits."""
     gens = [r.exponents(g) for g in p.generators]
     edges = ring_edges(r)
-    labels = r.variables
     for u, v in combinations(gens, 2):
         delta = tuple(map(sub, u, v))
         below = [j for j, x in enumerate(delta) if x < 0]
         slots = [(x - delta[j], i, j)
                  for i, x in enumerate(delta) if x > 0 for j in below
-                 if frozenset((labels[i], labels[j])) in edges]
+                 if frozenset((i, j)) in edges]
         if slots:
             _, i, j = max(slots, key=lambda s: (s[0], -s[1], -s[2]))
             return (i, j) if i < j else (j, i)
@@ -103,8 +102,7 @@ def principalize(r0: LevelRing, p0: MonomialPresentation,
             raise NoAdmissibleCenterError(
                 "non-divisor presentation admits no incomparability witness; "
                 "this indicates a model bug")
-        step = blow_up(ring, ring.variables[center[0]],
-                       ring.variables[center[1]])
+        step = blow_up(ring, *center)
         ring = step.upper
         steps.append(step)
     partial = TowerTrace(tuple(steps), ring, (0,) * ring.num_vars)

@@ -24,8 +24,8 @@ from .polytope import (HalfSimplex, PointConfiguration, Triangulation, alpha,
                        classify_blowup_cells, complement_configuration, hvol,
                        lift_to_H, link_cells, placement_order,
                        placing_triangulation)
-from .series import (LinearForm, TruncatedSeries, divide_one_plus,
-                     reciprocal_one_plus, tensor_line)
+from .series import (TruncatedSeries, divide_one_plus, reciprocal_one_plus,
+                     tensor_line)
 
 ORIGIN_LABEL = "O"
 
@@ -55,10 +55,10 @@ def simplex_contribution(t: HalfSimplex, degree_bound: int) -> TruncatedSeries:
     numerator = tuple(0 if d in t.infinite_directions else 1 for d in range(n))
     result = TruncatedSeries.monomial(numerator, n, degree_bound,
                                       coefficient=volume)
-    first, *rest = (LinearForm.of(1, v) for v in t.finite_vertices)
+    first, *rest = t.finite_vertices
     result = result * reciprocal_one_plus(first, degree_bound)
-    for f in rest:
-        result = divide_one_plus(result, f)
+    for v in rest:
+        result = divide_one_plus(result, v)
     return result
 
 
@@ -149,18 +149,16 @@ def _divisor_segre_reduced(top: LevelRing, d, degree_bound: int):
     empty stratum.  Every term has degree k <= degree_bound and a positive
     coefficient (D has no negative entry), so the terms go to the trusted
     constructor, which does not scan each wide exponent again."""
-    labels = top.variables
-    links: dict[frozenset[str], list[int]] = {}
+    links: dict[frozenset[int], list[int]] = {}
     power = {(0,) * top.num_vars: 1}
     total = {}
     for k in range(1, degree_bound + 1):
         nxt: dict[tuple[int, ...], int] = {}
         for e, c in power.items():
-            s = frozenset(labels[m] for m, a in enumerate(e) if a)
+            s = support(e)
             if s not in links:
                 near = set().union(*(f for f in top.facets if s <= f))
-                links[s] = [m for m, lab in enumerate(labels)
-                            if d[m] and lab in near]
+                links[s] = [m for m in sorted(near) if d[m]]
             for m in links[s]:
                 t = e[:m] + (e[m] + 1,) + e[m + 1:]
                 nxt[t] = nxt.get(t, 0) + c * d[m]
@@ -235,11 +233,10 @@ def residual_identity_check(p: MonomialPresentation,
     d, residual = residual_split(p)
     if all(a == 0 for a in d):
         return ResidualReport("skipped")
-    d_form = LinearForm.of(1, d)
-    inv = reciprocal_one_plus(d_form, degree_bound)
+    inv = reciprocal_one_plus(d, degree_bound)
     d_series = TruncatedSeries.one(n, degree_bound) - inv
     residual_integral = segre_integral(residual, degree_bound).series
-    twisted = tensor_line(residual_integral, LinearForm.of(0, d))
+    twisted = tensor_line(residual_integral, d)
     rhs = d_series + inv * twisted
     diff = _first_difference(integral, rhs)
     if diff is None:
@@ -264,7 +261,7 @@ def blowup_invariance_check(p: MonomialPresentation, i: int, j: int,
     n = p.num_vars
     degree_bound = integral.degree_bound
     ring = base_ring(n, p.variable_labels)
-    step = chow.blow_up(ring, p.variable_labels[i], p.variable_labels[j])
+    step = chow.blow_up(ring, i, j)
 
     tri_hat = placing_triangulation(lift_to_H(complement_configuration(p), i, j))
     parts = classify_blowup_cells(tri_hat, i, j)

@@ -6,17 +6,17 @@ truncates at a total-degree bound, and binary operations inherit the
 minimum of the operand bounds.  Output ordering is graded lexicographic
 throughout, so printed and serialized forms are stable.
 
-Division by a linear form 1 + L is the one series primitive besides the
-ring operations: `divide_one_plus` solves (1 + L) * out = s in one pass over
-a dense list of every monomial within the bound, in graded order, with no
-series product.  `reciprocal_one_plus` and `tensor_line` are built on it.
+A linear form v.X is its integer coefficient vector v.  Division by 1 + v.X
+is the one series primitive besides the ring operations: `divide_one_plus`
+solves (1 + v.X) * out = s in one pass over a dense list of every monomial
+within the bound, in graded order, with no series product.
+`reciprocal_one_plus` and `tensor_line` are built on it.
 That list has C(n + D, n) entries for n variables at bound D, which is about
 the size the pipelines' quotients reach; `TERM_BUDGET` caps it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Mapping
 
@@ -114,6 +114,8 @@ class TruncatedSeries:
                 f"variable counts differ: {self.num_vars} vs {other.num_vars}")
 
     def __add__(self, other):
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         self._check_vars(other)
         bound = min(self.degree_bound, other.degree_bound)
         if bound == self.degree_bound:
@@ -139,6 +141,8 @@ class TruncatedSeries:
                                     {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
@@ -210,29 +214,6 @@ class TruncatedSeries:
         return f"TruncatedSeries({self.render()!r}, D_max={self.degree_bound})"
 
 
-@dataclass(frozen=True)
-class LinearForm:
-    """constant + sum(coefficients[i] * X_i)."""
-
-    constant: int
-    coefficients: tuple[int, ...]
-
-    def __post_init__(self):
-        for c in (self.constant, *self.coefficients):
-            _as_int(c)
-
-    @classmethod
-    def of(cls, constant, coefficients: Iterable) -> "LinearForm":
-        return cls(constant, tuple(coefficients))
-
-    @property
-    def num_vars(self) -> int:
-        return len(self.coefficients)
-
-    def is_constant_free(self) -> bool:
-        return self.constant == 0
-
-
 # (num_vars, degree_bound) -> dense layout; a pure function of its key
 _LAYOUTS: dict[tuple[int, int], tuple] = {}
 
@@ -271,25 +252,22 @@ def _layout(num_vars: int, degree_bound: int):
     return layout
 
 
-def divide_one_plus(s: TruncatedSeries, f: LinearForm) -> TruncatedSeries:
-    """s / f for a linear form f = 1 + L, at the degree bound of s.
+def divide_one_plus(s: TruncatedSeries, v: tuple[int, ...]) -> TruncatedSeries:
+    """s / (1 + v.X) for an integer vector v, at the degree bound of s.
 
-    The quotient satisfies out_e = s_e - sum_i a_i out_(e - e_i), so on the
+    The quotient satisfies out_e = s_e - sum_i v_i out_(e - e_i), so on the
     dense layout of every monomial within the bound (C(n + D, n) slots, see
     `_layout`), one walk in graded order finishes each slot before it is
-    read, and subtracts a_i * out_e at each successor e + e_i of a nonzero
+    read, and subtracts v_i * out_e at each successor e + e_i of a nonzero
     slot: O(slots + nonzero slots * n), exact, and with no series product."""
-    if f.constant != 1:
-        raise MonomialSegreError(
-            f"division needs a form with constant term 1, got {f.constant}")
-    if f.num_vars != s.num_vars:
+    if len(v) != s.num_vars:
         raise DimensionMismatchError(
-            f"variable counts differ: {s.num_vars} vs {f.num_vars}")
+            f"variable counts differ: {s.num_vars} vs {len(v)}")
+    steps = [(i, _as_int(a)) for i, a in enumerate(v) if a]
     monomials, index, successors = _layout(s.num_vars, s.degree_bound)
     out = [0] * len(monomials)
     for e, c in s.terms.items():
         out[index[e]] = c
-    steps = [(i, a) for i, a in enumerate(f.coefficients) if a]
     if steps:
         for k, row in enumerate(successors):
             c = out[k]
@@ -300,9 +278,10 @@ def divide_one_plus(s: TruncatedSeries, f: LinearForm) -> TruncatedSeries:
                                 {e: c for e, c in zip(monomials, out) if c})
 
 
-def reciprocal_one_plus(f: LinearForm, degree_bound: int) -> TruncatedSeries:
-    """Expand 1/f for a linear form f with constant term 1."""
-    return divide_one_plus(TruncatedSeries.one(f.num_vars, degree_bound), f)
+def reciprocal_one_plus(v: tuple[int, ...],
+                        degree_bound: int) -> TruncatedSeries:
+    """Expand 1/(1 + v.X) for an integer vector v."""
+    return divide_one_plus(TruncatedSeries.one(len(v), degree_bound), v)
 
 
 def graded_piece(c: TruncatedSeries, p: int) -> TruncatedSeries:
@@ -311,17 +290,15 @@ def graded_piece(c: TruncatedSeries, p: int) -> TruncatedSeries:
                            {e: v for e, v in c.terms.items() if sum(e) == p})
 
 
-def tensor_line(c: TruncatedSeries, line: LinearForm) -> TruncatedSeries:
-    """Twist by a line class L: the degree-p piece of c is divided by (1+L)^p.
+def tensor_line(c: TruncatedSeries, v: tuple[int, ...]) -> TruncatedSeries:
+    """Twist by the line class L = v.X: the degree-p piece of c is divided by
+    (1+L)^p.
 
     Horner's rule in 1/(1+L): starting from the top degree, divide what is
     accumulated by 1+L once and add the next piece down."""
-    if not line.is_constant_free():
-        raise MonomialSegreError("the twisting form must have zero constant term")
-    if line.num_vars != c.num_vars:
+    if len(v) != c.num_vars:
         raise DimensionMismatchError("twisting form has the wrong variable count")
-    one_plus = LinearForm(1, line.coefficients)
     out = TruncatedSeries.zero(c.num_vars, c.degree_bound)
     for p in range(c.degree_bound, -1, -1):
-        out = graded_piece(c, p) + divide_one_plus(out, one_plus)
+        out = graded_piece(c, p) + divide_one_plus(out, v)
     return out

@@ -28,7 +28,7 @@ import sympy
 
 from monomial_segre.lattice import presentation
 from monomial_segre.polytope import hvol
-from monomial_segre.series import LinearForm, TruncatedSeries
+from monomial_segre.series import TruncatedSeries
 
 
 def expand_terms(expr, variables, degree_bound):
@@ -96,7 +96,7 @@ def total_transform(generators, steps):
     entries on the proper transforms."""
     gens = [tuple(g) for g in generators]
     for step in steps:
-        pi, pj = step.center_positions()
+        pi, pj = step.center
         gens = [(g[pi] + g[pj],) + g for g in gens]
     return gens
 
@@ -156,7 +156,9 @@ def stratum_is_empty_by_recursion(dim, nil_pairs, steps, labels):
     tower one blow-up at a time.
 
     dim is the ambient dimension, nil_pairs the label pairs declared not to
-    meet on the base, and steps the blow-ups above the base, lowest first.
+    meet on the base, and steps the blow-ups above the base, lowest first;
+    every stratum here is a set of labels, each center read off its lower
+    ring's labels and each exceptional divisor off its upper ring's first.
     On the base a stratum is empty when it has more than dim labels or
     contains a nil pair.  Above a blow-up of
     {i, j} with exceptional E: the proper transforms of i and j are
@@ -171,8 +173,8 @@ def stratum_is_empty_by_recursion(dim, nil_pairs, steps, labels):
     if not steps:
         return any(frozenset(pair) <= s for pair in nil_pairs)
     step = steps[-1]
-    i, j = step.center
-    exceptional = step.exceptional_label
+    i, j = (step.lower.variables[k] for k in step.center)
+    exceptional = step.upper.variables[0]
     low = {lab[1:] if lab in ("~" + i, "~" + j) else lab
            for lab in s - {exceptional}}
     if {i, j} <= low:
@@ -204,21 +206,20 @@ def variable(index, num_vars, degree_bound):
     return TruncatedSeries.monomial(e, num_vars, degree_bound)
 
 
-def form_series(f, degree_bound):
-    """A linear form constant + sum c_i X_i as a series."""
-    n = f.num_vars
-    out = TruncatedSeries.constant(f.constant, n, degree_bound)
-    for i, c in enumerate(f.coefficients):
+def form_series(constant, v, degree_bound):
+    """The linear form constant + v.X as a series."""
+    n = len(v)
+    out = TruncatedSeries.constant(constant, n, degree_bound)
+    for i, c in enumerate(v):
         out = out + c * variable(i, n, degree_bound)
     return out
 
 
-def reciprocal_by_geometric_series(f, degree_bound):
-    """1/f for f = 1 + L as the geometric series sum_k (-L)^k, one series
+def reciprocal_by_geometric_series(v, degree_bound):
+    """1/(1 + L) for L = v.X as the geometric series sum_k (-L)^k, one series
     product per degree."""
-    assert f.constant == 1
-    minus_l = -form_series(LinearForm(0, f.coefficients), degree_bound)
-    acc = TruncatedSeries.one(f.num_vars, degree_bound)
+    minus_l = -form_series(0, v, degree_bound)
+    acc = TruncatedSeries.one(len(v), degree_bound)
     power = acc
     for _ in range(degree_bound):
         power = power * minus_l
@@ -235,16 +236,15 @@ def simplex_contribution_by_products(t, degree_bound):
     b = tuple(0 if d in t.infinite_directions else 1 for d in range(n))
     out = TruncatedSeries.monomial(b, n, degree_bound, coefficient=hvol(t))
     for v in t.finite_vertices:
-        out = out * reciprocal_by_geometric_series(
-            LinearForm.of(1, v), degree_bound)
+        out = out * reciprocal_by_geometric_series(v, degree_bound)
     return out
 
 
-def divide_by_degree(s, f):
-    """s / f for f = 1 + L, degree by degree on term dicts: the degree-d part
-    of the quotient is out_d = s_d - L * out_(d-1)."""
-    assert f.constant == 1 and f.num_vars == s.num_vars
-    steps = [(i, a) for i, a in enumerate(f.coefficients) if a]
+def divide_by_degree(s, v):
+    """s / (1 + L) for L = v.X, degree by degree on term dicts: the degree-d
+    part of the quotient is out_d = s_d - L * out_(d-1)."""
+    assert len(v) == s.num_vars
+    steps = [(i, a) for i, a in enumerate(v) if a]
     by_degree = [{} for _ in range(s.degree_bound + 1)]
     for e, c in s.terms.items():
         by_degree[sum(e)][e] = c

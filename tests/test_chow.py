@@ -13,7 +13,7 @@ from monomial_segre.errors import (EmptyCenterError, LevelMismatchError,
 from monomial_segre.lattice import MonomialPresentation, presentation
 from monomial_segre.principalize import ring_edges
 from monomial_segre.segre import _divisor_segre_reduced
-from monomial_segre.series import LinearForm, TruncatedSeries, reciprocal_one_plus
+from monomial_segre.series import TruncatedSeries, reciprocal_one_plus
 
 from oracles import (expand_terms, pullback, pushforward_by_normal_form,
                      pushforward_by_substitution,
@@ -25,12 +25,22 @@ BOUND = 6
 
 
 def var(ring, label, bound=BOUND):
-    return variable(ring.index(label), ring.num_vars, bound)
+    return variable(ring.variables.index(label), ring.num_vars, bound)
+
+
+def at(ring, labels):
+    """The positions of labels among the ring's variables, in order."""
+    return [ring.variables.index(lab) for lab in labels]
+
+
+def blow(ring, i, j):
+    """The blow-up of the divisors labelled i and j."""
+    return blow_up(ring, *at(ring, (i, j)))
 
 
 def pulled_back(step, s):
     """The pull-back of the series s on the lower ring, as a class upstairs."""
-    pi, pj = step.center_positions()
+    pi, pj = step.center
     return ChowClass(step.upper, TruncatedSeries(
         step.upper.num_vars, s.degree_bound, pullback(s.terms, pi, pj)))
 
@@ -39,78 +49,95 @@ def test_base_ring_defaults():
     r = base_ring(3)
     assert r.variables == ("X1", "X2", "X3")
     assert not any(r.stratum_is_empty(pair)
-                   for pair in combinations(r.variables, 2))
+                   for pair in combinations(range(r.num_vars), 2))
     assert r.depth == 0
 
 
 def test_base_ring_closes_declared_pairs_upward():
     r = base_ring(3, nil_pairs=[("X1", "X2")])
-    assert r.stratum_is_empty({"X1", "X2"})
-    assert r.stratum_is_empty({"X1", "X2", "X3"})
-    assert not r.stratum_is_empty({"X1", "X3"})
+    assert r.stratum_is_empty(at(r, {"X1", "X2"}))
+    assert r.stratum_is_empty(at(r, {"X1", "X2", "X3"}))
+    assert not r.stratum_is_empty(at(r, {"X1", "X3"}))
 
 
 def test_stratum_size_cap():
     r = base_ring(2)
-    assert r.stratum_is_empty({"X1", "X2", "X1"}) is False
+    assert r.stratum_is_empty(at(r, ["X1", "X2", "X1"])) is False
     # more labels than the ambient dimension: always empty
-    r3 = blow_up(r, "X1", "X2").upper
-    assert r3.stratum_is_empty({"E1", "~X1", "~X2"})
+    r3 = blow(r, "X1", "X2").upper
+    assert r3.stratum_is_empty(at(r3, {"E1", "~X1", "~X2"}))
 
 
 def test_blow_up_labels_and_nils():
     r = base_ring(2)
-    step = blow_up(r, "X1", "X2")
+    step = blow(r, "X1", "X2")
     assert step.upper.variables == ("E1", "~X1", "~X2")
     assert [pair for pair in combinations(step.upper.variables, 2)
-            if step.upper.stratum_is_empty(pair)] == [("~X1", "~X2")]
+            if step.upper.stratum_is_empty(at(step.upper, pair))] == \
+        [("~X1", "~X2")]
     assert step.upper.depth == 1
 
 
 def test_blow_up_rejects_empty_center():
     r = base_ring(2, nil_pairs=[("X1", "X2")])
     with pytest.raises(EmptyCenterError):
-        blow_up(r, "X1", "X2")
+        blow(r, "X1", "X2")
     with pytest.raises(MonomialSegreError):
-        blow_up(base_ring(2), "X1", "X1")
+        blow(base_ring(2), "X1", "X1")
+
+
+def test_blow_up_checks_its_positions():
+    # a negative position would otherwise wrap around to the last variable
+    r = base_ring(3)
+    for i, j in [(1, 1), (-1, 0), (0, -3), (0, 3), (3, 1)]:
+        with pytest.raises(MonomialSegreError):
+            blow_up(r, i, j)
+    # the message of a known-empty center names its two labels
+    r_nil = base_ring(3, labels=("a", "b", "c"), nil_pairs=[("a", "c")])
+    with pytest.raises(EmptyCenterError, match=r"center \(a, c\)"):
+        blow_up(r_nil, 0, 2)
+    up = blow_up(r_nil, 0, 1).upper
+    with pytest.raises(EmptyCenterError, match=r"center \(~a, ~b\)"):
+        blow_up(up, 1, 2)
 
 
 def test_exceptional_pair_tracking_uses_lower_triples():
     # in a threefold, E over X1 cap X2 meets the transform of X3 exactly
     # when X1 cap X2 cap X3 is nonempty
     r = base_ring(3)
-    up = blow_up(r, "X1", "X2").upper
-    assert not up.stratum_is_empty({"E1", "X3"})
+    up = blow(r, "X1", "X2").upper
+    assert not up.stratum_is_empty(at(up, {"E1", "X3"}))
     r_nil = base_ring(3, nil_pairs=[("X1", "X3")])
-    up_nil = blow_up(r_nil, "X1", "X2").upper
-    assert up_nil.stratum_is_empty({"E1", "X3"})
+    up_nil = blow(r_nil, "X1", "X2").upper
+    assert up_nil.stratum_is_empty(at(up_nil, {"E1", "X3"}))
 
 
 def test_second_level_triple_emptiness():
     # after two blow-ups sharing divisor X1, three divisors can meet
     # pairwise with no common point; pairwise bookkeeping alone misses this
     r = base_ring(3)
-    s1 = blow_up(r, "X1", "X2")
-    s2 = blow_up(s1.upper, "E1", "~X1")
+    s1 = blow(r, "X1", "X2")
+    s2 = blow(s1.upper, "E1", "~X1")
     up = s2.upper
-    assert not up.stratum_is_empty({"E2", "~E1"})
-    assert not up.stratum_is_empty({"E2", "~~X1"})
-    assert not up.stratum_is_empty({"~E1", "X3"})
+    assert not up.stratum_is_empty(at(up, {"E2", "~E1"}))
+    assert not up.stratum_is_empty(at(up, {"E2", "~~X1"}))
+    assert not up.stratum_is_empty(at(up, {"~E1", "X3"}))
     # E2 meets ~E1 and ~~X1 separately, but the second center was
     # exactly E1 cap ~X1, so the triple is empty upstairs
-    assert up.stratum_is_empty({"E2", "~E1", "~~X1"})
+    assert up.stratum_is_empty(at(up, {"E2", "~E1", "~~X1"}))
 
 
 def test_exceptional_label_may_repeat_a_base_label():
     # the new E1 is not the base divisor E1, whose transform is ~E1
-    step = blow_up(base_ring(2, labels=("E1", "X2")), "E1", "X2")
-    assert step.upper.variables == ("E1", "~E1", "~X2")
-    assert sorted(map(sorted, step.upper.facets)) == \
+    step = blow(base_ring(2, labels=("E1", "X2")), "E1", "X2")
+    up = step.upper
+    assert up.variables == ("E1", "~E1", "~X2")
+    assert sorted(sorted(up.variables[k] for k in f) for f in up.facets) == \
         [["E1", "~E1"], ["E1", "~X2"]]
 
 
 def test_exponents_are_read_off_the_rays():
-    step = blow_up(base_ring(2), "X1", "X2")
+    step = blow(base_ring(2), "X1", "X2")
     assert step.upper.rays == ((1, 1), (1, 0), (0, 1))
     assert [step.upper.exponents(g) for g in ((3, 0), (1, 1), (0, 3))] == \
         [(3, 3, 0), (2, 1, 1), (3, 0, 3)]
@@ -121,7 +148,7 @@ def test_exponents_are_read_off_the_rays():
 
 
 def test_pullback_then_pushforward_is_identity():
-    step = blow_up(base_ring(2), "X1", "X2")
+    step = blow(base_ring(2), "X1", "X2")
     s = TruncatedSeries(2, BOUND, {(1, 0): 2, (1, 1): -3, (0, 2): 1})
     assert pushforward(step, pulled_back(step, s)).series == s
 
@@ -131,7 +158,7 @@ def test_pullback_then_pushforward_is_identity():
     st.integers(-4, 4), max_size=5))
 @settings(max_examples=40, deadline=None)
 def test_pullback_pushforward_identity_randomized(terms):
-    step = blow_up(base_ring(3), "X2", "X3")
+    step = blow(base_ring(3), "X2", "X3")
     s = TruncatedSeries(3, BOUND, terms)
     assert pushforward(step, pulled_back(step, s)).series == s
 
@@ -143,7 +170,7 @@ def test_pullback_pushforward_identity_randomized(terms):
                        st.integers(-3, 3), max_size=4))
 @settings(max_examples=40, deadline=None)
 def test_projection_formula(base_terms, upper_terms):
-    step = blow_up(base_ring(2), "X1", "X2")
+    step = blow(base_ring(2), "X1", "X2")
     beta = TruncatedSeries(2, BOUND, base_terms)
     c = ChowClass(step.upper, TruncatedSeries(3, BOUND, upper_terms))
     lhs = pushforward(
@@ -157,7 +184,7 @@ def test_projection_formula(base_terms, upper_terms):
 
 
 def test_pushforward_E_times_X2():
-    step = blow_up(base_ring(3), "X1", "X2")
+    step = blow(base_ring(3), "X1", "X2")
     up = step.upper
     cls = ChowClass(up, var(up, "E1") * var(up, "~X2"))
     r = step.lower
@@ -166,21 +193,21 @@ def test_pushforward_E_times_X2():
 
 
 def test_pushforward_X1_times_X2():
-    step = blow_up(base_ring(3), "X1", "X2")
+    step = blow(base_ring(3), "X1", "X2")
     up = step.upper
     cls = ChowClass(up, var(up, "~X1") * var(up, "~X2"))
     assert pushforward(step, cls).series.is_zero()
 
 
 def test_pushforward_E_times_X3():
-    step = blow_up(base_ring(3), "X1", "X2")
+    step = blow(base_ring(3), "X1", "X2")
     up = step.upper
     cls = ChowClass(up, var(up, "E1") * var(up, "X3"))
     assert pushforward(step, cls).series.is_zero()
 
 
 def test_pushforward_X1_times_X3():
-    step = blow_up(base_ring(3), "X1", "X2")
+    step = blow(base_ring(3), "X1", "X2")
     up = step.upper
     r = step.lower
     cls = ChowClass(up, var(up, "~X1") * var(up, "X3"))
@@ -190,10 +217,9 @@ def test_pushforward_X1_times_X3():
 
 def test_pushforward_exceptional_segre():
     # E/(1+E) downstairs is X1 X2 / ((1+X1)(1+X2))
-    step = blow_up(base_ring(2), "X1", "X2")
+    step = blow(base_ring(2), "X1", "X2")
     up = step.upper
-    e = LinearForm.of(1, (1, 0, 0))
-    ecls = TruncatedSeries.one(3, BOUND) - reciprocal_one_plus(e, BOUND)
+    ecls = TruncatedSeries.one(3, BOUND) - reciprocal_one_plus((1, 0, 0), BOUND)
     got = pushforward(step, ChowClass(up, ecls)).series
     X1, X2 = symbols(2)
     want = expand_terms(X1 * X2 / ((1 + X1) * (1 + X2)), (X1, X2), BOUND)
@@ -201,7 +227,7 @@ def test_pushforward_exceptional_segre():
 
 
 def test_pushforward_rejects_wrong_level():
-    step = blow_up(base_ring(2), "X1", "X2")
+    step = blow(base_ring(2), "X1", "X2")
     with pytest.raises(LevelMismatchError):
         pushforward(step, ChowClass(step.lower, TruncatedSeries.one(2, BOUND)))
 
@@ -221,8 +247,7 @@ def upper_classes(draw):
 @settings(max_examples=80, deadline=None)
 def test_pushforward_closed_form_matches_normal_form(case):
     n, i, j, terms = case
-    r = base_ring(n)
-    step = blow_up(r, r.variables[i], r.variables[j])
+    step = blow_up(base_ring(n), i, j)
     c = ChowClass(step.upper, TruncatedSeries(n + 1, BOUND, terms))
     assert pushforward(step, c).series.terms == \
         pushforward_by_normal_form(c.series.terms, i, j)
@@ -239,7 +264,7 @@ def test_reduce_nils_drops_empty_supports():
 
 def test_reduce_nils_drops_deep_supports():
     # support wider than the ambient dimension is an empty stratum
-    step = blow_up(base_ring(2), "X1", "X2")
+    step = blow(base_ring(2), "X1", "X2")
     s = TruncatedSeries(3, 4, {(1, 1, 1): 1, (2, 1, 0): 3})
     out = reduce_nils(step.upper, s)
     assert out.terms == {(2, 1, 0): Fraction(3)}
@@ -258,7 +283,7 @@ def test_scheme_is_divisor():
     assert scheme_is_divisor(r, presentation(((2, 1),))) == (2, 1)
     assert scheme_is_divisor(r, presentation(((1, 0), (0, 1)))) is None
     # one blow-up up, the base presentation's total transform is E1
-    up = blow_up(r, "X1", "X2").upper
+    up = blow(r, "X1", "X2").upper
     assert scheme_is_divisor(up, presentation(((1, 0), (0, 1)))) == (1, 0, 0)
     r_nil = base_ring(2, nil_pairs=[("X1", "X2")])
     assert scheme_is_divisor(
@@ -290,7 +315,7 @@ def towers(draw):
                    if not stratum_is_empty_by_recursion(n, nils, steps, c)]
         if not centers:
             break
-        steps.append(blow_up(ring, *draw(st.sampled_from(centers))))
+        steps.append(blow(ring, *draw(st.sampled_from(centers))))
         ring = steps[-1].upper
     return base, nils, steps
 
@@ -316,12 +341,13 @@ def test_facets_match_the_recursive_and_enumeration_oracles(tower, data):
         strata = [frozenset(c) for k in range(n + 2)
                   for c in combinations(r.variables, k)]
         for s in strata:
-            assert r.stratum_is_empty(s) == oracle(s), (level, sorted(s))
+            ps = frozenset(at(r, s))
+            assert r.stratum_is_empty(ps) == oracle(s), (level, sorted(s))
             if level == 0:
-                assert r.stratum_is_empty(s) == \
-                    (not any(s <= f for f in r.facets))
+                assert r.stratum_is_empty(ps) == \
+                    (not any(ps <= f for f in r.facets))
             if len(s) == 2:
-                assert (s in ring_edges(r)) == (not r.stratum_is_empty(s))
+                assert (ps in ring_edges(r)) == (not r.stratum_is_empty(ps))
         gens = sparse_generators(data.draw, r.num_vars)
         p = MonomialPresentation(r.num_vars, gens, r.variables)
         assert scheme_is_empty(r, p) == scheme_is_empty_by_enumeration(
@@ -349,7 +375,7 @@ def test_top_expansion_matches_the_filtered_dense_one(tower, data):
                            max_size=top.num_vars))
     bound = 4
     dense = TruncatedSeries.one(top.num_vars, bound) - \
-        reciprocal_one_plus(LinearForm.of(1, d), bound)
+        reciprocal_one_plus(tuple(d), bound)
     want = {e: c for e, c in dense.terms.items()
             if not stratum_is_empty_by_recursion(
                 base.num_vars, nils, steps,
@@ -360,7 +386,7 @@ def test_top_expansion_matches_the_filtered_dense_one(tower, data):
 def test_pushforward_leaves_out_deep_terms_off_the_star():
     # with X1 cap X3 empty, ~X2^2 X3 lies on the nonempty stratum ~X2 cap X3
     # upstairs; its E^2 part -X1 X2 X3 would lie on an empty one downstairs
-    step = blow_up(base_ring(3, nil_pairs=[("X1", "X3")]), "X1", "X2")
+    step = blow(base_ring(3, nil_pairs=[("X1", "X3")]), "X1", "X2")
     c = ChowClass(step.upper, TruncatedSeries(4, BOUND, {(0, 0, 2, 1): 1}))
     assert pushforward_by_substitution(c.series.terms, 0, 1) == \
         {(0, 2, 1): 1, (1, 1, 1): -1}
@@ -379,7 +405,7 @@ def test_pushforward_of_a_reduced_class_is_the_reduced_substitution(tower,
         return
     step = data.draw(st.sampled_from(steps))
     up, low = step.upper, step.lower
-    pi, pj = step.center_positions()
+    pi, pj = step.center
     bound = 6
     # any three factors, then up to three of one center transform: a power
     # of a transform is what reaches E^{>=2} outside the star

@@ -91,9 +91,16 @@ def test_verify_ok(capsys):
 # towers of the acceptance corpus, deep enough to exercise the stratum model
 # and the push-down far above the base; five is a five-generator ideal in four
 # variables; `triangulate` prints every cell's contribution, and on five it
-# runs under each placement-order preset.
+# runs under each placement-order preset.  labelled_job is nil_pair_job under
+# its own labels, so its trace shows the names blow-ups derive from them.
 NIL_PAIR_JOB = {"n": 3, "generators": [[2, 0, 1], [0, 2, 0], [1, 1, 2]],
                 "nil_pairs": [["X1", "X3"]], "dmax": 4}
+JOB_DOCUMENTS = {
+    "nil_pair_job": NIL_PAIR_JOB,
+    "labelled_job": {"n": 3, "generators": [[2, 0, 1], [0, 2, 0], [1, 1, 2]],
+                     "labels": ["a", "b", "c"], "nil_pairs": [["a", "c"]],
+                     "dmax": 4},
+}
 GOLDEN_DIGESTS = {
     ("compute", "staircase", None):
         "5dd43b6aaa082fd5c67ac28c83ec0ce98e7a2bb41dd686a5808b56bea49a33cf",
@@ -109,6 +116,8 @@ GOLDEN_DIGESTS = {
         "5fb390ce464465240276228587208ed819c67932ced7b33cd8b72a75309cccb9",
     ("tower", "nil_pair_job", None):
         "d281c415eea2f1e00993c3be00543aa7d21175e9c37ed4cfdb5732bf9b1c2449",
+    ("tower", "labelled_job", None):
+        "fac92a4ff9f57f44bcff900fd303d5aa517c9beeab4e363fb86d45029f017c77",
     ("verify", "nil_pair_job", None):
         "08d4278533547d33493bb52f9ef5672657b3ac0eeb88a56b2ecc3ab0ce25e9c3",
     ("tower", "depth50", None):
@@ -148,7 +157,7 @@ def test_tower_and_verify_golden_bytes(capsys, tmp_path, command, job, preset):
         argv = [command, "--gens", "2,0,1,0;0,3,0,1;1,1,0,2;0,0,2,1;1,0,1,1"]
     else:
         path = tmp_path / "job.json"
-        path.write_text(json.dumps(NIL_PAIR_JOB))
+        path.write_text(json.dumps(JOB_DOCUMENTS[job]))
         argv = [command, "--input", str(path)]
     if preset is not None:
         argv += ["--preset", preset]
