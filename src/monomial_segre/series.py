@@ -6,13 +6,15 @@ truncates at a total-degree bound, and binary operations inherit the
 minimum of the operand bounds.  Output ordering is graded lexicographic
 throughout, so printed and serialized forms are stable.
 
-A linear form v.X is its integer coefficient vector v.  Division by 1 + v.X
-is the one series primitive besides the ring operations: `divide_one_plus`
-solves (1 + v.X) * out = s in one pass over a dense list of every monomial
-within the bound, in graded order, with no series product.
-`reciprocal_one_plus` and `tensor_line` are built on it.
-That list has C(n + D, n) entries for n variables at bound D, which is about
-the size the pipelines' quotients reach; `TERM_BUDGET` caps it.
+A linear form v.X is its integer coefficient vector v.  Division by a
+product of forms 1 + v.X is the one series primitive besides the ring
+operations: `divide_one_plus` solves prod (1 + v.X) * out = s on a dense list
+of every monomial within the bound, in graded order, with one pass per form
+and no series product.  `reciprocal_one_plus` and `tensor_line` call it with
+one form each, and `segre.simplex_contribution` with every finite vertex of
+a cell.  That list has C(n + D, n) entries for n variables at bound D,
+which is about the size the pipelines' quotients reach; `TERM_BUDGET` caps
+it.
 """
 
 from __future__ import annotations
@@ -252,28 +254,41 @@ def _layout(num_vars: int, degree_bound: int):
     return layout
 
 
-def divide_one_plus(s: TruncatedSeries, v: tuple[int, ...]) -> TruncatedSeries:
-    """s / (1 + v.X) for an integer vector v, at the degree bound of s.
+def divide_one_plus(s: TruncatedSeries,
+                    *forms: tuple[int, ...]) -> TruncatedSeries:
+    """s / prod (1 + v.X) over the integer vectors v in forms, at the degree
+    bound of s.
 
-    The quotient satisfies out_e = s_e - sum_i v_i out_(e - e_i), so on the
-    dense layout of every monomial within the bound (C(n + D, n) slots, see
-    `_layout`), one walk in graded order finishes each slot before it is
-    read, and subtracts v_i * out_e at each successor e + e_i of a nonzero
-    slot: O(slots + nonzero slots * n), exact, and with no series product."""
-    if len(v) != s.num_vars:
-        raise DimensionMismatchError(
-            f"variable counts differ: {s.num_vars} vs {len(v)}")
-    steps = [(i, _as_int(a)) for i, a in enumerate(v) if a]
+    Dividing by one form, the quotient satisfies out_e = s_e - sum_i v_i
+    out_(e - e_i), so on the dense layout of every monomial within the bound
+    (C(n + D, n) slots, see `_layout`), one walk in graded order finishes
+    each slot before it is read, and subtracts v_i * out_e at each successor
+    e + e_i of a nonzero slot.  The array is filled from s once and walked
+    in place once per form, each walk starting at the lowest slot s fills,
+    since a walk only writes above the slot it reads and every slot below
+    stays zero.  The series is built once at the end: O(slots + nonzero
+    slots * n) per form, exact, and with no series product."""
+    walks = []
+    for v in forms:
+        if len(v) != s.num_vars:
+            raise DimensionMismatchError(
+                f"variable counts differ: {s.num_vars} vs {len(v)}")
+        walks.append([(i, _as_int(a)) for i, a in enumerate(v) if a])
     monomials, index, successors = _layout(s.num_vars, s.degree_bound)
     out = [0] * len(monomials)
+    start = len(successors)
     for e, c in s.terms.items():
-        out[index[e]] = c
-    if steps:
-        for k, row in enumerate(successors):
-            c = out[k]
-            if c:
-                for i, a in steps:
-                    out[row[i]] -= a * c
+        k = index[e]
+        out[k] = c
+        start = min(start, k)
+    for steps in walks:
+        if steps:
+            for k in range(start, len(successors)):
+                c = out[k]
+                if c:
+                    row = successors[k]
+                    for i, a in steps:
+                        out[row[i]] -= a * c
     return TruncatedSeries._raw(s.num_vars, s.degree_bound,
                                 {e: c for e, c in zip(monomials, out) if c})
 

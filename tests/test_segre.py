@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,9 @@ from monomial_segre.segre import (blowup_invariance_check, default_degree_bound,
                                   orthant_triangulation,
                                   residual_identity_check, segre_integral,
                                   segre_tower, simplex_contribution, verify)
-from monomial_segre.polytope import HalfSimplex
+from monomial_segre.polytope import (HalfSimplex, complement_configuration,
+                                     lift_to_H, placing_triangulation)
+from monomial_segre.principalize import admissible_pairs
 from monomial_segre.series import TruncatedSeries
 
 from oracles import (expand_terms, random_presentation,
@@ -42,9 +45,37 @@ def test_column_simplex_contribution():
 def test_contribution_matches_the_product_formula(seed, preset):
     p = random_presentation(random.Random(seed))
     bound = default_degree_bound(p.num_vars)
-    for cell in orthant_triangulation(p, preset).cells:
+    cells = list(orthant_triangulation(p, preset).cells)
+    # the (n+1)-variable cells that blowup_invariance_check passes in
+    for i, j in admissible_pairs(base_ring(p.num_vars, p.variable_labels), p):
+        cells += placing_triangulation(
+            lift_to_H(complement_configuration(p), i, j)).cells
+    for cell in cells:
         assert simplex_contribution(cell, bound) == \
             simplex_contribution_by_products(cell, bound), cell
+
+
+def test_segre_integral_still_fires_the_traced_product_and_reciprocal(
+        monkeypatch):
+    # bench/tracing.py's MUST_FIRE fails a `--trace 1` run of `corpus` or
+    # `compute_wide` in which series.mul or series.reciprocal_one_plus records
+    # no call, and only simplex_contribution's one-vertex branch still makes
+    # those calls; delete this test with that branch
+    calls = Counter()
+    reciprocal, mul = segre.reciprocal_one_plus, TruncatedSeries.__mul__
+
+    def counting_reciprocal(*args):
+        calls["reciprocal_one_plus"] += 1
+        return reciprocal(*args)
+
+    def counting_mul(a, b):
+        calls["mul"] += 1
+        return mul(a, b)
+    monkeypatch.setattr(segre, "reciprocal_one_plus", counting_reciprocal)
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counting_mul)
+    segre_integral(STAIRCASE, 5)
+    assert calls["reciprocal_one_plus"] >= 1
+    assert calls["mul"] >= 1
 
 
 def test_degenerate_simplex_contributes_zero():

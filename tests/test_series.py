@@ -108,23 +108,27 @@ def test_divide_one_plus_matches_the_geometric_reciprocal(case):
 @st.composite
 def sparse_series_and_forms(draw):
     """A sparse series in 1-6 variables at bound 0-8, with terms of mixed
-    degree (some past the bound), and the coefficient vector of a form L,
-    with zero coefficients allowed, the all-zero vector of the origin vertex
-    among them."""
+    degree (some past the bound, and the lowest often above degree 0), and
+    the coefficient vectors of one to three forms L, to divide by every
+    1 + L, with zero coefficients allowed, the all-zero vector of the origin
+    vertex among them."""
     n = draw(st.integers(1, 6))
     bound = draw(st.integers(0, 8))
     exponents = st.tuples(*[st.integers(0, bound // n + 1)] * n)
     terms = draw(st.dictionaries(exponents, coeff, max_size=6))
-    coeffs = draw(st.just((0,) * n) | st.tuples(*[coeff] * n))
-    return TruncatedSeries(n, bound, terms), coeffs
+    form = st.just((0,) * n) | st.tuples(*[coeff] * n)
+    forms = draw(st.lists(form, min_size=1, max_size=3))
+    return TruncatedSeries(n, bound, terms), forms
 
 
 @given(sparse_series_and_forms())
 @settings(max_examples=200, deadline=None)
 def test_divide_one_plus_matches_the_degree_recurrence(case):
-    s, f = case
-    got = divide_one_plus(s, f)
-    want = divide_by_degree(s, f)
+    s, forms = case
+    got = divide_one_plus(s, *forms)
+    want = s
+    for f in forms:
+        want = divide_by_degree(want, f)
     assert (got.num_vars, got.degree_bound) == (s.num_vars, s.degree_bound)
     assert got.terms == want.terms
 
@@ -140,12 +144,15 @@ def test_term_budget_bounds_the_dense_layout():
         reciprocal_one_plus((1, 2, 3), 65)
 
 
-@given(series_and_forms())
+@given(series_and_forms(), st.integers(0, 2))
 @settings(max_examples=30, deadline=None)
-def test_divide_one_plus_rejects_bad_forms(case):
+def test_divide_one_plus_rejects_bad_forms(case, position):
     s, v = case
+    good = [v] * position
     with pytest.raises(DimensionMismatchError):
-        divide_one_plus(s, v + (1,))
+        divide_one_plus(s, *good, v + (1,), v)
+    with pytest.raises(MonomialSegreError):
+        divide_one_plus(s, *good, v[:-1] + (Fraction(1, 2),), v)
 
 
 @given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
