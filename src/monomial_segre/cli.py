@@ -75,7 +75,8 @@ def load_job(args):
     """Build (presentation, dmax, nil_pairs, ring) from flags and/or an input
     document; ring is None unless nil pairs are declared.  Inline --gens and
     --input are mutually exclusive.  A document's optional "strategy" field
-    must name CENTER_RULE, the one center rule there is; its labels and
+    must name CENTER_RULE, the one center rule a job can name (the fallback
+    rule takes over only at the cap); its labels and
     nil_pairs must be JSON arrays, each nil pair an array of two labels, and
     its labels may not have the shape of the ones blow-ups generate
     (GENERATED_LABEL).  A series at dmax may have no more terms than
@@ -254,7 +255,7 @@ def cmd_tower(args) -> int:
     doc["pipeline"] = result.pipeline
     doc["series"] = result.series
     doc["trace"] = {
-        "strategy": CENTER_RULE,
+        "strategy": trace.center_rule,
         "iterations": len(trace.steps),
         "terminal_divisor": list(trace.terminal_divisor),
         "steps": [{"center": [s.lower.variables[k] for k in s.center],

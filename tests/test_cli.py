@@ -77,6 +77,16 @@ def test_tower_trace_and_agreement(capsys):
     assert doc2["series"] == doc["series"]
 
 
+def test_tower_names_the_fallback_rule(capsys):
+    # the euclid rule reaches no divisor on this ideal within the cap
+    code, doc, _ = run_json(capsys, ["tower", "--gens",
+                                     "0,0,3;0,2,4;1,4,0;4,2,1"])
+    assert code == EXIT_OK
+    assert doc["strategy"] == "euclid"
+    assert doc["trace"]["strategy"] == "euclid_relevant"
+    assert doc["trace"]["iterations"] == 26
+
+
 def test_verify_ok(capsys):
     code, doc, _ = run_json(capsys, ["verify"] + STAIRCASE_ARGS +
                             ["--dmax", "4"])

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monomial_segre.chow import base_ring, blow_up
+from monomial_segre.chow import base_ring, blow_up, scheme_is_divisor
 from monomial_segre.errors import TowerDivergenceError
 from monomial_segre.lattice import presentation
-from monomial_segre.principalize import (admissible_pairs, principalize,
-                                         ring_edges, select_center)
+from monomial_segre.principalize import (CENTER_RULE, FALLBACK_RULE,
+                                         admissible_pairs, co_minimal,
+                                         principalize, ring_edges,
+                                         select_center, select_relevant_center)
 
 
 def test_admissible_pairs_skip_empty_strata():
@@ -72,6 +74,48 @@ def test_select_center_none_iff_no_admissible_pair(query):
         (list(admissible_pairs(ring, p)) == [])
 
 
+@given(center_queries())
+@settings(max_examples=200, deadline=None)
+def test_relevant_center_is_none_only_on_a_divisor(query):
+    ring, p = query
+    center = select_relevant_center(ring, p)
+    if center is None:
+        assert scheme_is_divisor(ring, p) is not None
+    else:
+        assert not ring.stratum_is_empty(center)
+
+
+@pytest.mark.parametrize("rows, a, b, want", [
+    # the staircase: X1^3 and X2^3 tie only where X1 X2 is smaller
+    (((3, 0), (1, 1), (0, 3)), 0, 2, False),
+    (((3, 0), (1, 1), (0, 3)), 0, 1, True),
+    # X1 and X2 both vanish to order 0 on X3, below X3 itself
+    (((1, 0, 0), (0, 1, 0), (0, 0, 1)), 0, 1, True),
+    # a multiple of a generator ties with it on the divisor X1
+    (((1, 0), (1, 1)), 0, 1, True),
+    # X1 X2 X3 ties with X1^2 only where X2^2 or X3^2 is smaller
+    (((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)), 0, 3, False),
+])
+def test_co_minimal_cases(rows, a, b, want):
+    assert co_minimal(list(rows), a, b) is want
+    assert co_minimal(list(rows), b, a) is want
+
+
+@given(st.integers(2, 4).flatmap(lambda d: st.tuples(
+    st.lists(st.tuples(*[st.integers(0, 4)] * d), min_size=2, max_size=5,
+             unique=True),
+    st.tuples(*[st.integers(0, 3)] * d))))
+@settings(max_examples=200, deadline=None)
+def test_co_minimal_sees_every_sampled_tie(query):
+    rows, w = query
+    if not any(w):
+        return
+    values = [sum(x * y for x, y in zip(row, w)) for row in rows]
+    least = [k for k, v in enumerate(values) if v == min(values)]
+    for a, b in combinations(least, 2):
+        assert co_minimal(rows, a, b)
+
+
 def staircase_trace():
     p = presentation(((3, 0), (1, 1), (0, 3)))
     return principalize(base_ring(2), p)
@@ -80,6 +124,7 @@ def staircase_trace():
 def test_staircase_tower_shape():
     trace = staircase_trace()
     assert len(trace.steps) == 3
+    assert trace.center_rule == CENTER_RULE
     assert trace.top_ring is trace.steps[-1].upper
     assert trace.top_ring.num_vars == 5
     # the terminal divisor really divides every top-level generator
@@ -125,6 +170,17 @@ def test_divergence_carries_partial_trace():
     trace = exc.value.trace
     assert len(trace.steps) == 1
     assert trace.top_ring is trace.steps[0].upper
+    assert trace.center_rule == CENTER_RULE
+
+
+def test_the_fallback_rule_takes_over_at_the_cap():
+    # select_center needs 277 blow-ups on this ideal, past the cap of 200;
+    # the fallback rule starts over from the base ring
+    p = presentation(((0, 0, 3), (0, 2, 4), (1, 4, 0), (4, 2, 1)))
+    trace = principalize(base_ring(3), p)
+    assert trace.center_rule == FALLBACK_RULE
+    assert len(trace.steps) == 26
+    assert scheme_is_divisor(trace.top_ring, p) == trace.terminal_divisor
 
 
 def test_hard_instances_terminate():
