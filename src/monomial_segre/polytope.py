@@ -47,28 +47,6 @@ def det(rows: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _rank(vectors: list[Sequence[int]]) -> int:
-    """Rank of a list of integer vectors (fraction-free Bareiss elimination,
-    skipping columns without a pivot)."""
-    m = [list(v) for v in vectors]
-    cols = len(m[0]) if m else 0
-    rank = 0
-    prev = 1
-    for col in range(cols):
-        pivot = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        top = m[rank]
-        for i in range(rank + 1, len(m)):
-            row = m[i]
-            m[i] = [(a * top[col] - row[col] * b) // prev
-                    for a, b in zip(row, top)]
-        prev = top[col]
-        rank += 1
-    return rank
-
-
 @dataclass(frozen=True)
 class PointConfiguration:
     """Labelled homogeneous vectors, listed in the default placement order:
@@ -193,6 +171,14 @@ def placing_triangulation(config: PointConfiguration,
     strictly sees.  Points inside the current hull, and ties (point on a
     facet's span), create no cells.  The order defaults to the
     configuration's own.
+
+    The boundary is kept oriented and updated in place (De Loera, Rambau and
+    Santos, *Triangulations*, 8.2): each boundary facet is a vertex tuple f
+    with a sign s, and x sees it iff s * det(f + x) > 0.  Only the starting
+    cell needs a determinant to orient its facets.  Coning a seen facet f
+    over x puts x in place of each vertex v in turn, which gives the new
+    cell's facet opposite v; swapping x and v negates the determinant, so
+    that facet keeps the sign of f.  A facet two new cells share is interior.
     """
     hom = config.homogeneous
     order = [lab for lab, _ in config.points] if order is None else list(order)
@@ -201,16 +187,25 @@ def placing_triangulation(config: PointConfiguration,
 
     d1 = config.dim + 1
 
-    # starting simplex: greedy independent prefix
+    # starting simplex: greedy independent prefix.  Each label's vector is
+    # reduced against the echelon rows (pivot column, row) of the basis so
+    # far, fraction-free; it is independent when something is left
     basis: list[Label] = []
     skipped: list[Label] = []
+    echelon: list[tuple[int, list[int]]] = []
     consumed = 0
     for lab in order:
         consumed += 1
-        if _rank([hom[b] for b in basis] + [hom[lab]]) > len(basis):
-            basis.append(lab)
-        else:
+        v = list(hom[lab])
+        for col, row in echelon:
+            if v[col]:
+                v = [a * row[col] - v[col] * b for a, b in zip(v, row)]
+        pivot = next((c for c, a in enumerate(v) if a), None)
+        if pivot is None:
             skipped.append(lab)
+        else:
+            echelon.append((pivot, v))
+            basis.append(lab)
         if len(basis) == d1:
             break
     if len(basis) < d1:
@@ -218,30 +213,26 @@ def placing_triangulation(config: PointConfiguration,
             "no full-dimensional starting simplex exists in the given order")
 
     cells: list[frozenset[Label]] = [frozenset(basis)]
-
-    def facet_sign(facet: tuple[Label, ...], probe: Label) -> int:
-        value = det([hom[f] for f in facet] + [hom[probe]])
-        return (value > 0) - (value < 0)
-
-    def insert(lab: Label):
-        # boundary facets with the opposite vertex of their unique cell
-        facet_owner: dict[frozenset[Label], list[frozenset[Label]]] = {}
-        for cell in cells:
-            for drop in cell:
-                facet_owner.setdefault(cell - {drop}, []).append(cell)
-        new_cells = []
-        for facet, owners in facet_owner.items():
-            if len(owners) != 1:
-                continue
-            opposite = next(iter(owners[0] - facet))
-            ordered = tuple(sorted(facet))
-            s_new = facet_sign(ordered, lab)
-            if s_new != 0 and s_new == -facet_sign(ordered, opposite):
-                new_cells.append(facet | {lab})
-        cells.extend(new_cells)
+    # det(facet k + basis[k]) is (-1)^(dim-k) det(basis), and the facet's
+    # outward sign is the opposite of that
+    sign = 1 if det([hom[b] for b in basis]) > 0 else -1
+    boundary: dict[frozenset[Label], tuple[tuple[Label, ...], int]] = {}
+    for k in range(d1):
+        facet = tuple(basis[:k] + basis[k + 1:])
+        boundary[frozenset(facet)] = (facet, sign * (-1) ** (d1 - k))
 
     for lab in skipped + order[consumed:]:
-        insert(lab)
+        x = hom[lab]
+        seen = [(key, facet, s) for key, (facet, s) in boundary.items()
+                if s * det([hom[f] for f in facet] + [x]) > 0]
+        for key, facet, s in seen:
+            del boundary[key]
+            cells.append(key | {lab})
+            for k in range(len(facet)):
+                new = facet[:k] + (lab,) + facet[k + 1:]
+                new_key = frozenset(new)
+                if boundary.pop(new_key, None) is None:
+                    boundary[new_key] = (new, s)
 
     order_index = {lab: k for k, lab in enumerate(order)}
     cell_objs = tuple(sorted(

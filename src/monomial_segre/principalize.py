@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from operator import ge, mul, neg, sub
+from typing import Sequence
 
 from .chow import BlowupStep, LevelRing, blow_up, scheme_is_divisor
 from .errors import NoAdmissibleCenterError, TowerDivergenceError
@@ -92,7 +93,7 @@ def select_center(r: LevelRing, p: MonomialPresentation) -> tuple[int, int] | No
     return None
 
 
-def co_minimal(rows: list[ExponentVector], a: int, b: int) -> bool:
+def co_minimal(rows: Sequence[ExponentVector], a: int, b: int) -> bool:
     """True when rows a and b both attain min_k rows[k].w at some nonzero
     w >= 0.  Such w form a pointed cone, which is nonzero exactly when it
     has an extreme ray: a solution of delta.w = 0 and d - 2 more of its
@@ -113,13 +114,16 @@ def co_minimal(rows: list[ExponentVector], a: int, b: int) -> bool:
     return False
 
 
-def select_relevant_center(r: LevelRing,
-                           p: MonomialPresentation) -> tuple[int, int] | None:
+def select_relevant_center(r: LevelRing, p: MonomialPresentation,
+                           memo: dict | None = None) -> tuple[int, int] | None:
     """`select_center` with two cuts, for towers it leaves too deep.  Pairs
     are taken among the minimal generators of p only, and a slot counts
     only on a facet on which the pair is co-minimal: both generators attain
     the least exponent at some point of the facet's cone (`co_minimal` on
-    the generators' exponents over the facet's divisors).
+    the generators' exponents over the facet's divisors).  Those exponents
+    are all the answer depends on, so it is kept in memo under the pair and
+    them, and a facet the blow-ups leave alone is not asked again; a caller
+    passes one memo per tower.
 
     None means p is a divisor on r.  Start at an interior point of a facet,
     at a minimal generator attaining the least exponent there, and walk to
@@ -131,14 +135,19 @@ def select_relevant_center(r: LevelRing,
     minimal = [k for k, g in enumerate(gens)
                if not any(h != g and all(map(ge, g, h)) for h in gens)]
     rows = [r.exponents(g) for g in gens]
+    memo = {} if memo is None else memo
     for a, b in combinations(minimal, 2):
         delta = tuple(map(sub, rows[a], rows[b]))
         slots = set()
         for f in map(sorted, r.facets):
             above = [i for i in f if delta[i] > 0]
             below = [j for j in f if delta[j] < 0]
-            if above and below and co_minimal(
-                    [tuple(row[k] for k in f) for row in rows], a, b):
+            if not (above and below):
+                continue
+            key = (a, b, tuple(tuple(row[k] for k in f) for row in rows))
+            if key not in memo:
+                memo[key] = co_minimal(key[2], a, b)
+            if memo[key]:
                 slots.update((delta[i] - delta[j], i, j)
                              for i in above for j in below)
         if slots:
@@ -179,7 +188,8 @@ def principalize(r0: LevelRing, p0: MonomialPresentation,
     exponents through its rays.  Each level asks `scheme_is_divisor` first
     and stops there; otherwise `select_center` picks the center and
     `blow_up` subdivides the ring's complex.  After cap blow-ups without a
-    divisor, the tower starts over from r0 under `select_relevant_center`.
+    divisor, the tower starts over from r0 under `select_relevant_center`,
+    with one memo for the climb, which goes when principalize returns.
     That rule is mostly shallower (depth 38 against 90 on the deepest
     acceptance-corpus tower) but moves the centers of many towers, so it
     runs only where `select_center` ran out.  When it runs out too,
@@ -189,7 +199,9 @@ def principalize(r0: LevelRing, p0: MonomialPresentation,
     if d is not None:
         return TowerTrace(tuple(steps), ring, d, CENTER_RULE)
     partial = TowerTrace(tuple(steps), ring, (0,) * ring.num_vars, CENTER_RULE)
-    steps, ring, d = _climb(r0, p0, cap, select_relevant_center)
+    memo: dict = {}
+    steps, ring, d = _climb(r0, p0, cap,
+                            lambda r, p: select_relevant_center(r, p, memo))
     if d is not None:
         return TowerTrace(tuple(steps), ring, d, FALLBACK_RULE)
     raise TowerDivergenceError(

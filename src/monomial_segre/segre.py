@@ -39,15 +39,15 @@ def default_degree_bound(n: int) -> int:
 
 def simplex_contribution(t: HalfSimplex, degree_bound: int) -> TruncatedSeries:
     """hvol(t) * prod of X_j over bounded directions, divided by (1 + v.X) for
-    every finite vertex; zero for degenerate simplices.
+    every finite vertex v; zero for degenerate simplices.
 
-    The monomial is divided by every vertex's form in one `divide_one_plus`,
-    at the full degree bound.  A cell with one finite vertex (volume 1, no
-    bounded direction) instead multiplies the monomial by
-    `reciprocal_one_plus`: the series is the same, and the branch exists only
-    because bench/tracing.py fails a traced run in which `series.mul` or
-    `series.reciprocal_one_plus` records no call.  Every presentation has such
-    a cell; the branch goes when the tracer wraps `divide_one_plus`."""
+    The monomial is divided by every nonzero vertex's form in one
+    `divide_one_plus`, at the full degree bound; the origin's form is 1 and
+    needs no division.  A cell with one nonzero finite vertex instead
+    multiplies the monomial by `reciprocal_one_plus`: the series is the
+    same, and the branch exists only because bench/tracing.py fails a traced
+    run in which `series.mul` or `series.reciprocal_one_plus` records no
+    call.  The branch goes when the tracer wraps `divide_one_plus`."""
     volume = hvol(t)
     n = t.dim
     if volume == 0:
@@ -55,10 +55,10 @@ def simplex_contribution(t: HalfSimplex, degree_bound: int) -> TruncatedSeries:
     numerator = tuple(0 if d in t.infinite_directions else 1 for d in range(n))
     monomial = TruncatedSeries.monomial(numerator, n, degree_bound,
                                         coefficient=volume)
-    if len(t.finite_vertices) == 1:
-        return monomial * reciprocal_one_plus(t.finite_vertices[0],
-                                              degree_bound)
-    return divide_one_plus(monomial, *t.finite_vertices)
+    forms = [v for v in t.finite_vertices if any(v)]
+    if len(forms) == 1:
+        return monomial * reciprocal_one_plus(forms[0], degree_bound)
+    return divide_one_plus(monomial, *forms)
 
 
 @dataclass(frozen=True)
@@ -72,21 +72,21 @@ class SimplexTerm:
 class SegreResult:
     """A pipeline's Segre class, with what produced it.
 
-    The integral pipeline keeps the cells of its triangulation: the
-    complement cells with their contributions, which its sum reads, and the
-    Newton cells bare.  `per_simplex` computes the Newton cells'
+    The integral pipeline keeps the cells of its triangulation: the Newton
+    cells with their contributions, which its sum reads, and the complement
+    cells bare.  `complement_terms` computes the complement cells'
     contributions on first read, at the series' degree bound, and keeps
-    them; only `verify`'s checks and the tests read them."""
+    them; only `verify`'s orthant check and the tests read them."""
 
     series: TruncatedSeries
-    newton_cells: tuple[HalfSimplex, ...]         # cells covering the Newton region
-    complement_terms: tuple[SimplexTerm, ...]     # cells covering its convex complement
+    per_simplex: tuple[SimplexTerm, ...]          # cells covering the Newton region
+    complement_cells: tuple[HalfSimplex, ...]     # cells covering its convex complement
     pipeline: str
     trace: TowerTrace | None = None
 
     @cached_property
-    def per_simplex(self) -> tuple[SimplexTerm, ...]:
-        return _terms_for(self.newton_cells, self.series.degree_bound)
+    def complement_terms(self) -> tuple[SimplexTerm, ...]:
+        return _terms_for(self.complement_cells, self.series.degree_bound)
 
 
 def _terms_for(cells, degree_bound: int) -> tuple[SimplexTerm, ...]:
@@ -120,22 +120,25 @@ def split_cells(t: Triangulation):
 def segre_integral(p: MonomialPresentation, degree_bound: int | None = None,
                    order_preset: str = "default",
                    ring: LevelRing | None = None) -> SegreResult:
-    """Newton-region integral pipeline: 1 minus the complement contributions.
+    """Newton-region integral pipeline: the sum of the contributions of the
+    cells through the origin, which cover the Newton region.
 
-    Only the complement cells' series are computed here; the Newton cells'
-    wait in the result until `SegreResult.per_simplex` is read."""
+    Only the Newton cells' series are computed here; the complement cells'
+    wait in the result until `SegreResult.complement_terms` is read.  Every
+    cell's series is truncated at the same bound and the cells of the whole
+    orthant sum to exactly 1, so this is 1 minus the complement's sum."""
     n = p.num_vars
     if degree_bound is None:
         degree_bound = default_degree_bound(n)
     tri = orthant_triangulation(p, order_preset)
     complement, newton = split_cells(tri)
-    comp_terms = _terms_for(complement, degree_bound)
-    series = TruncatedSeries.one(n, degree_bound)
-    for term in comp_terms:
-        series = series - term.series
+    newton_terms = _terms_for(newton, degree_bound)
+    series = TruncatedSeries.zero(n, degree_bound)
+    for term in newton_terms:
+        series = series + term.series
     if ring is not None:
         series = reduce_nils(ring, series)
-    return SegreResult(series, newton, comp_terms, pipeline="integral")
+    return SegreResult(series, newton_terms, complement, pipeline="integral")
 
 
 def _divisor_segre_reduced(top: LevelRing, d, degree_bound: int):

@@ -20,6 +20,7 @@ it.
 from __future__ import annotations
 
 from math import comb
+from operator import add
 from typing import Iterable, Mapping
 
 from .errors import DimensionMismatchError, MonomialSegreError
@@ -156,6 +157,16 @@ class TruncatedSeries:
                                         {e: c * v for e, v in self.terms.items()})
         self._check_vars(other)
         bound = min(self.degree_bound, other.degree_bound)
+        if len(other.terms) == 1:
+            self, other = other, self
+        if len(self.terms) == 1:
+            # a monomial shifts the other factor's terms, which stay
+            # distinct and nonzero
+            (e1, c1), = self.terms.items()
+            room = bound - sum(e1)
+            return TruncatedSeries._raw(self.num_vars, bound, {
+                tuple(map(add, e1, e2)): c1 * c2
+                for e2, c2 in other.terms.items() if sum(e2) <= room})
         terms: dict[Exponent, int] = {}
         graded = [(e2, sum(e2), c2) for e2, c2 in other.terms.items()]
         for e1, c1 in self.terms.items():
@@ -163,7 +174,7 @@ class TruncatedSeries:
             for e2, d2, c2 in graded:
                 if d1 + d2 > bound:
                     continue
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 v = terms.get(e)
                 terms[e] = c1 * c2 if v is None else v + c1 * c2
         return TruncatedSeries._raw(self.num_vars, bound,

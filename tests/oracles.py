@@ -15,7 +15,9 @@ reference, and a simplex contribution the product of such reciprocals.
 The total transform of generators up a tower has a step-by-step reference
 that widens them by one exponent per blow-up.
 Division by 1 + L has a degree-by-degree recurrence on term dicts as its
-reference.  The
+reference.  The placing triangulation has a reference that rebuilds the
+boundary from every cell for each new point and reads each facet's side
+off the opposite vertex of its cell, with rational determinants.  The
 seeded draw rule for random presentations is here too, so that every suite
 draws the same way, with small series builders that only tests need.
 """
@@ -258,3 +260,70 @@ def divide_by_degree(s, v):
         prev = {e: c for e, c in cur.items() if c}
         out.update(prev)
     return TruncatedSeries(s.num_vars, s.degree_bound, out)
+
+
+def _fraction_rank_and_det(rows):
+    """Rank of a list of integer vectors, and their determinant when they
+    are square, by Gaussian elimination over the rationals."""
+    m = [[Fraction(a) for a in r] for r in rows]
+    rank, value = 0, Fraction(1)
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((k for k in range(rank, len(m)) if m[k][col]), None)
+        if pivot is None:
+            value = Fraction(0)
+            continue
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            value = -value
+        top = m[rank]
+        value *= top[col]
+        for k in range(rank + 1, len(m)):
+            factor = m[k][col] / top[col]
+            m[k] = [a - factor * b for a, b in zip(m[k], top)]
+        rank += 1
+    return rank, value
+
+
+def placing_cells_by_rebuild(config, order):
+    """The cells of the placing triangulation of config in the given label
+    order, each as its labels in that order, sorted.
+
+    The first labels that are linearly independent form the starting cell,
+    and each later label is coned over every boundary facet it strictly
+    sees.  The boundary is rebuilt for each label from all cells so far (a
+    facet of exactly one cell), and the label sees a facet when the facet's
+    determinant with it and with the cell's opposite vertex have opposite
+    nonzero signs."""
+    hom = config.homogeneous
+    d1 = config.dim + 1
+    basis, skipped = [], []
+    rest = list(order)
+    while rest and len(basis) < d1:
+        lab = rest.pop(0)
+        rank, _ = _fraction_rank_and_det([hom[b] for b in basis] + [hom[lab]])
+        (basis if rank > len(basis) else skipped).append(lab)
+    assert len(basis) == d1, "no full-dimensional starting simplex"
+
+    def side(facet, probe):
+        _, value = _fraction_rank_and_det([hom[f] for f in facet] +
+                                          [hom[probe]])
+        return (value > 0) - (value < 0)
+
+    cells = [frozenset(basis)]
+    for lab in skipped + rest:
+        owners = {}
+        for cell in cells:
+            for drop in cell:
+                owners.setdefault(cell - {drop}, []).append(cell)
+        new_cells = []
+        for facet, owned in owners.items():
+            if len(owned) != 1:
+                continue
+            opposite = next(iter(owned[0] - facet))
+            ordered = tuple(sorted(facet))
+            s_new = side(ordered, lab)
+            if s_new != 0 and s_new == -side(ordered, opposite):
+                new_cells.append(facet | {lab})
+        cells.extend(new_cells)
+    position = {lab: k for k, lab in enumerate(order)}
+    return sorted(tuple(sorted(c, key=position.get)) for c in cells)

@@ -1,16 +1,19 @@
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from monomial_segre.errors import (ClassificationError,
                                    DegenerateConfigurationError,
                                    DimensionMismatchError, MonomialSegreError)
 from monomial_segre.lattice import presentation
-from monomial_segre.polytope import (HalfSimplex, PointConfiguration, alpha,
+from monomial_segre.polytope import (ORDER_PRESETS, HalfSimplex,
+                                     PointConfiguration, alpha,
                                      classify_blowup_cells,
                                      complement_configuration, configuration,
                                      det, hvol, lift_to_H, link_cells,
                                      placement_order, placing_triangulation)
+
+from oracles import placing_cells_by_rebuild
 
 STAIRCASE = presentation(((3, 0), (1, 1), (0, 3)))
 
@@ -206,3 +209,54 @@ def test_finite_volume_additivity_order_independent(points):
             assume(False)
         totals.append(sum(hvol(s) for s in t.cells))
     assert totals[0] == totals[1]
+
+
+def _same_as_rebuild(config, order):
+    t = placing_triangulation(config, order)
+    assert [c.provenance for c in t.cells] == \
+        placing_cells_by_rebuild(config, order), (config, order)
+
+
+@st.composite
+def generator_sets(draw, num_vars):
+    n = draw(num_vars)
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n), min_size=1,
+                         max_size=5, unique=True))
+    return presentation(tuple(sorted(gens)), num_vars=n)
+
+
+@given(generator_sets(st.integers(1, 4)))
+@example(presentation(((2,), (5,)), num_vars=1))
+@example(presentation(((1, 1), (2, 2), (3, 3))))
+@settings(max_examples=60, deadline=None)
+def test_placing_matches_the_rebuilt_boundary(p):
+    # the oriented boundary, updated in place, gives the cells and the
+    # provenance of rebuilding it from every cell: under every preset, with
+    # the origin placed last as the integral places it, and on every lift
+    c = complement_configuration(p)
+    origin = PointConfiguration(c.dim, c.points + (("O", (0,) * c.dim + (1,)),))
+    for preset in ORDER_PRESETS:
+        order = placement_order(c, preset)
+        _same_as_rebuild(c, order)
+        _same_as_rebuild(origin, order + ["O"])
+    for i in range(p.num_vars):
+        for j in range(p.num_vars):
+            if i != j:
+                lifted = lift_to_H(c, i, j)
+                _same_as_rebuild(lifted, placement_order(lifted, "default"))
+
+
+@given(st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=4, max_size=8,
+                unique=True), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_placing_matches_the_rebuilt_boundary_on_finite_points(points, rnd):
+    # interior points, points on a facet's span, and a dependent prefix
+    # that defers labels until after the starting cell
+    c = configuration(3, ((f"v{k}", pt) for k, pt in enumerate(points)), ())
+    order = [lab for lab, _ in c.points]
+    rnd.shuffle(order)
+    try:
+        placing_triangulation(c, order)
+    except DegenerateConfigurationError:
+        assume(False)
+    _same_as_rebuild(c, order)

@@ -60,7 +60,9 @@ def test_segre_integral_still_fires_the_traced_product_and_reciprocal(
     # bench/tracing.py's MUST_FIRE fails a `--trace 1` run of `corpus` or
     # `compute_wide` in which series.mul or series.reciprocal_one_plus records
     # no call, and only simplex_contribution's one-vertex branch still makes
-    # those calls; delete this test with that branch
+    # those calls; delete this test with that branch.  The integral sums the
+    # Newton cells, and (x^2 y, x y^2) has the one-form cells (v0, a1, O)
+    # and (v1, a2, O), where the staircase has none
     calls = Counter()
     reciprocal, mul = segre.reciprocal_one_plus, TruncatedSeries.__mul__
 
@@ -73,7 +75,7 @@ def test_segre_integral_still_fires_the_traced_product_and_reciprocal(
         return mul(a, b)
     monkeypatch.setattr(segre, "reciprocal_one_plus", counting_reciprocal)
     monkeypatch.setattr(TruncatedSeries, "__mul__", counting_mul)
-    segre_integral(STAIRCASE, 5)
+    segre_integral(presentation(((2, 1), (1, 2))), 5)
     assert calls["reciprocal_one_plus"] >= 1
     assert calls["mul"] >= 1
 
@@ -81,6 +83,28 @@ def test_segre_integral_still_fires_the_traced_product_and_reciprocal(
 def test_degenerate_simplex_contributes_zero():
     s = HalfSimplex(2, ((0, 0), (1, 1), (2, 2)), frozenset())
     assert simplex_contribution(s, 4).is_zero()
+
+
+generator_sets = st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.tuples(*[st.integers(0, 4)] * n), min_size=1, max_size=5,
+    unique=True))
+
+
+@given(generator_sets, st.integers(0, 6))
+@example([(0, 0)], 5)             # the unit ideal
+@example([(3,)], 4)               # n = 1
+@example([(2, 1), (1, 2)], 5)     # not m-primary
+@example([(2, 0, 1), (0, 1, 3)], 6)
+@settings(max_examples=60, deadline=None)
+def test_integral_is_one_minus_the_complement(gens, bound):
+    # the sum over the Newton cells and 1 minus the sum over the complement
+    # cells are the same truncated series, at the same bound
+    result = segre_integral(presentation(sorted(gens)), bound)
+    rest = TruncatedSeries.one(len(gens[0]), bound)
+    for term in result.complement_terms:
+        rest = rest - term.series
+    assert result.series == rest
+    assert result.series.degree_bound == bound
 
 
 def test_staircase_closed_form():
@@ -191,9 +215,10 @@ def test_verify_computes_the_default_integral_once(monkeypatch):
     assert presets == ["default", "rays_first"]
 
 
-def test_newton_cells_are_computed_only_where_they_are_read(monkeypatch):
-    # segre_integral's sum reads the complement cells alone; verify reads
-    # the Newton cells through per_simplex, and computes each of them once
+def test_complement_cells_are_computed_only_where_they_are_read(monkeypatch):
+    # segre_integral's sum reads the Newton cells alone; verify reads the
+    # complement cells through complement_terms, and computes each of them
+    # once
     cells = []
 
     def recording(t, degree_bound):
@@ -202,13 +227,13 @@ def test_newton_cells_are_computed_only_where_they_are_read(monkeypatch):
     monkeypatch.setattr(segre, "simplex_contribution", recording)
     p = presentation(((4, 1), (2, 2), (1, 4)))
     result = segre_integral(p, 5)
-    assert cells == [t.simplex for t in result.complement_terms]
-    assert all(segre.ORIGIN_LABEL not in c.provenance for c in cells)
-    cells.clear()
-    terms = result.per_simplex
-    assert result.per_simplex is terms
-    assert cells == [t.simplex for t in terms] == list(result.newton_cells)
+    assert cells == [t.simplex for t in result.per_simplex]
     assert all(segre.ORIGIN_LABEL in c.provenance for c in cells)
+    cells.clear()
+    terms = result.complement_terms
+    assert result.complement_terms is terms
+    assert cells == [t.simplex for t in terms] == list(result.complement_cells)
+    assert all(segre.ORIGIN_LABEL not in c.provenance for c in cells)
     for t in terms:
         assert t.series.degree_bound == 5
         assert t.series == simplex_contribution(t.simplex, 5)
@@ -216,8 +241,8 @@ def test_newton_cells_are_computed_only_where_they_are_read(monkeypatch):
     report = verify(p, 5)
     assert report.ok
     assert any(c.name.startswith("blowup_invariance") for c in report.checks)
-    newton = [c for c in cells if segre.ORIGIN_LABEL in c.provenance]
-    assert newton == list(result.newton_cells)
+    complement = [c for c in cells if c in result.complement_cells]
+    assert complement == list(result.complement_cells)
 
 
 def test_verify_names_the_residual_mismatch(monkeypatch):
@@ -235,11 +260,11 @@ def test_verify_names_the_residual_mismatch(monkeypatch):
         f"mismatch, first differing term {want.first_difference}"
 
 
-def test_orthant_check_sees_newton_cells_one_degree_low(monkeypatch):
-    # every cell's series is truncated at the integral's bound; Newton cell
-    # series at a lower bound no longer sum to the 1 at the full one
-    monkeypatch.setattr(segre.SegreResult, "per_simplex", property(
-        lambda self: segre._terms_for(self.newton_cells,
+def test_orthant_check_sees_complement_cells_one_degree_low(monkeypatch):
+    # every cell's series is truncated at the integral's bound; complement
+    # cell series at a lower bound no longer sum to the 1 at the full one
+    monkeypatch.setattr(segre.SegreResult, "complement_terms", property(
+        lambda self: segre._terms_for(self.complement_cells,
                                       self.series.degree_bound - 1)))
     report = verify(STAIRCASE, 5)
     by_name = {c.name: c for c in report.checks}

@@ -52,6 +52,9 @@ def test_arithmetic_against_sympy():
     b = TruncatedSeries(2, 4, {(0, 0): 3, (0, 1): -1})
     c = TruncatedSeries(2, 4, {(1, 1): 1})
     assert (a * b - c).terms == expand_terms(expr, (X1, X2), 4)
+    # a one-term factor, on either side, shifts the other's terms
+    shifted = expand_terms(X1 * X2 * (1 + 2 * X1), (X1, X2), 4)
+    assert (c * a).terms == (a * c).terms == shifted
 
 
 def test_mul_truncates_at_bound():
