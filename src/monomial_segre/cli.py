@@ -32,6 +32,9 @@ ENV_DMAX = "MONOMIAL_SEGRE_DMAX"
 # the shape of the labels blow-ups generate: exceptional E<k>, proper ~X
 GENERATED_LABEL = re.compile(r"E[0-9]+|~.*", re.DOTALL)
 
+# the widest picture `render` draws, in lattice units
+RENDER_MAX_UNITS = 500
+
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
@@ -75,8 +78,7 @@ def load_job(args):
     """Build (presentation, dmax, nil_pairs, ring) from flags and/or an input
     document; ring is None unless nil pairs are declared.  Inline --gens and
     --input are mutually exclusive.  A document's optional "strategy" field
-    must name CENTER_RULE, the one center rule a job can name (the fallback
-    rule takes over only at the cap); its labels and
+    must name CENTER_RULE, the tower's one center rule; its labels and
     nil_pairs must be JSON arrays, each nil pair an array of two labels, and
     its labels may not have the shape of the ones blow-ups generate
     (GENERATED_LABEL).  A series at dmax may have no more terms than
@@ -255,7 +257,7 @@ def cmd_tower(args) -> int:
     doc["pipeline"] = result.pipeline
     doc["series"] = result.series
     doc["trace"] = {
-        "strategy": trace.center_rule,
+        "strategy": CENTER_RULE,
         "iterations": len(trace.steps),
         "terminal_divisor": list(trace.terminal_divisor),
         "steps": [{"center": [s.lower.variables[k] for k in s.center],
@@ -322,11 +324,16 @@ def cmd_render(args) -> int:
 
 def render_svg(p: MonomialPresentation) -> str:
     """Staircase picture of the Newton region for n=2: shaded convex
-    complement, generator points, triangulation overlay.  Lattice units."""
-    tri = orthant_triangulation(p)
-    complement, newton = split_cells(tri)
+    complement, generator points, triangulation overlay.  Lattice units.
+    The picture draws about two lines per unit across, so one wider than
+    RENDER_MAX_UNITS is a UsageError, raised before any drawing."""
     gens = p.generators
     top = max([a for g in gens for a in g], default=1) + 2
+    if top > RENDER_MAX_UNITS:
+        raise UsageError(f"render draws at most {RENDER_MAX_UNITS} lattice "
+                         f"units across, and these generators need {top}")
+    tri = orthant_triangulation(p)
+    complement, newton = split_cells(tri)
     unit = 40
     size = top * unit + 2 * unit
 

@@ -18,13 +18,15 @@ Division by 1 + L has a degree-by-degree recurrence on term dicts as its
 reference.  The placing triangulation has a reference that rebuilds the
 boundary from every cell for each new point and reads each facet's side
 off the opposite vertex of its cell, with rational determinants.  The
+center rule's slot scores have a reference that finds co-minimal pairs by
+Fourier-Motzkin elimination on each facet.  The
 seeded draw rule for random presentations is here too, so that every suite
 draws the same way, with small series builders that only tests need.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 import sympy
 
@@ -327,3 +329,68 @@ def placing_cells_by_rebuild(config, order):
         cells.extend(new_cells)
     position = {lab: k for k, lab in enumerate(order)}
     return sorted(tuple(sorted(c, key=position.get)) for c in cells)
+
+
+def _feasible(constraints):
+    """True when some real w meets every (c, b) in constraints, c.w >= b
+    with integer c and b, decided by Fourier-Motzkin elimination: each
+    variable in turn is removed by adding, scaled to cancel it, every
+    constraint bounding it from below to every one bounding it from above."""
+    rows = {tuple(c) + (b,) for c, b in constraints}
+    while rows and len(next(iter(rows))) > 1:
+        keep = set()
+        lower = [r for r in rows if r[0] > 0]
+        upper = [r for r in rows if r[0] < 0]
+        for r in rows:
+            if r[0] == 0:
+                keep.add(r[1:])
+        for lo in lower:
+            for up in upper:
+                r = [-up[0] * x + lo[0] * y for x, y in zip(lo, up)][1:]
+                g = gcd(*r) or 1
+                keep.add(tuple(x // g for x in r))
+        rows = keep
+    return all(b <= 0 for (b,) in rows)
+
+
+def _ties_at_the_minimum(rows, a, b):
+    """True when some w >= 0 with sum(w) = 1 gives rows a and b the least
+    value of row.w."""
+    d = len(rows[a])
+    unit = [tuple(int(k == m) for k in range(d)) for m in range(d)]
+    delta = tuple(x - y for x, y in zip(rows[a], rows[b]))
+    ones = (1,) * d
+    constraints = [(e, 0) for e in unit]
+    constraints += [(ones, 1), (tuple(-x for x in ones), -1),
+                    (delta, 0), (tuple(-x for x in delta), 0)]
+    constraints += [(tuple(x - y for x, y in zip(g, rows[a])), 0)
+                    for k, g in enumerate(rows) if k not in (a, b)]
+    return _feasible(constraints)
+
+
+def slot_scores(generators, steps, facets):
+    """The slot scores of the center rule on the level that steps lead to,
+    as one {edge: score} dict per pair of minimal generators, pairs in order.
+
+    generators are the base generators, read on the level through
+    `total_transform`, and facets the level's facets as position sets.  A
+    pair (u, v) has a slot at every edge {i, j} of a facet with
+    delta_i > 0 > delta_j, delta = u - v, when both attain the least
+    exponent over all generators at some nonzero point of the facet's cone;
+    the slot scores delta_i - delta_j."""
+    minimal = [k for k, g in enumerate(generators)
+               if not any(h != g and all(x >= y for x, y in zip(g, h))
+                          for h in generators)]
+    rows = total_transform(generators, steps)
+    out = []
+    for a, b in combinations(minimal, 2):
+        delta = [x - y for x, y in zip(rows[a], rows[b])]
+        scores = {}
+        for f in facets:
+            edges = {frozenset((i, j)): delta[i] - delta[j]
+                     for i in f if delta[i] > 0 for j in f if delta[j] < 0}
+            on_f = tuple(tuple(row[k] for k in sorted(f)) for row in rows)
+            if edges and _ties_at_the_minimum(on_f, a, b):
+                scores.update(edges)
+        out.append(scores)
+    return out

@@ -11,7 +11,6 @@ from monomial_segre.chow import (ChowClass, base_ring, blow_up, pushforward,
 from monomial_segre.errors import (EmptyCenterError, LevelMismatchError,
                                    MonomialSegreError)
 from monomial_segre.lattice import MonomialPresentation, presentation
-from monomial_segre.principalize import ring_edges
 from monomial_segre.segre import _divisor_segre_reduced
 from monomial_segre.series import TruncatedSeries, reciprocal_one_plus
 
@@ -346,8 +345,6 @@ def test_facets_match_the_recursive_and_enumeration_oracles(tower, data):
             if level == 0:
                 assert r.stratum_is_empty(ps) == \
                     (not any(ps <= f for f in r.facets))
-            if len(s) == 2:
-                assert (ps in ring_edges(r)) == (not r.stratum_is_empty(ps))
         gens = sparse_generators(data.draw, r.num_vars)
         p = MonomialPresentation(r.num_vars, gens, r.variables)
         assert scheme_is_empty(r, p) == scheme_is_empty_by_enumeration(

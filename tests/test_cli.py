@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -77,13 +78,12 @@ def test_tower_trace_and_agreement(capsys):
     assert doc2["series"] == doc["series"]
 
 
-def test_tower_names_the_fallback_rule(capsys):
-    # the euclid rule reaches no divisor on this ideal within the cap
+def test_tower_names_the_center_rule(capsys):
     code, doc, _ = run_json(capsys, ["tower", "--gens",
                                      "0,0,3;0,2,4;1,4,0;4,2,1"])
     assert code == EXIT_OK
     assert doc["strategy"] == "euclid"
-    assert doc["trace"]["strategy"] == "euclid_relevant"
+    assert doc["trace"]["strategy"] == "euclid"
     assert doc["trace"]["iterations"] == 26
 
 
@@ -98,11 +98,13 @@ def test_verify_ok(capsys):
 # SHA-256 of the stdout of `compute`, `triangulate`, `tower` and `verify` on
 # these inputs: the JSON these commands print is part of the interface and must
 # stay byte-identical.  depth90, depth50, depth37 and depth29 are the deepest
-# towers of the acceptance corpus, deep enough to exercise the stratum model
-# and the push-down far above the base; five is a five-generator ideal in four
-# variables; `triangulate` prints every cell's contribution, and on five it
-# runs under each placement-order preset.  labelled_job is nil_pair_job under
-# its own labels, so its trace shows the names blow-ups derive from them.
+# towers of the acceptance corpus, named by the depths they once took; under
+# the one center rule they are 38, 21, 25 and 25 levels deep, deep enough to
+# exercise the stratum model and the push-down far above the base.  five is a
+# five-generator ideal in four variables, whose tower needs 411 levels, more
+# than the cap; `triangulate` prints every cell's contribution, and on five
+# it runs under each placement-order preset.  labelled_job is nil_pair_job
+# under its own labels, so its trace shows the names blow-ups derive from them.
 NIL_PAIR_JOB = {"n": 3, "generators": [[2, 0, 1], [0, 2, 0], [1, 1, 2]],
                 "nil_pairs": [["X1", "X3"]], "dmax": 4}
 JOB_DOCUMENTS = {
@@ -131,15 +133,15 @@ GOLDEN_DIGESTS = {
     ("verify", "nil_pair_job", None):
         "08d4278533547d33493bb52f9ef5672657b3ac0eeb88a56b2ecc3ab0ce25e9c3",
     ("tower", "depth50", None):
-        "b73e66070b0aed65b248805c42fd57a156d2237ef3ac9eda555f47192b12bcc0",
+        "71017b5ac7f64136892c63189ce15a53fe6feb68e0d621d72d8db46c067c69cc",
     ("tower", "depth90", None):
-        "4402524798ab4ddb3a001c4658dd0763504f5f4754f110a314f34fcaa74f12f9",
+        "853910b54820830ffb7d9e4dcd3619deef3eb7486e671a448b6ef17927009932",
     ("tower", "depth37", None):
-        "c8f4b5874a719ec84706cfac79287e0c9a16f49363396086c1b946117376ee45",
+        "1b2988ed29aec40c3516b82aa3df0f9004fc2002a970156a1ff626f91f48dd38",
     ("tower", "depth29", None):
-        "a82a18f02f2aa1c50a3f557f6d117d5933c2bf086f9b6a727f49d89b64b41d71",
+        "cb2e3d5ca744abc629dca13fbe28d4d3193b87a3ebb8bf8ddf656ed8e5dc5342",
     ("verify", "five", None):
-        "e104a97c9f0938a0a204b517861dd9fac536b3f21b1d8e0e5dcc0bcb56e937c1",
+        "73db81b7165fa8e793f741de72e8067d97da766403dcdb14e2e7d5f03cbe5ca8",
     ("triangulate", "five", "default"):
         "de3db94ecaddf04318dc8d60eb9821eaaecc430b93a914be27a5fee3de9bf365",
     ("triangulate", "five", "rays_first"):
@@ -235,6 +237,20 @@ def test_render_rejects_n3(capsys):
     code, _, err = run(capsys, ["render", "--gens", "1,0,0;0,1,0"])
     assert code == EXIT_USAGE
     assert "n = 2" in err
+
+
+def test_render_refuses_a_picture_too_wide(capsys):
+    # the picture is RENDER_MAX_UNITS = 500 lattice units across at 498
+    code, out, _ = run(capsys, ["render", "--gens", "498,0;0,1"])
+    assert code == EXIT_OK and out.startswith("<svg")
+    for gens in ("499,0;0,1", "100000000,0;0,1"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["render", "--gens", gens])
+        assert time.perf_counter() - start < 5
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: render draws at most 500 ")
+        assert err.count("\n") == 1, err
 
 
 def test_usage_errors(capsys, monkeypatch, tmp_path):

@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -7,10 +9,10 @@ from hypothesis import strategies as st
 from monomial_segre.chow import base_ring, blow_up, scheme_is_divisor
 from monomial_segre.errors import TowerDivergenceError
 from monomial_segre.lattice import presentation
-from monomial_segre.principalize import (CENTER_RULE, FALLBACK_RULE,
-                                         admissible_pairs, co_minimal,
-                                         principalize, ring_edges,
-                                         select_center, select_relevant_center)
+from monomial_segre.principalize import (admissible_pairs, co_minimal,
+                                         principalize, select_center)
+
+from oracles import random_presentation, slot_scores
 
 
 def test_admissible_pairs_skip_empty_strata():
@@ -18,16 +20,6 @@ def test_admissible_pairs_skip_empty_strata():
     assert list(admissible_pairs(base_ring(2), p)) == [(0, 1)]
     r_nil = base_ring(2, nil_pairs=[("X1", "X2")])
     assert list(admissible_pairs(r_nil, p)) == []
-
-
-@pytest.mark.parametrize("n, nils", [
-    (1, []), (2, []), (2, [("X1", "X2")]), (3, [("X1", "X3")]),
-    (4, [("X1", "X2"), ("X3", "X4")]),
-])
-def test_ring_edges_are_the_nonempty_pairs(n, nils):
-    r = base_ring(n, nil_pairs=nils)
-    pairs = {frozenset(pr) for pr in combinations(range(r.num_vars), 2)}
-    assert ring_edges(r) == {pr for pr in pairs if not r.stratum_is_empty(pr)}
 
 
 def test_select_center_none_for_principal():
@@ -39,8 +31,8 @@ def test_level_one_center_under_lex():
     # the staircase ideal after blowing up the origin: its generators read
     # (3,3,0), (2,1,1), (3,0,3) in (E1, ~X1, ~X2), where the two strict
     # transforms no longer meet.  The lexicographically first admissible
-    # pair is (0, 1); the center rule attacks the first incomparable
-    # generator pair at its largest leftover slot instead
+    # pair is (0, 1); the center rule works the first pair of minimal
+    # generators at its top-scoring slot instead
     r = blow_up(base_ring(2), 0, 1).upper
     p = presentation(((3, 0), (1, 1), (0, 3)))
     assert list(admissible_pairs(r, p)) == [(0, 1), (0, 2)]
@@ -68,17 +60,9 @@ def center_queries(draw):
 
 @given(center_queries())
 @settings(max_examples=200, deadline=None)
-def test_select_center_none_iff_no_admissible_pair(query):
-    ring, p = query
-    assert (select_center(ring, p) is None) == \
-        (list(admissible_pairs(ring, p)) == [])
-
-
-@given(center_queries())
-@settings(max_examples=200, deadline=None)
 def test_relevant_center_is_none_only_on_a_divisor(query):
     ring, p = query
-    center = select_relevant_center(ring, p)
+    center = select_center(ring, p)
     if center is None:
         assert scheme_is_divisor(ring, p) is not None
     else:
@@ -124,7 +108,6 @@ def staircase_trace():
 def test_staircase_tower_shape():
     trace = staircase_trace()
     assert len(trace.steps) == 3
-    assert trace.center_rule == CENTER_RULE
     assert trace.top_ring is trace.steps[-1].upper
     assert trace.top_ring.num_vars == 5
     # the terminal divisor really divides every top-level generator
@@ -170,16 +153,17 @@ def test_divergence_carries_partial_trace():
     trace = exc.value.trace
     assert len(trace.steps) == 1
     assert trace.top_ring is trace.steps[0].upper
-    assert trace.center_rule == CENTER_RULE
 
 
-def test_the_fallback_rule_takes_over_at_the_cap():
-    # select_center needs 277 blow-ups on this ideal, past the cap of 200;
-    # the fallback rule starts over from the base ring
-    p = presentation(((0, 0, 3), (0, 2, 4), (1, 4, 0), (4, 2, 1)))
-    trace = principalize(base_ring(3), p)
-    assert trace.center_rule == FALLBACK_RULE
-    assert len(trace.steps) == 26
+@pytest.mark.parametrize("gens, depth", [
+    ((((0, 0, 3), (0, 2, 4), (1, 4, 0), (4, 2, 1))), 26),
+    # a random draw that needs 230 levels: the reason the cap is 250
+    ((((2, 4, 1, 0), (3, 0, 0, 3), (4, 0, 3, 0))), 230),
+])
+def test_deep_towers_reach_a_divisor(gens, depth):
+    p = presentation(gens)
+    trace = principalize(base_ring(p.num_vars), p)
+    assert len(trace.steps) == depth
     assert scheme_is_divisor(trace.top_ring, p) == trace.terminal_divisor
 
 
@@ -189,3 +173,47 @@ def test_hard_instances_terminate():
                  ((1, 3, 3), (1, 3, 4), (3, 0, 0), (4, 1, 4))]:
         trace = principalize(base_ring(3), presentation(gens), cap=40)
         assert len(trace.steps) <= 40
+
+
+def below_in_multiset_order(n, m):
+    """True when the multiset n is below m: they differ, and every element
+    n has more of is outdone by a larger one m has more of."""
+    n, m = Counter(n), Counter(m)
+    return n != m and all(any(x > y for x in m - n) for y in n - m)
+
+
+def test_multiset_order():
+    assert below_in_multiset_order([4, 4, 3, 3, 3], [5])
+    assert below_in_multiset_order([], [1])
+    assert below_in_multiset_order([2, 1], [2, 1, 1])
+    assert not below_in_multiset_order([5], [4, 4, 4])
+    assert not below_in_multiset_order([3, 1], [3, 1])
+
+
+# the acceptance corpus, which holds the four deepest acceptance towers, and
+# one more 26-level tower
+_ACCEPTANCE = random.Random("acceptance-corpus")
+MEASURED_TOWERS = [random_presentation(_ACCEPTANCE) for _ in range(100)] + \
+    [presentation(((0, 0, 3), (0, 2, 4), (1, 4, 0), (4, 2, 1)))]
+
+
+def test_the_termination_measure_falls_along_every_tower():
+    # the argument of the principalize module docstring, level by level:
+    # the worked pair, the first with a slot, never moves back, and while
+    # it is worked, each blow-up is at one of its top slots and its
+    # multiset of scores falls
+    for p in MEASURED_TOWERS:
+        trace = principalize(base_ring(p.num_vars), p)
+        rings = [s.lower for s in trace.steps] + [trace.top_ring]
+        levels = [slot_scores(p.generators, trace.steps[:k], r.facets)
+                  for k, r in enumerate(rings)]
+        worked = [next((a for a, s in enumerate(pairs) if s), len(pairs))
+                  for pairs in levels]
+        for k, step in enumerate(trace.steps):
+            scores = levels[k][worked[k]]
+            assert scores[frozenset(step.center)] == max(scores.values())
+            assert worked[k + 1] >= worked[k], (p.generators, k)
+            if worked[k + 1] == worked[k]:
+                assert below_in_multiset_order(
+                    levels[k + 1][worked[k]].values(), scores.values()), \
+                    (p.generators, k)
