@@ -2,8 +2,10 @@
 verifier, dump traces and triangulations, draw the n=2 picture.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
-error, 3 tower divergence (stderr then also lists the partial tower's
-centers, lowest first).  A failed write to stdout is exit 2 as well.
+error, 3 tower divergence: a tower reached no divisor within its cap.  On
+exit 3 `tower` lists the partial tower's centers on stderr, lowest first,
+and `verify` and `corpus` print their report.  A failed write to stdout is
+exit 2 as well.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from .principalize import CENTER_RULE
 from .segre import (default_degree_bound, orthant_triangulation, segre_integral,
                     segre_tower, simplex_contribution, split_cells, verify)
 from .series import TruncatedSeries, check_term_budget
-
-ENV_DMAX = "MONOMIAL_SEGRE_DMAX"
 
 # the shape of the labels blow-ups generate: exceptional E<k>, proper ~X
 GENERATED_LABEL = re.compile(r"E[0-9]+|~.*", re.DOTALL)
@@ -81,8 +81,9 @@ def load_job(args):
     must name CENTER_RULE, the tower's one center rule; its labels and
     nil_pairs must be JSON arrays, each nil pair an array of two labels, and
     its labels may not have the shape of the ones blow-ups generate
-    (GENERATED_LABEL).  A series at dmax may have no more terms than
-    series.TERM_BUDGET, in n variables, or in n + 1 for verify."""
+    (GENERATED_LABEL).  dmax is --dmax, else the document's dmax, else
+    n + 3.  A series at dmax may have no more terms than series.TERM_BUDGET,
+    in n variables, or in n + 1 for verify."""
     if (args.gens is None) == (getattr(args, "input", None) is None):
         raise UsageError("give exactly one of --gens or --input")
     nil_pairs = ()
@@ -129,11 +130,6 @@ def load_job(args):
         raise UsageError(str(exc))
     if getattr(args, "dmax", None) is not None:
         dmax = args.dmax
-    if dmax is None and os.environ.get(ENV_DMAX):
-        try:
-            dmax = int(os.environ[ENV_DMAX])
-        except ValueError:
-            raise UsageError(f"bad {ENV_DMAX} value {os.environ[ENV_DMAX]!r}")
     if dmax is None:
         dmax = default_degree_bound(p.num_vars)
     if dmax < 1:
@@ -278,6 +274,8 @@ def cmd_verify(args) -> int:
                      for c in report.checks]
     doc["ok"] = report.ok
     emit(doc)
+    if report.diverged:
+        return EXIT_DIVERGED
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
@@ -406,15 +404,12 @@ def _corpus_instance(seed_and_index):
 def _corpus_check(job):
     _, k = job
     gens = _corpus_instance(job)
-    p = presentation(gens)
-    try:
-        report = verify(p)
-        return {"index": k, "generators": [list(g) for g in gens],
-                "status": "pass" if report.ok else "fail",
-                "failed": [c.name for c in report.checks if not c.passed]}
-    except TowerDivergenceError:
-        return {"index": k, "generators": [list(g) for g in gens],
-                "status": "diverged", "failed": []}
+    report = verify(presentation(gens))
+    status = ("diverged" if report.diverged else
+              "pass" if report.ok else "fail")
+    return {"index": k, "generators": [list(g) for g in gens],
+            "status": status,
+            "failed": [c.name for c in report.checks if not c.passed]}
 
 
 def corpus_workers(jobs: int, count: int) -> int:
@@ -456,7 +451,7 @@ def _add_input_flags(sp, with_dmax=True):
     sp.add_argument("--input", help="path to a JSON job document, - for stdin")
     if with_dmax:
         sp.add_argument("--dmax", type=int, help="truncation degree "
-                        f"(default n+3, or ${ENV_DMAX})")
+                        "(default: the input document's dmax, else n+3)")
 
 
 @functools.cache

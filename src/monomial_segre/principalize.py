@@ -38,7 +38,9 @@ from .errors import NoAdmissibleCenterError, TowerDivergenceError
 from .lattice import ExponentVector, MonomialPresentation
 from .polytope import det
 
-# the rule's name in job documents and in the `tower` trace
+# the rule's name in job documents and in the `tower` trace.  The rule is the
+# relevant-pair rule of `select_center`; the name "euclid" is kept only so
+# that job documents and outputs stay stable.
 CENTER_RULE = "euclid"
 
 # above the deepest tower seen on valid random draws: 230 levels, on

@@ -29,8 +29,8 @@ from .series import (TruncatedSeries, divide_one_plus, reciprocal_one_plus,
 
 ORIGIN_LABEL = "O"
 
-# placement orders whose integrals `verify` compares with the default one
-VERIFY_ORDER_PRESETS = ("rays_first",)
+# the placement order whose integral `verify` compares with the default one
+VERIFY_ORDER_PRESET = "rays_first"
 
 
 def default_degree_bound(n: int) -> int:
@@ -65,7 +65,6 @@ def simplex_contribution(t: HalfSimplex, degree_bound: int) -> TruncatedSeries:
 class SimplexTerm:
     simplex: HalfSimplex
     series: TruncatedSeries
-    support: frozenset[int]  # bounded directions of the simplex
 
 
 @dataclass(frozen=True)
@@ -90,13 +89,8 @@ class SegreResult:
 
 
 def _terms_for(cells, degree_bound: int) -> tuple[SimplexTerm, ...]:
-    out = []
-    for cell in cells:
-        series = simplex_contribution(cell, degree_bound)
-        bounded = frozenset(d for d in range(cell.dim)
-                            if d not in cell.infinite_directions)
-        out.append(SimplexTerm(cell, series, bounded))
-    return tuple(out)
+    return tuple(SimplexTerm(cell, simplex_contribution(cell, degree_bound))
+                 for cell in cells)
 
 
 def orthant_triangulation(p: MonomialPresentation,
@@ -214,27 +208,21 @@ class CheckResult:
     seconds: float = 0.0
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    status: str  # "equal", "skipped", or "mismatch"
-    first_difference: tuple | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.status in ("equal", "skipped")
-
-
 def residual_identity_check(p: MonomialPresentation,
-                            integral: TruncatedSeries) -> ResidualReport:
+                            integral: TruncatedSeries) -> tuple[bool, str]:
     """Check the residual formula: the full integral of p, given as
     `integral` (with no nil reduction), equals
     D/(1+D) + (1/(1+D)) (residual integral twisted by O(D)); the right side
-    is computed here, at the degree bound of `integral`."""
+    is computed here, at the degree bound of `integral`.
+
+    Returns (passed, detail): (True, "skipped") when p has no divisorial
+    part D, (True, "equal"), or (False, "mismatch, first differing term
+    <term>")."""
     n = p.num_vars
     degree_bound = integral.degree_bound
     d, residual = residual_split(p)
     if all(a == 0 for a in d):
-        return ResidualReport("skipped")
+        return True, "skipped"
     inv = reciprocal_one_plus(d, degree_bound)
     d_series = TruncatedSeries.one(n, degree_bound) - inv
     residual_integral = segre_integral(residual, degree_bound).series
@@ -242,24 +230,20 @@ def residual_identity_check(p: MonomialPresentation,
     rhs = d_series + inv * twisted
     diff = _first_difference(integral, rhs)
     if diff is None:
-        return ResidualReport("equal")
-    return ResidualReport("mismatch", diff)
-
-
-@dataclass(frozen=True)
-class BlowupReport:
-    ok: bool
-    failures: tuple[str, ...]
-    classification_sizes: tuple[int, int, int, int]
+        return True, "equal"
+    return False, f"mismatch, first differing term {diff}"
 
 
 def blowup_invariance_check(p: MonomialPresentation, i: int, j: int,
-                            integral: TruncatedSeries) -> BlowupReport:
+                            integral: TruncatedSeries) -> tuple[bool, str]:
     """Verify that the lifted integral pushes forward to the base integral,
     given as `integral` (with no nil reduction), cell by cell: the U0 and
     U'' contributions die, the U' and U1 contributions land on their alpha
     images.  The lifted side is computed here, at the degree bound of
-    `integral`.  i, j are 0-based base directions."""
+    `integral`.  i, j are 0-based base directions.
+
+    Returns (passed, detail), the detail naming every failure, joined by
+    "; ", and empty when none."""
     n = p.num_vars
     degree_bound = integral.degree_bound
     ring = base_ring(n, p.variable_labels)
@@ -307,10 +291,7 @@ def blowup_invariance_check(p: MonomialPresentation, i: int, j: int,
         failures.append("total push-forward does not match the base integral")
     if (TruncatedSeries.one(n, degree_bound) - base_sum) != integral:
         failures.append("link triangulation total differs from the base integral")
-
-    sizes = (len(parts.U0), len(parts.U1), len(parts.Uprime),
-             len(parts.Udoubleprime))
-    return BlowupReport(not failures, tuple(failures), sizes)
+    return not failures, "; ".join(failures)
 
 
 @dataclass(frozen=True)
@@ -326,7 +307,11 @@ class VerifyReport:
 
 def verify(p: MonomialPresentation, degree_bound: int | None = None,
            nil_pairs=()) -> VerifyReport:
-    """Run every identity check on one presentation and aggregate a report."""
+    """Run every identity check on one presentation and aggregate a report.
+
+    Each check returns (passed, detail) and becomes one CheckResult, in a
+    fixed order.  A tower that reaches no divisor within its cap fails the
+    check that climbed it and sets the report's `diverged`."""
     n = p.num_vars
     if degree_bound is None:
         degree_bound = default_degree_bound(n)
@@ -334,10 +319,10 @@ def verify(p: MonomialPresentation, degree_bound: int | None = None,
     checks: list[CheckResult] = []
     diverged = False
 
-    def run(name, fn):
+    def run(name, fn, *args):
         start = time.perf_counter()
         try:
-            passed, detail = fn()
+            passed, detail = fn(*args)
         except TowerDivergenceError as exc:
             nonlocal diverged
             diverged = True
@@ -357,17 +342,8 @@ def verify(p: MonomialPresentation, degree_bound: int | None = None,
             return True, f"tower depth {len(tower.trace.steps)}"
         return False, f"first differing term {diff}"
     run("pipeline_equality", pipelines)
-
-    def residual():
-        report = residual_identity_check(p, base.series)
-        if report.ok:
-            return True, report.status
-        return False, f"mismatch, first differing term {report.first_difference}"
-    run("residual_identity", residual)
-
-    def integrality():
-        return integral.series.is_integral(), ""
-    run("integer_coefficients", integrality)
+    run("residual_identity", residual_identity_check, p, base.series)
+    run("integer_coefficients", lambda: (integral.series.is_integral(), ""))
 
     def orthant():
         total = TruncatedSeries.one(n, degree_bound)
@@ -380,11 +356,10 @@ def verify(p: MonomialPresentation, degree_bound: int | None = None,
     run("orthant_normalization", orthant)
 
     def order_independence():
-        for preset in VERIFY_ORDER_PRESETS:
-            other = segre_integral(p, degree_bound, order_preset=preset,
-                                   ring=ring)
-            if other.series != integral.series:
-                return False, f"preset {preset} disagrees"
+        other = segre_integral(p, degree_bound,
+                               order_preset=VERIFY_ORDER_PRESET, ring=ring)
+        if other.series != integral.series:
+            return False, f"preset {VERIFY_ORDER_PRESET} disagrees"
         return True, ""
     run("order_independence", order_independence)
 
@@ -392,7 +367,9 @@ def verify(p: MonomialPresentation, degree_bound: int | None = None,
         for term in integral.per_simplex:
             if term.series.is_zero():
                 continue
-            if not support_cover_check(p, term.support):
+            bounded = [d for d in range(n)
+                       if d not in term.simplex.infinite_directions]
+            if not support_cover_check(p, bounded):
                 return False, f"cell {term.simplex.provenance} fails the cover check"
         for e in integral.series.terms:
             if not support_cover_check(p, support(e)):
@@ -403,10 +380,7 @@ def verify(p: MonomialPresentation, degree_bound: int | None = None,
     run("support_property", supports)
 
     for (bi, bj) in admissible_pairs(ring, p):
-        def blowup(bi=bi, bj=bj):
-            report = blowup_invariance_check(p, bi, bj, base.series)
-            detail = "; ".join(report.failures)
-            return report.ok, detail
-        run(f"blowup_invariance_{bi + 1}_{bj + 1}", blowup)
+        run(f"blowup_invariance_{bi + 1}_{bj + 1}", blowup_invariance_check,
+            p, bi, bj, base.series)
 
     return VerifyReport(p, tuple(checks), diverged)

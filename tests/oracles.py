@@ -19,7 +19,9 @@ reference.  The placing triangulation has a reference that rebuilds the
 boundary from every cell for each new point and reads each facet's side
 off the opposite vertex of its cell, with rational determinants.  The
 center rule's slot scores have a reference that finds co-minimal pairs by
-Fourier-Motzkin elimination on each facet.  The
+Fourier-Motzkin elimination on each facet.  The area of a bounded Newton
+region in two variables comes from a monotone-chain lower hull and the
+shoelace formula.  The
 seeded draw rule for random presentations is here too, so that every suite
 draws the same way, with small series builders that only tests need.
 """
@@ -394,3 +396,23 @@ def slot_scores(generators, steps, facets):
                 scores.update(edges)
         out.append(scores)
     return out
+
+
+def newton_region_area(generators):
+    """Area of the Newton region of an m-primary ideal in two variables: the
+    polygon between the axes and the lower hull of the exponents, from the
+    lowest exponent on the X2 axis to the first one on the X1 axis.  The hull
+    is Andrew's monotone chain; the area is the shoelace sum."""
+    def turn(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+    hull = []
+    for q in sorted(set(generators)):
+        while len(hull) >= 2 and turn(hull[-2], hull[-1], q) <= 0:
+            hull.pop()
+        hull.append(q)
+    assert hull[0][0] == 0, "no pure power of X2"
+    chain = hull[:next(k for k, q in enumerate(hull) if q[1] == 0) + 1]
+    polygon = [(0, 0)] + chain[::-1]
+    twice = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1)
+                in zip(polygon, polygon[1:] + polygon[:1]))
+    return Fraction(twice, 2)

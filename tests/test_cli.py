@@ -175,8 +175,8 @@ def test_tower_and_verify_golden_bytes(capsys, tmp_path, command, job, preset):
         argv += ["--preset", preset]
     code, out, _ = run(capsys, argv)
     # the tower on five reaches no divisor within its cap of blow-ups, so
-    # verify reports pipeline_equality as failed there
-    assert code == (EXIT_FAIL if (command, job) == ("verify", "five")
+    # verify reports pipeline_equality as failed there, and exits diverged
+    assert code == (EXIT_DIVERGED if (command, job) == ("verify", "five")
                     else EXIT_OK)
     assert hashlib.sha256(out.encode()).hexdigest() == \
         GOLDEN_DIGESTS[command, job, preset]
@@ -279,20 +279,16 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
                         "--preset", "rays_first"])[0] == EXIT_USAGE
     # over the term budget, C(3 + 65, 3) > TERM_BUDGET, whichever way dmax
     # comes; verify's blow-up checks, at C(4 + 31, 4), count one more variable
-    budget_runs = [(["compute", "--gens", "1,1,1", "--dmax", "65"], None),
-                   (["verify", "--gens", "1,1,1", "--dmax", "31"], None),
-                   (["compute", "--input", "-"], None),
-                   (["compute", "--gens", "1,1,1"], "65")]
-    for argv, env_dmax in budget_runs:
-        if env_dmax is not None:
-            monkeypatch.setenv(cli.ENV_DMAX, env_dmax)
+    budget_runs = [["compute", "--gens", "1,1,1", "--dmax", "65"],
+                   ["verify", "--gens", "1,1,1", "--dmax", "31"],
+                   ["compute", "--input", "-"]]
+    for argv in budget_runs:
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(
             {"n": 3, "generators": [[1, 1, 1]], "dmax": 65})))
         code, out, err = run(capsys, argv)
         assert code == EXIT_USAGE, argv
         assert out == "" and err.count("\n") == 1, err
         assert err.startswith("error: ") and "budget" in err, err
-    monkeypatch.delenv(cli.ENV_DMAX)
     # no workers, negative count
     assert run(capsys, ["corpus", "--count", "2", "--jobs", "0"])[0] == EXIT_USAGE
     assert run(capsys, ["corpus", "--count", "-2", "--jobs", "1"])[0] == EXIT_USAGE
@@ -353,17 +349,13 @@ def test_nil_pair_error_does_not_depend_on_the_hash_seed():
                                "outside ['X1', 'X2']\n")
 
 
-def test_env_var_dmax(capsys, monkeypatch):
-    monkeypatch.setenv(cli.ENV_DMAX, "2")
+def test_the_environment_does_not_set_dmax(capsys, monkeypatch):
+    # dmax comes from --dmax or the input document alone
+    monkeypatch.setenv("MONOMIAL_SEGRE_DMAX", "2")
     code, doc, _ = run_json(capsys, ["compute"] + STAIRCASE_ARGS)
-    assert doc["dmax"] == 2
-    assert max(sum(t["exponents"]) for t in doc["series"]) <= 2
-    # an explicit flag wins over the environment
-    _, doc2, _ = run_json(capsys, ["compute"] + STAIRCASE_ARGS +
-                          ["--dmax", "3"])
-    assert doc2["dmax"] == 3
-    monkeypatch.setenv(cli.ENV_DMAX, "zonk")
-    assert run(capsys, ["compute"] + STAIRCASE_ARGS)[0] == EXIT_USAGE
+    assert code == EXIT_OK
+    assert doc["dmax"] == 5
+    assert max(sum(t["exponents"]) for t in doc["series"]) == 5
 
 
 def test_input_document_with_nil_pairs(capsys, tmp_path):
@@ -430,6 +422,42 @@ def test_corpus_small_run(capsys):
                                    "--jobs", "1"])
     assert [r["generators"] for r in doc2["results"]] == \
         [r["generators"] for r in doc["results"]]
+
+
+def test_corpus_counts_a_tower_at_the_cap_as_diverged(capsys, monkeypatch):
+    # with a cap of one, every instance needing two or more blow-ups
+    # diverges; none of them is a verification failure
+    from monomial_segre import segre
+    from monomial_segre.principalize import principalize
+
+    monkeypatch.setattr(segre, "run_principalize",
+                        functools.partial(principalize, cap=1))
+    code, doc, _ = run_json(capsys, ["corpus", "--count", "8", "--seed", "1",
+                                     "--jobs", "1"])
+    assert code == EXIT_DIVERGED
+    assert doc["failed"] == 0 and doc["diverged"] == 4
+    assert doc["passed"] == 4
+    for r in doc["results"]:
+        if r["status"] == "diverged":
+            assert r["failed"] == ["pipeline_equality"]
+        else:
+            assert r["status"] == "pass" and r["failed"] == []
+
+
+def test_verify_exits_diverged_at_the_cap(capsys, monkeypatch):
+    from monomial_segre import segre
+    from monomial_segre.principalize import principalize
+
+    monkeypatch.setattr(segre, "run_principalize",
+                        functools.partial(principalize, cap=2))
+    code, doc, _ = run_json(capsys, ["verify", "--gens",
+                                     DEEP_TOWERS["depth50"]])
+    assert code == EXIT_DIVERGED
+    assert doc["ok"] is False
+    failed = [c for c in doc["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["pipeline_equality"]
+    assert failed[0]["detail"] == ("tower divergence: no divisor reached "
+                                   "within 2 blow-ups")
 
 
 def test_corpus_worker_count():
