@@ -30,23 +30,28 @@ step.  So a term v E^k0 Y~_i^ai Y~_j^aj Y^b pushes to v Y^b times
     [k0 = 0] Y_i^ai Y_j^aj  -  sum over r1 <= ai, r2 <= aj, k >= 2 of
     (-1)^(r1+r2) C(ai, r1) C(aj, r2) Y_i^(ai-r1) Y_j^(aj-r2) Y_i Y_j h_{k-2},
 
-with k = k0 + r1 + r2.  The first part (the E^0 part) is the term itself;
-the second (the E^{>=2} part) depends only on (k0, ai, aj) and is kept in a
-memoized table.  A term with no E and no center exponent has no E^{>=2}
-part, and passes through with E dropped.
+with k = k0 + r1 + r2.  The first part (the E^0 part) is the term itself
+with E dropped; no two E^0 parts share an exponent, since their upper
+exponents differ only off E.  The second (the E^{>=2} part) is v Y^b times
+a table that depends only on (k0, ai, aj) and is memoized; a term with
+k0 + ai + aj < 2 has none.  `pushforward` sums the E^{>=2} parts of all
+terms with one off-center part Y^b into a small (x, y) -> coefficient
+table for that key, and builds one lower exponent per nonzero entry.  Two
+keys differ off the center, so their terms never meet, and an entry can
+only meet an E^0 part.
 
 Which pushed terms lie on empty strata is known in advance when the upper
 class is reduced (every term's support lies in an upper facet):
   - every E^0 term lies on a nonempty lower stratum, since an upper facet
     without E is a lower facet, or a lower facet minus i or j, shifted;
-  - an E^{>=2} term has support R + {i, j}, where R is the term's support off
-    E, i and j, so it lies on a nonempty stratum exactly when R is inside
+  - an E^{>=2} term has support R + {i, j}, where R is the support of its
+    key Y^b, so it lies on a nonempty stratum exactly when R is inside
     F - {i, j} for a lower facet F through {i, j}: the *star* of the center
-    edge.  R does not depend on the binomial split, so one test per term
-    decides its whole E^{>=2} part.
-`pushforward` leaves out the E^{>=2} parts that fail the star test, which
-are zero in the lower ring.  Its result on a reduced class is therefore
-reduced, and the tower needs no nil reduction between levels.
+    edge.  R does not depend on the binomial split, so one test per key
+    decides the whole E^{>=2} part of every term with that key.
+`pushforward` leaves out the keys that fail the star test, whose E^{>=2}
+parts are zero in the lower ring.  Its result on a reduced class is
+therefore reduced, and the tower needs no nil reduction between levels.
 """
 
 from __future__ import annotations
@@ -196,11 +201,11 @@ def blow_up(r: LevelRing, i: int, j: int) -> BlowupStep:
 
 # the E^{>=2} part of p_*(E^k0 Y~_i^ai Y~_j^aj), keyed by (k0, ai, aj); it
 # depends on nothing else, so one table serves every level of every tower
-_DEEP_PUSH: dict[tuple[int, int, int], tuple[tuple[int, int, int], ...]] = {}
+_DEEP_PUSH: dict[tuple[int, int, int], tuple] = {}
 
 
-def _deep_push(k0: int, ai: int, aj: int) -> tuple[tuple[int, int, int], ...]:
-    """The E^{>=2} part of p_*(E^k0 Y~_i^ai Y~_j^aj) as (x, y, w) triples,
+def _deep_push(k0: int, ai: int, aj: int) -> tuple:
+    """The E^{>=2} part of p_*(E^k0 Y~_i^ai Y~_j^aj) as ((x, y), w) pairs,
     one for each term w Y_i^x Y_j^y (see the module docstring)."""
     key = (k0, ai, aj)
     table = _DEEP_PUSH.get(key)
@@ -214,8 +219,8 @@ def _deep_push(k0: int, ai: int, aj: int) -> tuple[tuple[int, int, int], ...]:
                 for r in range(k - 1):
                     xy = (ai - r1 + r + 1, aj - r2 + k - 1 - r)
                     acc[xy] = acc.get(xy, 0) - w
-        table = _DEEP_PUSH[key] = tuple((x, y, w) for (x, y), w in acc.items()
-                                        if w)
+        table = _DEEP_PUSH[key] = tuple(item for item in acc.items()
+                                        if item[1])
     return table
 
 
@@ -224,42 +229,64 @@ def pushforward(step: BlowupStep, c: ChowClass) -> ChowClass:
     the E^{>=2} terms on empty lower strata left out.
 
     A term v E^k0 Y~_i^ai Y~_j^aj Y^b keeps its E^0 part v Y_i^ai Y_j^aj Y^b
-    when k0 = 0.  Its E^{>=2} part, v Y^b times the `_deep_push` table of
-    (k0, ai, aj), is added only when the support of Y^b lies in the star of
-    the center edge, the facets through {i, j} minus i and j.  On a reduced
-    class the result is reduced (module docstring); on any other class only
-    its E^0 terms may lie on empty strata.  On a base ring with no declared
-    nil pairs every E^{>=2} term passes, and the result is the full closed
-    form."""
+    when k0 = 0, and a term with no E and no center exponent has nothing
+    else.  The E^{>=2} part, v Y^b times the `_deep_push` table of
+    (k0, ai, aj), is summed into one (x, y) -> coefficient table per
+    off-center key Y^b.  Each key's star test runs once, on the support of
+    Y^b: a key off the star of the center edge (the facets through {i, j}
+    minus i and j) gets no table, and every other key yields one term
+    Y^b Y_i^x Y_j^y per nonzero entry of its table.
+
+    On a reduced class the result is reduced (module docstring); on any
+    other class only its E^0 terms may lie on empty strata.  On a base ring
+    with no declared nil pairs every E^{>=2} term passes, and the result is
+    the full closed form."""
     if c.ring != step.upper:
         raise LevelMismatchError("class is not on the upper ring")
     pi, pj = step.center
+    ui, uj = pi + 1, pj + 1
     lower = step.lower
     star = [f - {pi, pj} for f in lower.facets if pi in f and pj in f]
-    in_star: dict[frozenset[int], bool] = {}  # many terms share a support
     out: dict[tuple[int, ...], int] = {}
+    # off-center key -> (x, y) -> coefficient, or False off the star
+    deep: dict[tuple[int, ...], dict[tuple[int, int], int] | bool] = {}
     for e, v in c.series.terms.items():
-        k0, low = e[0], e[1:]
+        k0, ai, aj = e[0], e[ui], e[uj]
+        low = e[1:]
         if not k0:
-            out[low] = out.get(low, 0) + v
-        ai, aj = low[pi], low[pj]
+            # distinct terms with no E drop to distinct exponents
+            out[low] = v
         if k0 + ai + aj < 2:
             continue  # no E^{>=2} part
-        rest = frozenset(m for m, a in enumerate(low)
-                         if a and m != pi and m != pj)
-        ok = in_star.get(rest)
-        if ok is None:
-            ok = in_star[rest] = any(rest <= f for f in star)
-        if not ok:
-            continue
         t = list(low)
-        for x, y, w in _deep_push(k0, ai, aj):
+        t[pi] = t[pj] = 0
+        key = tuple(t)
+        table = deep.get(key)
+        if table is None:
+            rest = frozenset(m for m, a in enumerate(key) if a)
+            table = deep[key] = {} if any(rest <= f for f in star) else False
+        if table is False:
+            continue
+        for xy, w in _deep_push(k0, ai, aj):
+            table[xy] = table.get(xy, 0) + w * v
+    for key, table in deep.items():
+        if table is False:
+            continue
+        t = list(key)
+        for (x, y), w in table.items():
+            if not w:
+                continue
             t[pi], t[pj] = x, y
             tt = tuple(t)  # total degree is unchanged
-            out[tt] = out.get(tt, 0) + w * v
+            # keys differ off the center, so no other key's term shares tt;
+            # an E^0 term with both center entries positive may
+            w += out.get(tt, 0)
+            if w:
+                out[tt] = w
+            else:
+                del out[tt]
     return ChowClass(lower, TruncatedSeries._raw(
-        lower.num_vars, c.series.degree_bound,
-        {e: v for e, v in out.items() if v}))
+        lower.num_vars, c.series.degree_bound, out))
 
 
 def reduce_nils(r: LevelRing, series: TruncatedSeries) -> TruncatedSeries:

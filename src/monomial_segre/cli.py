@@ -5,7 +5,8 @@ Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
 error, 3 tower divergence: a tower reached no divisor within its cap.  On
 exit 3 `tower` lists the partial tower's centers on stderr, lowest first,
 and `verify` and `corpus` print their report.  A failed write to stdout is
-exit 2 as well.
+exit 2 as well, and so is a job whose base series or tower top expansion
+would hold more terms than series.TERM_BUDGET.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import re
 import sys
 
 from .chow import base_ring
-from .errors import MonomialSegreError, TowerDivergenceError
+from .errors import MonomialSegreError, TermBudgetError, TowerDivergenceError
 from .lattice import MonomialPresentation, presentation
 from .polytope import ORDER_PRESETS, hvol
 from .principalize import CENTER_RULE
@@ -136,10 +137,7 @@ def load_job(args):
         raise UsageError("dmax must be >= 1")
     # verify's blow-up checks lift the configuration to one more variable
     width = p.num_vars + (args.command == "verify")
-    try:
-        check_term_budget(width, dmax)
-    except MonomialSegreError as exc:
-        raise UsageError(str(exc))
+    check_term_budget(width, dmax)
     return p, dmax, nil_pairs, ring
 
 
@@ -503,7 +501,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, TermBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TowerDivergenceError as exc:

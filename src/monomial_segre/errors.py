@@ -35,3 +35,7 @@ class TowerDivergenceError(MonomialSegreError):
     def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = trace
+
+
+class TermBudgetError(MonomialSegreError):
+    """A series would hold more terms than series.TERM_BUDGET."""

@@ -12,20 +12,22 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import combinations
+from math import comb
 
 from . import chow
 from .chow import ChowClass, LevelRing, base_ring, pushforward, reduce_nils
 from .principalize import (TowerTrace, admissible_pairs,
                            principalize as run_principalize)
-from .errors import MonomialSegreError, TowerDivergenceError
+from .errors import MonomialSegreError, TermBudgetError, TowerDivergenceError
 from .lattice import (MonomialPresentation, residual_split, support,
                       support_cover_check)
 from .polytope import (HalfSimplex, PointConfiguration, Triangulation, alpha,
                        classify_blowup_cells, complement_configuration, hvol,
                        lift_to_H, link_cells, placement_order,
                        placing_triangulation)
-from .series import (TruncatedSeries, divide_one_plus, reciprocal_one_plus,
-                     tensor_line)
+from .series import (TERM_BUDGET, TruncatedSeries, divide_one_plus,
+                     reciprocal_one_plus, tensor_line)
 
 ORIGIN_LABEL = "O"
 
@@ -135,38 +137,84 @@ def segre_integral(p: MonomialPresentation, degree_bound: int | None = None,
     return SegreResult(series, newton_terms, complement, pipeline="integral")
 
 
-def _divisor_segre_reduced(top: LevelRing, d, degree_bound: int):
-    """D/(1+D) = sum_k (-1)^(k-1) D^k on the top ring, on nonempty strata only.
+# (t, r) -> every composition of t into r positive parts, with its
+# multinomial coefficient; a pure function of its key, like chow._DEEP_PUSH
+_COMPOSITIONS: dict[tuple[int, int], tuple] = {}
 
-    Expanding 1/(1+D) outright is hopeless high in a tower (a dense linear
-    form in dozens of variables).  Instead each term of D^k is multiplied
-    only by the variables of D in its link, the union of the facets through
-    its support: any other product, and every multiple of it, lies on an
-    empty stratum.  Every term has degree k <= degree_bound and a positive
-    coefficient (D has no negative entry), so the terms go to the trusted
-    constructor, which does not scan each wide exponent again."""
-    links: dict[frozenset[int], list[int]] = {}
-    power = {(0,) * top.num_vars: 1}
+
+def _compositions(t: int, r: int) -> tuple:
+    """The pairs (parts, multinomial coefficient of parts) over the
+    compositions of t into r positive parts, each coefficient built as the
+    product C(t, parts_1) C(t - parts_1, parts_2) ... of binomials."""
+    key = (t, r)
+    table = _COMPOSITIONS.get(key)
+    if table is None:
+        if r == 1:
+            table = (((t,), 1),)
+        else:
+            table = tuple(((first,) + rest, comb(t, first) * m)
+                          for first in range(1, t - r + 2)
+                          for rest, m in _compositions(t - first, r - 1))
+        _COMPOSITIONS[key] = table
+    return table
+
+
+def _top_faces(top: LevelRing, d) -> list[tuple[int, ...]]:
+    """The nonempty strata of the top ring inside the support of d, as
+    sorted position tuples: every nonempty subset of a facet's positive
+    part."""
+    faces: set[tuple[int, ...]] = set()
+    for f in top.facets:
+        g = sorted(m for m in f if d[m])
+        for r in range(1, len(g) + 1):
+            faces.update(combinations(g, r))
+    return sorted(faces)
+
+
+def _divisor_segre_reduced(top: LevelRing, d, degree_bound: int):
+    """D/(1+D) on the top ring, on nonempty strata only, in closed form:
+
+        D/(1+D) = sum over 1 <= |e| <= degree_bound of
+                  (-1)^(|e|-1) multinomial(e) prod_m d_m^(e_m) X^e,
+
+    where e runs over the exponent vectors whose support is a face of the
+    top complex (a nonempty stratum) on which every d_m is positive: any
+    other term lies on an empty stratum or has a zero coefficient.  A face
+    of r positions gives one term per composition of each total t into r
+    positive parts, C(degree_bound, r) terms in all, and no two terms share
+    an exponent, so the count is known before anything is built; over
+    TERM_BUDGET it raises TermBudgetError.  Every coefficient is nonzero
+    and every degree within the bound, so the terms go to the trusted
+    constructor."""
+    faces = _top_faces(top, d)
+    count = sum(comb(degree_bound, len(s)) for s in faces)
+    if count > TERM_BUDGET:
+        raise TermBudgetError(
+            f"the top expansion of a {top.num_vars}-variable tower at degree "
+            f"bound {degree_bound} has {count} terms, more than the budget "
+            f"of {TERM_BUDGET}")
+    zero = [0] * top.num_vars
     total = {}
-    for k in range(1, degree_bound + 1):
-        nxt: dict[tuple[int, ...], int] = {}
-        for e, c in power.items():
-            s = support(e)
-            if s not in links:
-                near = set().union(*(f for f in top.facets if s <= f))
-                links[s] = [m for m in sorted(near) if d[m]]
-            for m in links[s]:
-                t = e[:m] + (e[m] + 1,) + e[m + 1:]
-                nxt[t] = nxt.get(t, 0) + c * d[m]
-        power = nxt
-        total.update((e, c if k % 2 else -c) for e, c in power.items())
+    for s in faces:
+        r = len(s)
+        powers = [[d[m] ** a for a in range(degree_bound + 1)] for m in s]
+        for t in range(r, degree_bound + 1):
+            sign = 1 if t % 2 else -1
+            for parts, mult in _compositions(t, r):
+                e = zero[:]
+                c = sign * mult
+                for m, a, pw in zip(s, parts, powers):
+                    e[m] = a
+                    c *= pw[a]
+                total[tuple(e)] = c
     return TruncatedSeries._raw(top.num_vars, degree_bound, total)
 
 
 def segre_tower(p: MonomialPresentation, degree_bound: int | None = None,
                 ring: LevelRing | None = None) -> SegreResult:
     """Blow-up tower pipeline: principalize, apply D/(1+D) at the top, push
-    the class back down level by level.
+    the class back down level by level.  A top expansion of more than
+    TERM_BUDGET terms raises TermBudgetError before it is built.
 
     The top expansion is reduced, and `pushforward` keeps a reduced class
     reduced (see the chow module docstring), so no level needs a nil

@@ -23,7 +23,8 @@ from math import comb
 from operator import add
 from typing import Iterable, Mapping
 
-from .errors import DimensionMismatchError, MonomialSegreError
+from .errors import (DimensionMismatchError, MonomialSegreError,
+                     TermBudgetError)
 from .lattice import default_labels
 
 Exponent = tuple[int, ...]
@@ -236,7 +237,7 @@ def check_term_budget(num_vars: int, degree_bound: int) -> None:
     num_vars variables than TERM_BUDGET."""
     count = comb(num_vars + degree_bound, num_vars)
     if count > TERM_BUDGET:
-        raise MonomialSegreError(
+        raise TermBudgetError(
             f"a series in {num_vars} variables at degree bound {degree_bound} "
             f"has up to {count} terms, more than the budget of {TERM_BUDGET}")
 

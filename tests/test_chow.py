@@ -1,8 +1,9 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
+from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monomial_segre.chow import (ChowClass, base_ring, blow_up, pushforward,
@@ -234,14 +235,19 @@ def test_pushforward_rejects_wrong_level():
 @st.composite
 def upper_classes(draw):
     """(n, i, j, terms): a class on the blow-up of X_i cap X_j over an
-    n-variable base, with powers of E up to 6."""
+    n-variable base, with powers of E up to 6; the center comes in either
+    order."""
     n = draw(st.sampled_from([2, 3]))
-    i, j = draw(st.sampled_from(list(combinations(range(n), 2))))
+    i, j = draw(st.sampled_from(list(permutations(range(n), 2))))
     exponents = st.tuples(st.integers(0, 6), *[st.integers(0, 2)] * n)
     return n, i, j, draw(st.dictionaries(exponents, st.integers(-4, 4),
                                          max_size=8))
 
 
+# E ~X1 X3 and E^2 X3 share the off-center part X3, and their E^{>=2} parts,
+# +X1 X2 X3 and -X1 X2 X3, cancel in its table: the class pushes to zero
+@example((3, 0, 1, {(1, 1, 0, 1): 1, (2, 0, 0, 1): 1}))
+@example((3, 1, 0, {(1, 1, 0, 1): 1, (2, 0, 0, 1): 1}))
 @given(upper_classes())
 @settings(max_examples=80, deadline=None)
 def test_pushforward_closed_form_matches_normal_form(case):
@@ -363,21 +369,51 @@ def test_exponents_match_the_step_by_step_transform(tower, data):
             total_transform(gens, steps[:level]), level
 
 
-@given(towers(), st.data())
-@settings(max_examples=40, deadline=None)
-def test_top_expansion_matches_the_filtered_dense_one(tower, data):
+def check_top_expansion(tower, d, bound):
+    """The closed-form top expansion equals the dense D/(1+D) with its terms
+    on empty strata filtered out by the recursive oracle, and has as many
+    terms as its budget count: C(bound, |F|) summed over the faces F of the
+    top complex on which every entry of d is positive."""
     base, nils, steps = tower
     top = steps[-1].upper if steps else base
-    d = data.draw(st.lists(st.integers(0, 3), min_size=top.num_vars,
-                           max_size=top.num_vars))
-    bound = 4
     dense = TruncatedSeries.one(top.num_vars, bound) - \
         reciprocal_one_plus(tuple(d), bound)
     want = {e: c for e, c in dense.terms.items()
             if not stratum_is_empty_by_recursion(
                 base.num_vars, nils, steps,
                 {top.variables[k] for k, a in enumerate(e) if a})}
-    assert _divisor_segre_reduced(top, d, bound).terms == want
+    got = _divisor_segre_reduced(top, d, bound).terms
+    assert got == want
+    faces = {c for f in top.facets
+             for r in range(1, len(f) + 1)
+             for c in combinations(sorted(m for m in f if d[m]), r)}
+    assert len(got) == sum(comb(bound, len(face)) for face in faces)
+
+
+@given(towers(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_top_expansion_matches_the_filtered_dense_one(tower, data):
+    base, _, steps = tower
+    top = steps[-1].upper if steps else base
+    d = data.draw(st.lists(st.integers(0, 3), min_size=top.num_vars,
+                           max_size=top.num_vars))
+    check_top_expansion(tower, d, 4)
+
+
+@given(towers(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_top_expansion_edges_match_the_filtered_dense_one(tower, data):
+    # bound 0 and 1, D = 0, and a D that vanishes on a whole facet
+    base, _, steps = tower
+    top = steps[-1].upper if steps else base
+    d = data.draw(st.lists(st.integers(0, 3), min_size=top.num_vars,
+                           max_size=top.num_vars))
+    for bound in (0, 1):
+        check_top_expansion(tower, d, bound)
+    check_top_expansion(tower, [0] * top.num_vars, 3)
+    facet = data.draw(st.sampled_from(top.facets))
+    check_top_expansion(tower, [0 if m in facet else a
+                                for m, a in enumerate(d)], 3)
 
 
 def test_pushforward_leaves_out_deep_terms_off_the_star():

@@ -332,6 +332,18 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_tower_refuses_a_top_expansion_over_the_budget(capsys):
+    # the depth-38 tower's base series at dmax 20 is within the budget, but
+    # its top expansion, counted after principalizing, has 71,000 terms
+    code, out, err = run(capsys, ["tower", "--gens", "0,1,2;1,4,1;2,3,4;4,0,0",
+                                  "--dmax", "20"])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == ("error: the top expansion of a 41-variable tower at "
+                   "degree bound 20 has 71000 terms, more than the budget "
+                   "of 50000\n")
+
+
 def test_nil_pair_error_does_not_depend_on_the_hash_seed():
     # the pairs are checked in the order given: the first bad one is named
     doc = json.dumps({"n": 2, "generators": [[1, 0], [0, 1]],
