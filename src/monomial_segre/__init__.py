@@ -14,8 +14,8 @@ from .errors import (ClassificationError, DegenerateConfigurationError,
                      NoAdmissibleCenterError, TowerDivergenceError)
 from .lattice import (ExponentVector, MonomialPresentation, presentation,
                       residual_split, support_cover_check)
-from .polytope import (HalfSimplex, PointConfiguration, Triangulation, alpha,
-                       classify_blowup_cells, complement_configuration, hvol,
+from .polytope import (HalfSimplex, PointConfiguration, Triangulation,
+                       blowup_replay, complement_configuration, hvol,
                        lift_to_H, placing_triangulation)
 from .principalize import TowerTrace, principalize, select_center
 from .segre import (SegreResult, blowup_invariance_check,

@@ -83,8 +83,8 @@ def load_job(args):
     nil_pairs must be JSON arrays, each nil pair an array of two labels, and
     its labels may not have the shape of the ones blow-ups generate
     (GENERATED_LABEL).  dmax is --dmax, else the document's dmax, else
-    n + 3.  A series at dmax may have no more terms than series.TERM_BUDGET,
-    in n variables, or in n + 1 for verify."""
+    n + 3.  The series budget is each command's own check, in the width it
+    works in."""
     if (args.gens is None) == (getattr(args, "input", None) is None):
         raise UsageError("give exactly one of --gens or --input")
     nil_pairs = ()
@@ -135,9 +135,6 @@ def load_job(args):
         dmax = default_degree_bound(p.num_vars)
     if dmax < 1:
         raise UsageError("dmax must be >= 1")
-    # verify's blow-up checks lift the configuration to one more variable
-    width = p.num_vars + (args.command == "verify")
-    check_term_budget(width, dmax)
     return p, dmax, nil_pairs, ring
 
 
@@ -234,6 +231,7 @@ def _write_series(series, out, pad):
 
 def cmd_compute(args) -> int:
     p, dmax, nil_pairs, ring = load_job(args)
+    check_term_budget(p.num_vars, dmax)
     result = segre_integral(p, dmax, ring=ring)
     doc = presentation_doc(p, dmax, nil_pairs=nil_pairs)
     doc["pipeline"] = result.pipeline
@@ -244,6 +242,7 @@ def cmd_compute(args) -> int:
 
 def cmd_tower(args) -> int:
     p, dmax, nil_pairs, ring = load_job(args)
+    check_term_budget(p.num_vars, dmax)
     result = segre_tower(p, dmax, ring=ring)
     trace = result.trace
     doc = presentation_doc(p, dmax, nil_pairs=nil_pairs)
@@ -265,6 +264,8 @@ def cmd_tower(args) -> int:
 
 def cmd_verify(args) -> int:
     p, dmax, nil_pairs, ring = load_job(args)
+    # the blow-up checks lift the configuration to one more variable
+    check_term_budget(p.num_vars + 1, dmax)
     report = verify(p, dmax, nil_pairs=nil_pairs)
     doc = presentation_doc(p, dmax, nil_pairs=nil_pairs)
     doc["strategy"] = CENTER_RULE
@@ -279,6 +280,7 @@ def cmd_verify(args) -> int:
 
 def cmd_triangulate(args) -> int:
     p, dmax, nil_pairs, ring = load_job(args)
+    check_term_budget(p.num_vars, dmax)
     if nil_pairs:
         raise UsageError("triangulate takes no nil_pairs: its cell "
                          "contributions are not reduced by them")

@@ -14,7 +14,8 @@ class DegenerateConfigurationError(MonomialSegreError):
 
 
 class ClassificationError(MonomialSegreError):
-    """A triangulation is not of the pyramid-then-place shape required for blow-up cell classification."""
+    """A placed blow-up lift has a cell with the second center ray but
+    neither the exceptional ray nor the first; only a model bug reaches it."""
 
 
 class EmptyCenterError(MonomialSegreError):
@@ -26,7 +27,9 @@ class LevelMismatchError(MonomialSegreError):
 
 
 class NoAdmissibleCenterError(MonomialSegreError):
-    """A non-divisor presentation admits no incomparability-witnessed center; indicates a model bug."""
+    """A non-divisor presentation has no slot for `select_center`: no pair of
+    minimal generators of opposite signs on an edge of a facet where both are
+    co-minimal.  Only a model bug reaches it."""
 
 
 class TowerDivergenceError(MonomialSegreError):

@@ -1,6 +1,6 @@
 """Exact polyhedral engine: configurations with rays, placing triangulations,
-normalized volumes, the blow-up lift, and the cell classification used by the
-blow-up invariance check.
+normalized volumes, the blow-up lift, and the replay of a placed lift that
+the blow-up invariance check reads.
 
 Vertices at infinity are handled homogeneously: a finite point v becomes
 (v, 1), the ray in coordinate direction j becomes (e_j, 0).  Every predicate
@@ -109,7 +109,6 @@ class HalfSimplex:
 
 @dataclass(frozen=True)
 class Triangulation:
-    config: PointConfiguration
     cells: tuple[HalfSimplex, ...]
     placement_order: tuple[Label, ...]
 
@@ -238,10 +237,10 @@ def placing_triangulation(config: PointConfiguration,
     cell_objs = tuple(sorted(
         (_cell_from_labels(config, c, order_index) for c in cells),
         key=lambda s: s.provenance))
-    return Triangulation(config, cell_objs, tuple(order))
+    return Triangulation(cell_objs, tuple(order))
 
 
-# -- blow-up lift and classification -----------------------------------------
+# -- blow-up lift and replay -------------------------------------------------
 
 def lift_to_H(config: PointConfiguration, i: int, j: int) -> PointConfiguration:
     """Prepend the coordinate a0 = a_i + a_j; rays shift and gain the a0 ray.
@@ -264,42 +263,17 @@ def lift_to_H(config: PointConfiguration, i: int, j: int) -> PointConfiguration:
 
 
 @dataclass(frozen=True)
-class CellClassification:
-    """The four-way split of top cells of a lifted placing triangulation."""
+class BlowupReplay:
+    """The top cells of a placed lift, split four ways.  Each U1 and U' cell
+    is paired with its alpha image, the base cell it pushes forward to; the
+    links are the base triangulation, the contractions of the cells that
+    contain the a0 ray (U0 and U')."""
 
     U0: tuple[HalfSimplex, ...]
-    U1: tuple[HalfSimplex, ...]
-    Uprime: tuple[HalfSimplex, ...]
+    U1: tuple[tuple[HalfSimplex, HalfSimplex], ...]
+    Uprime: tuple[tuple[HalfSimplex, HalfSimplex], ...]
     Udoubleprime: tuple[HalfSimplex, ...]
-
-
-def classify_blowup_cells(t: Triangulation, i: int,
-                          j: int) -> CellClassification:
-    """Split the cells of a placed lift (see `lift_to_H`) of the base center
-    directions i, j, which are directions i + 1 and j + 1 of the lift."""
-    if t.config.homogeneous[t.placement_order[-1]] != \
-            (1,) + (0,) * t.config.dim:
-        raise ClassificationError(
-            "classification needs a lift placed with the a0 ray last")
-    ci, cj = i + 1, j + 1
-    u0, u1, up, upp = [], [], [], []
-    for cell in t.cells:
-        has0 = 0 in cell.infinite_directions
-        hasi = ci in cell.infinite_directions
-        hasj = cj in cell.infinite_directions
-        if has0 and not hasi and not hasj:
-            u0.append(cell)
-        elif hasi and not has0 and not hasj:
-            u1.append(cell)
-        elif has0 and (hasi or hasj):
-            up.append(cell)
-        elif not has0 and (hasi == hasj):
-            upp.append(cell)
-        else:
-            raise ClassificationError(
-                f"cell {cell.provenance} contains the second center ray but "
-                "neither the exceptional ray nor the first center ray")
-    return CellClassification(tuple(u0), tuple(u1), tuple(up), tuple(upp))
+    links: tuple[HalfSimplex, ...]
 
 
 def _contract(cell: HalfSimplex, drop_direction: int) -> HalfSimplex:
@@ -309,18 +283,31 @@ def _contract(cell: HalfSimplex, drop_direction: int) -> HalfSimplex:
     return HalfSimplex(cell.dim - 1, finite, dirs, provenance=cell.provenance)
 
 
-def alpha(cell: HalfSimplex, classification: CellClassification,
-          i: int) -> HalfSimplex:
-    """The push-forward-compatible bijection from Uprime + U1 to the base
-    cells; i is the first base center direction."""
-    if cell in classification.Uprime:
-        return _contract(cell, drop_direction=0)
-    if cell in classification.U1:
-        return _contract(cell, drop_direction=i + 1)
-    raise ClassificationError("alpha is only defined on Uprime and U1 cells")
-
-
-def link_cells(t: Triangulation) -> tuple[HalfSimplex, ...]:
-    """The base triangulation: links of the a0 ray, i.e. contractions of the
-    top cells containing it."""
-    return tuple(_contract(c, 0) for c in t.cells if 0 in c.infinite_directions)
+def blowup_replay(config: PointConfiguration, i: int, j: int) -> BlowupReplay:
+    """Place the lift of config (see `lift_to_H`) at the base center
+    directions i, j, which are directions i + 1 and j + 1 of the lift, and
+    split its cells.  A U1 cell's image contracts ray i + 1; a U' cell's
+    image is its link, which contracts a0."""
+    ci, cj = i + 1, j + 1
+    u0, u1, up, upp, links = [], [], [], [], []
+    for cell in placing_triangulation(lift_to_H(config, i, j)).cells:
+        has0 = 0 in cell.infinite_directions
+        hasi = ci in cell.infinite_directions
+        hasj = cj in cell.infinite_directions
+        if has0:
+            link = _contract(cell, 0)
+            links.append(link)
+            if hasi or hasj:
+                up.append((cell, link))
+            else:
+                u0.append(cell)
+        elif hasi and not hasj:
+            u1.append((cell, _contract(cell, ci)))
+        elif hasi == hasj:
+            upp.append(cell)
+        else:
+            raise ClassificationError(
+                f"cell {cell.provenance} contains the second center ray but "
+                "neither the exceptional ray nor the first center ray")
+    return BlowupReplay(tuple(u0), tuple(u1), tuple(up), tuple(upp),
+                        tuple(links))

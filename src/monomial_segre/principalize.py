@@ -154,8 +154,8 @@ def principalize(r0: LevelRing, p0: MonomialPresentation,
         center = select_center(ring, p0, memo)
         if center is None:
             raise NoAdmissibleCenterError(
-                "non-divisor presentation admits no incomparability witness; "
-                "this indicates a model bug")
+                "non-divisor presentation leaves select_center no slot of "
+                "any minimal generator pair; this indicates a model bug")
         step = blow_up(ring, *center)
         ring = step.upper
         steps.append(step)

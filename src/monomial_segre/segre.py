@@ -22,10 +22,9 @@ from .principalize import (TowerTrace, admissible_pairs,
 from .errors import MonomialSegreError, TermBudgetError, TowerDivergenceError
 from .lattice import (MonomialPresentation, residual_split, support,
                       support_cover_check)
-from .polytope import (HalfSimplex, PointConfiguration, Triangulation, alpha,
-                       classify_blowup_cells, complement_configuration, hvol,
-                       lift_to_H, link_cells, placement_order,
-                       placing_triangulation)
+from .polytope import (HalfSimplex, PointConfiguration, Triangulation,
+                       blowup_replay, complement_configuration, hvol,
+                       placement_order, placing_triangulation)
 from .series import (TERM_BUDGET, TruncatedSeries, divide_one_plus,
                      reciprocal_one_plus, tensor_line)
 
@@ -297,36 +296,31 @@ def blowup_invariance_check(p: MonomialPresentation, i: int, j: int,
     ring = base_ring(n, p.variable_labels)
     step = chow.blow_up(ring, i, j)
 
-    tri_hat = placing_triangulation(lift_to_H(complement_configuration(p), i, j))
-    parts = classify_blowup_cells(tri_hat, i, j)
+    replay = blowup_replay(complement_configuration(p), i, j)
 
     failures = []
 
-    # the alpha images must be exactly the links of the a0 ray
-    links = {c.key() for c in link_cells(tri_hat)}
-    images = {}
-    for cell in parts.Uprime + parts.U1:
-        img = alpha(cell, parts, i)
-        images[cell.key()] = img
-    image_keys = {img.key() for img in images.values()}
-    if image_keys != links or len(images) != len(parts.Uprime) + len(parts.U1):
+    # the alpha images must be exactly the links of the a0 ray, each once
+    keys = [image.key() for _, image in replay.Uprime + replay.U1]
+    distinct = set(keys)
+    if distinct != {c.key() for c in replay.links} or \
+            len(distinct) != len(keys):
         failures.append("alpha is not a bijection onto the base cells")
 
-    zero = TruncatedSeries.zero(n, degree_bound)
     lifted_sum = TruncatedSeries.zero(n + 1, degree_bound)
-    for cell in parts.U0 + parts.Udoubleprime:
+    for cell in replay.U0 + replay.Udoubleprime:
         contribution = simplex_contribution(cell, degree_bound)
         lifted_sum = lifted_sum + contribution
         pushed = pushforward(step, ChowClass(step.upper, contribution)).series
-        if pushed != zero:
+        if not pushed.is_zero():
             failures.append(
                 f"U0/U'' cell {cell.provenance} does not push to zero")
     base_sum = TruncatedSeries.zero(n, degree_bound)
-    for cell in parts.Uprime + parts.U1:
+    for cell, image in replay.Uprime + replay.U1:
         contribution = simplex_contribution(cell, degree_bound)
         lifted_sum = lifted_sum + contribution
         pushed = pushforward(step, ChowClass(step.upper, contribution)).series
-        target = simplex_contribution(images[cell.key()], degree_bound)
+        target = simplex_contribution(image, degree_bound)
         base_sum = base_sum + target
         if pushed != target:
             failures.append(

@@ -21,13 +21,14 @@ off the opposite vertex of its cell, with rational determinants.  The
 center rule's slot scores have a reference that finds co-minimal pairs by
 Fourier-Motzkin elimination on each facet.  The area of a bounded Newton
 region in two variables comes from a monotone-chain lower hull and the
-shoelace formula.  The
+shoelace formula, and its volume in three variables from Ehrhart theory:
+the lattice points outside the dilates of the Newton polyhedron.  The
 seeded draw rule for random presentations is here too, so that every suite
 draws the same way, with small series builders that only tests need.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, gcd
 
 import sympy
@@ -416,3 +417,44 @@ def newton_region_area(generators):
     twice = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1)
                 in zip(polygon, polygon[1:] + polygon[:1]))
     return Fraction(twice, 2)
+
+
+def newton_region_volume(generators):
+    """Volume of the Newton region N of an m-primary ideal in three
+    variables.  The lattice points a >= 0 outside k*Newt(I) are those of
+    k*N, a union of half-open lattice polytopes, so by Ehrhart theory they
+    number a cubic in k with leading coefficient vol(N): vol(N) is the
+    third difference of the counts at k = 1..4, over 3! = 6.
+
+    Newt(I) is the intersection of the half-spaces w.x >= min_g w.g over
+    its facet normals w >= 0, and each facet normal is the cross product of
+    two of the facet's edge directions: generator differences and unit
+    vectors.  The other nonnegative cross products give valid half-spaces
+    too, so keeping all of them decides membership.  A point with some
+    a_d >= k * (the least pure power of X_d) is inside, so the count runs
+    over the box below those."""
+    gens = [tuple(g) for g in generators]
+    units = [tuple(int(k == d) for k in range(3)) for d in range(3)]
+    directions = [tuple(x - y for x, y in zip(g, h))
+                  for g, h in combinations(gens, 2)] + units
+    normals = set()
+    for u, v in combinations(directions, 2):
+        w = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+             u[0] * v[1] - u[1] * v[0])
+        if all(x <= 0 for x in w):
+            w = tuple(-x for x in w)
+        if any(w) and all(x >= 0 for x in w):
+            normals.add(w)
+
+    def dot(w, x):
+        return sum(p * q for p, q in zip(w, x))
+    halfspaces = [(w, min(dot(w, g) for g in gens)) for w in normals]
+    powers = [min(g[d] for g in gens if not any(g[:d] + g[d + 1:]))
+              for d in range(3)]
+
+    def outside(k):
+        return sum(1 for a in product(*(range(k * q) for q in powers))
+                   if any(dot(w, a) < k * c for w, c in halfspaces))
+    counts = [outside(k) for k in range(1, 5)]
+    third = counts[3] - 3 * counts[2] + 3 * counts[1] - counts[0]
+    return Fraction(third, 6)

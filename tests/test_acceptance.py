@@ -11,9 +11,8 @@ import pytest
 from monomial_segre.chow import ChowClass, base_ring, blow_up, pushforward
 from monomial_segre.errors import TowerDivergenceError
 from monomial_segre.lattice import presentation
-from monomial_segre.polytope import (HalfSimplex, classify_blowup_cells,
-                                     complement_configuration, hvol, lift_to_H,
-                                     placing_triangulation)
+from monomial_segre.polytope import (HalfSimplex, blowup_replay,
+                                     complement_configuration, hvol)
 from monomial_segre.segre import (blowup_invariance_check,
                                   residual_identity_check, segre_integral,
                                   segre_tower, simplex_contribution, verify)
@@ -82,10 +81,9 @@ def test_criterion_2_column_simplex(capsys):
 
 
 def test_criterion_3_blowup_replay(capsys):
-    parts = classify_blowup_cells(placing_triangulation(
-        lift_to_H(complement_configuration(STAIRCASE), 0, 1)), 0, 1)
-    sizes = (len(parts.U0), len(parts.U1), len(parts.Uprime),
-             len(parts.Udoubleprime))
+    replay = blowup_replay(complement_configuration(STAIRCASE), 0, 1)
+    sizes = (len(replay.U0), len(replay.U1), len(replay.Uprime),
+             len(replay.Udoubleprime))
     passed, _ = blowup_invariance_check(STAIRCASE, 0, 1,
                                         segre_integral(STAIRCASE, 6).series)
     ok = passed and sizes == (1, 1, 2, 1)

@@ -239,6 +239,24 @@ def test_render_rejects_n3(capsys):
     assert "n = 2" in err
 
 
+def test_render_is_not_refused_for_the_series_budget(capsys, monkeypatch):
+    # render builds no series, so a document's dmax puts no budget on it
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(
+        {"n": 2, "generators": [[3, 0], [1, 1], [0, 3]], "dmax": 400})))
+    code, out, err = run(capsys, ["render", "--input", "-"])
+    assert code == EXIT_OK and err == ""
+    assert out == run(capsys, ["render"] + STAIRCASE_ARGS)[1]
+
+
+def test_render_of_many_variables_names_its_own_limit(capsys):
+    # 20 variables at the default dmax 23 would be over the series budget
+    gens = ";".join(",".join(str(int(k == d)) for k in range(20))
+                    for d in range(20))
+    code, out, err = run(capsys, ["render", "--gens", gens])
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: render only supports n = 2\n"
+
+
 def test_render_refuses_a_picture_too_wide(capsys):
     # the picture is RENDER_MAX_UNITS = 500 lattice units across at 498
     code, out, _ = run(capsys, ["render", "--gens", "498,0;0,1"])

@@ -2,16 +2,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from monomial_segre.errors import (ClassificationError,
-                                   DegenerateConfigurationError,
+from monomial_segre.errors import (DegenerateConfigurationError,
                                    DimensionMismatchError, MonomialSegreError)
 from monomial_segre.lattice import presentation
 from monomial_segre.polytope import (ORDER_PRESETS, HalfSimplex,
-                                     PointConfiguration, alpha,
-                                     classify_blowup_cells,
+                                     PointConfiguration, blowup_replay,
                                      complement_configuration, configuration,
-                                     det, hvol, lift_to_H, link_cells,
-                                     placement_order, placing_triangulation)
+                                     det, hvol, lift_to_H, placement_order,
+                                     placing_triangulation)
 
 from oracles import placing_cells_by_rebuild
 
@@ -142,9 +140,7 @@ def test_lift_lists_its_points_in_placement_order():
 
 
 def test_classification_golden():
-    lifted = lift_to_H(complement_configuration(STAIRCASE), 0, 1)
-    t = placing_triangulation(lifted)
-    parts = classify_blowup_cells(t, 0, 1)
+    replay = blowup_replay(complement_configuration(STAIRCASE), 0, 1)
     named = {
         "U0": {frozenset({"v0", "v1", "v2", "a0"})},
         "U1": {frozenset({"v0", "v1", "v2", "a1"})},
@@ -152,44 +148,35 @@ def test_classification_golden():
                    frozenset({"v2", "a1", "a2", "a0"})},
         "Udoubleprime": {frozenset({"v1", "v2", "a1", "a2"})},
     }
+    cells = {"U0": replay.U0, "U1": [cell for cell, _ in replay.U1],
+             "Uprime": [cell for cell, _ in replay.Uprime],
+             "Udoubleprime": replay.Udoubleprime}
     for field, want in named.items():
-        got = {frozenset(c.provenance) for c in getattr(parts, field)}
-        assert got == want, field
+        assert {frozenset(c.provenance) for c in cells[field]} == want, field
 
 
 def test_alpha_golden():
-    lifted = lift_to_H(complement_configuration(STAIRCASE), 0, 1)
-    t = placing_triangulation(lifted)
-    parts = classify_blowup_cells(t, 0, 1)
+    replay = blowup_replay(complement_configuration(STAIRCASE), 0, 1)
     base = placing_triangulation(complement_configuration(STAIRCASE))
     base_keys = {frozenset(c.provenance): c.key() for c in base.cells}
-    images = {}
-    for cell in parts.Uprime + parts.U1:
-        images[frozenset(cell.provenance)] = alpha(cell, parts, 0).key()
-    assert images[frozenset({"v0", "v1", "v2", "a1"})] == \
-        base_keys[frozenset({"v0", "v1", "v2"})]
-    assert images[frozenset({"v0", "v2", "a1", "a0"})] == \
-        base_keys[frozenset({"v0", "v2", "a1"})]
-    assert images[frozenset({"v2", "a1", "a2", "a0"})] == \
-        base_keys[frozenset({"v2", "a1", "a2"})]
+    images = {frozenset(cell.provenance): image.key()
+              for cell, image in replay.Uprime + replay.U1}
+    assert images == {
+        frozenset({"v0", "v1", "v2", "a1"}):
+            base_keys[frozenset({"v0", "v1", "v2"})],
+        frozenset({"v0", "v2", "a1", "a0"}):
+            base_keys[frozenset({"v0", "v2", "a1"})],
+        frozenset({"v2", "a1", "a2", "a0"}):
+            base_keys[frozenset({"v2", "a1", "a2"})]}
 
 
 def test_links_match_base_triangulation():
-    lifted = lift_to_H(complement_configuration(STAIRCASE), 0, 1)
-    t = placing_triangulation(lifted)
+    replay = blowup_replay(complement_configuration(STAIRCASE), 0, 1)
     base = placing_triangulation(complement_configuration(STAIRCASE))
-    assert {c.key() for c in link_cells(t)} == {c.key() for c in base.cells}
-
-
-def test_classification_needs_lift():
-    # the base, or a lift placed in another order, does not place a0 last
-    c = complement_configuration(STAIRCASE)
-    lifted = lift_to_H(c, 0, 1)
-    for t in (placing_triangulation(c),
-              placing_triangulation(lifted, placement_order(lifted,
-                                                            "rays_first"))):
-        with pytest.raises(ClassificationError):
-            classify_blowup_cells(t, 0, 1)
+    assert {c.key() for c in replay.links} == {c.key() for c in base.cells}
+    # a U' cell's image is its link, the same object
+    assert all(any(image is link for link in replay.links)
+               for _, image in replay.Uprime)
 
 
 point2 = st.tuples(st.integers(0, 5), st.integers(0, 5))

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -13,13 +14,15 @@ from monomial_segre.segre import (blowup_invariance_check, default_degree_bound,
                                   orthant_triangulation,
                                   residual_identity_check, segre_integral,
                                   segre_tower, simplex_contribution, verify)
-from monomial_segre.polytope import (HalfSimplex, complement_configuration,
-                                     lift_to_H, placing_triangulation)
+from monomial_segre.polytope import (HalfSimplex, blowup_replay,
+                                     complement_configuration, lift_to_H,
+                                     placing_triangulation)
 from monomial_segre.principalize import admissible_pairs
 from monomial_segre.series import TruncatedSeries
 
-from oracles import (expand_terms, newton_region_area, random_presentation,
-                     simplex_contribution_by_products, symbols)
+from oracles import (expand_terms, newton_region_area, newton_region_volume,
+                     random_presentation, simplex_contribution_by_products,
+                     symbols)
 
 STAIRCASE = presentation(((3, 0), (1, 1), (0, 3)))
 
@@ -152,6 +155,22 @@ def test_top_coefficient_is_the_multiplicity_for_n2(a, b, extra):
         assert terms.get((1, 1), 0) == want, (p.generators, terms)
 
 
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+       st.lists(st.tuples(*[st.integers(0, 3)] * 3), max_size=2))
+@settings(max_examples=30, deadline=None)
+@example(1, 1, 1, [])
+@example(2, 2, 2, [(1, 1, 1)])
+def test_top_coefficient_is_the_multiplicity_for_n3(a, b, c, extra):
+    # the n = 3 case of the test above: e(I) = 6 vol(N), the volume an
+    # Ehrhart count of lattice points, again without the triangulation
+    p = presentation(sorted({(a, 0, 0), (0, b, 0), (0, 0, c), *extra}))
+    want = 6 * newton_region_volume(p.generators)
+    for result in (segre_integral(p, 4), segre_tower(p, 4)):
+        terms = result.series.terms
+        assert all(sum(e) >= 3 for e in terms), (p.generators, terms)
+        assert terms.get((1, 1, 1), 0) == want, (p.generators, terms)
+
+
 def test_residual_identity_golden_and_skip():
     p = presentation(((2, 1), (1, 2)))
     assert residual_identity_check(
@@ -191,6 +210,19 @@ def test_empty_scheme_under_declared_nils_is_zero():
 def test_blowup_invariance_staircase():
     assert blowup_invariance_check(
         STAIRCASE, 0, 1, segre_integral(STAIRCASE, 6).series) == (True, "")
+
+
+def test_blowup_invariance_fails_a_non_injective_alpha(monkeypatch):
+    # one more U1 cell, distinct from every other, whose image repeats an
+    # existing one: the image set still equals the link set
+    replay = blowup_replay(complement_configuration(STAIRCASE), 0, 1)
+    extra = (replay.Udoubleprime[0], replay.U1[0][1])
+    bad = dataclasses.replace(replay, U1=replay.U1 + (extra,))
+    monkeypatch.setattr(segre, "blowup_replay", lambda config, i, j: bad)
+    passed, detail = blowup_invariance_check(
+        STAIRCASE, 0, 1, segre_integral(STAIRCASE, 6).series)
+    assert not passed
+    assert "alpha is not a bijection onto the base cells" in detail.split("; ")
 
 
 @given(st.integers(0, 10 ** 6))
