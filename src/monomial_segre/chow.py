@@ -8,9 +8,12 @@ are nonempty as a simplicial complex, listed by its facets; a stratum is
 empty exactly when no facet contains it, on the base ring as on every level
 above.  Blowing up divisors i and j is the stellar subdivision of the edge
 {i, j}: each facet F through both becomes E + F - {i} and E + F - {j}, with E
-at position 0 and every lower divisor one position up (Cox-Little-Schenck,
-Toric Varieties, Sec. 3.3).  The variable names (E<d> for an exceptional
-divisor, a ~ prefix for a proper transform) are for display only.
+appended after every lower divisor (Cox-Little-Schenck, Toric Varieties,
+Sec. 3.3).  So a divisor keeps one position, its id, up the whole tower, and
+a facet not through both i and j is a facet of the level above as it is.
+The variable names (E<d> for an exceptional divisor, a ~ prefix for a proper
+transform) are for display only; `LevelRing.listing` is the order in which
+a tower lists them.
 
 Every divisor also has a ray in Z^n_{>=0}, over the n base divisors: X_k has
 e_k, and the exceptional divisor of the blow-up of {i, j} has v_i + v_j.  A
@@ -43,7 +46,7 @@ only meet an E^0 part.
 Which pushed terms lie on empty strata is known in advance when the upper
 class is reduced (every term's support lies in an upper facet):
   - every E^0 term lies on a nonempty lower stratum, since an upper facet
-    without E is a lower facet, or a lower facet minus i or j, shifted;
+    without E is a lower facet, or a lower facet minus i or j;
   - an E^{>=2} term has support R + {i, j}, where R is the support of its
     key Y^b, so it lies on a nonempty stratum exactly when R is inside
     F - {i, j} for a lower facet F through {i, j}: the *star* of the center
@@ -88,6 +91,15 @@ class LevelRing:
     @property
     def num_vars(self) -> int:
         return len(self.variables)
+
+    @property
+    def listing(self) -> tuple[int, ...]:
+        """The positions in the order a tower lists them: the exceptional
+        divisors newest first, then the base divisors in order.  The `tower`
+        trace prints variables in this order, and `select_center` breaks
+        ties by it."""
+        n = len(self.rays[0])
+        return tuple(range(self.num_vars - 1, n - 1, -1)) + tuple(range(n))
 
     def exponents(self, g: ExponentVector) -> ExponentVector:
         """The total transform of the base monomial g: its exponent g.v on
@@ -165,8 +177,9 @@ class ChowClass:
 
 @dataclass(frozen=True)
 class BlowupStep:
-    """One blow-up: the exceptional divisor is position 0 of `upper`, and
-    `center` holds the two blown-up positions of `lower`."""
+    """One blow-up: the exceptional divisor is the last position of `upper`,
+    every other position names the same divisor (or its proper transform) on
+    both rings, and `center` holds the two blown-up positions."""
 
     lower: LevelRing
     upper: LevelRing
@@ -176,8 +189,10 @@ class BlowupStep:
 def blow_up(r: LevelRing, i: int, j: int) -> BlowupStep:
     """Blow up along the intersection of the divisors at positions i and j:
     the stellar subdivision of the edge {i, j} of the lower ring's complex.
-    The exceptional divisor E<depth> goes in front, so lower position k is
-    upper position k + 1, and its ray is the sum of the two centers' rays."""
+    The exceptional divisor E<depth> goes last, at position r.num_vars, so
+    every lower position is the same upper position, and its ray is the sum
+    of the two centers' rays.  A facet not through both i and j is kept as
+    it is."""
     if i == j or not (0 <= i < r.num_vars and 0 <= j < r.num_vars):
         raise MonomialSegreError(
             f"center ({i}, {j}) is not two distinct positions among "
@@ -187,14 +202,13 @@ def blow_up(r: LevelRing, i: int, j: int) -> BlowupStep:
                                "is a known-empty intersection")
     facets = []
     for f in r.facets:
-        up = frozenset(k + 1 for k in f)
         if i in f and j in f:
-            facets += [up - {i + 1} | {0}, up - {j + 1} | {0}]
+            facets += [f - {i} | {r.num_vars}, f - {j} | {r.num_vars}]
         else:
-            facets.append(up)
-    variables = (f"E{r.depth + 1}",) + tuple(
-        "~" + lab if k in (i, j) else lab for k, lab in enumerate(r.variables))
-    rays = (tuple(map(add, r.rays[i], r.rays[j])),) + r.rays
+            facets.append(f)
+    variables = tuple("~" + lab if k in (i, j) else lab for k, lab in
+                      enumerate(r.variables)) + (f"E{r.depth + 1}",)
+    rays = r.rays + (tuple(map(add, r.rays[i], r.rays[j])),)
     upper = _BlownUpRing(variables, tuple(facets), rays, depth=r.depth + 1)
     return BlowupStep(r, upper, (i, j))
 
@@ -244,15 +258,14 @@ def pushforward(step: BlowupStep, c: ChowClass) -> ChowClass:
     if c.ring != step.upper:
         raise LevelMismatchError("class is not on the upper ring")
     pi, pj = step.center
-    ui, uj = pi + 1, pj + 1
     lower = step.lower
     star = [f - {pi, pj} for f in lower.facets if pi in f and pj in f]
     out: dict[tuple[int, ...], int] = {}
     # off-center key -> (x, y) -> coefficient, or False off the star
     deep: dict[tuple[int, ...], dict[tuple[int, int], int] | bool] = {}
     for e, v in c.series.terms.items():
-        k0, ai, aj = e[0], e[ui], e[uj]
-        low = e[1:]
+        k0, ai, aj = e[-1], e[pi], e[pj]
+        low = e[:-1]
         if not k0:
             # distinct terms with no E drop to distinct exponents
             out[low] = v

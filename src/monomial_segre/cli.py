@@ -252,10 +252,12 @@ def cmd_tower(args) -> int:
     doc["trace"] = {
         "strategy": CENTER_RULE,
         "iterations": len(trace.steps),
-        "terminal_divisor": list(trace.terminal_divisor),
+        "terminal_divisor": [trace.terminal_divisor[k]
+                             for k in trace.top_ring.listing],
         "steps": [{"center": [s.lower.variables[k] for k in s.center],
-                   "exceptional": s.upper.variables[0],
-                   "variables": list(s.upper.variables)}
+                   "exceptional": s.upper.variables[-1],
+                   "variables": [s.upper.variables[k]
+                                 for k in s.upper.listing]}
                   for s in trace.steps],
     }
     emit(doc)

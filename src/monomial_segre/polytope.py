@@ -243,7 +243,9 @@ def placing_triangulation(config: PointConfiguration,
 # -- blow-up lift and replay -------------------------------------------------
 
 def lift_to_H(config: PointConfiguration, i: int, j: int) -> PointConfiguration:
-    """Prepend the coordinate a0 = a_i + a_j; rays shift and gain the a0 ray.
+    """Append the coordinate a0 = a_i + a_j before the homogenizing entry,
+    and add the a0 ray; every base direction keeps its index, and a0 is
+    direction config.dim, where `chow.blow_up` puts the exceptional divisor.
 
     i and j are 0-based directions of the base configuration.  The lift lists
     its points in the one order it is placed in: the finite points, the rays
@@ -257,9 +259,10 @@ def lift_to_H(config: PointConfiguration, i: int, j: int) -> PointConfiguration:
     # first or the exceptional one
     placed = sorted(config.points,
                     key=lambda p: (1 - p[1][-1]) * (1 + p[1][i] + 2 * p[1][j]))
-    a0 = (1,) + (0,) * (config.dim + 1)
+    a0 = (0,) * config.dim + (1, 0)
     return PointConfiguration(config.dim + 1, tuple(
-        (lab, ((h[i] + h[j]) * h[-1],) + h) for lab, h in placed) + (("a0", a0),))
+        (lab, h[:-1] + ((h[i] + h[j]) * h[-1], h[-1])) for lab, h in placed)
+        + (("a0", a0),))
 
 
 @dataclass(frozen=True)
@@ -277,32 +280,33 @@ class BlowupReplay:
 
 
 def _contract(cell: HalfSimplex, drop_direction: int) -> HalfSimplex:
-    """Delete one infinite direction and the a0 coordinate of every vertex."""
-    dirs = frozenset(d - 1 for d in cell.infinite_directions if d != drop_direction)
-    finite = tuple(v[1:] for v in cell.finite_vertices)
+    """Delete one infinite direction and the last coordinate, a0, of every
+    vertex."""
+    dirs = cell.infinite_directions - {drop_direction}
+    finite = tuple(v[:-1] for v in cell.finite_vertices)
     return HalfSimplex(cell.dim - 1, finite, dirs, provenance=cell.provenance)
 
 
 def blowup_replay(config: PointConfiguration, i: int, j: int) -> BlowupReplay:
     """Place the lift of config (see `lift_to_H`) at the base center
-    directions i, j, which are directions i + 1 and j + 1 of the lift, and
-    split its cells.  A U1 cell's image contracts ray i + 1; a U' cell's
-    image is its link, which contracts a0."""
-    ci, cj = i + 1, j + 1
+    directions i, j, which keep their indices in the lift, and split its
+    cells.  A U1 cell's image contracts ray i; a U' cell's image is its
+    link, which contracts a0, direction config.dim."""
+    a0 = config.dim
     u0, u1, up, upp, links = [], [], [], [], []
     for cell in placing_triangulation(lift_to_H(config, i, j)).cells:
-        has0 = 0 in cell.infinite_directions
-        hasi = ci in cell.infinite_directions
-        hasj = cj in cell.infinite_directions
+        has0 = a0 in cell.infinite_directions
+        hasi = i in cell.infinite_directions
+        hasj = j in cell.infinite_directions
         if has0:
-            link = _contract(cell, 0)
+            link = _contract(cell, a0)
             links.append(link)
             if hasi or hasj:
                 up.append((cell, link))
             else:
                 u0.append(cell)
         elif hasi and not hasj:
-            u1.append((cell, _contract(cell, ci)))
+            u1.append((cell, _contract(cell, i)))
         elif hasi == hasj:
             upp.append(cell)
         else:

@@ -43,8 +43,10 @@ from .polytope import det
 # that job documents and outputs stay stable.
 CENTER_RULE = "euclid"
 
-# above the deepest tower seen on valid random draws: 230 levels, on
-# 2,4,1,0;3,0,0,3;4,0,3,0
+# a work bound, not the depth of the deepest tower: valid draws need 293
+# levels (n = 3) and up to 1,245 (n = 4), and the five-generator ideal 411.
+# It sits above the 230 levels of 2,4,1,0;3,0,0,3;4,0,3,0, the regression in
+# test_deep_towers_reach_a_divisor
 DEFAULT_CAP = 250
 
 
@@ -57,18 +59,6 @@ class TowerTrace:
     steps: tuple[BlowupStep, ...]
     top_ring: LevelRing
     terminal_divisor: ExponentVector
-
-
-def admissible_pairs(r: LevelRing, p: MonomialPresentation):
-    """Non-nil variable pairs (i, j) in which the exponents on r of two
-    generators of the base presentation p are incomparable."""
-    gens = [r.exponents(g) for g in p.generators]
-    for i, j in combinations(range(r.num_vars), 2):
-        if r.stratum_is_empty((i, j)):
-            continue
-        if any((u[i] - v[i]) * (u[j] - v[j]) < 0
-               for u, v in combinations(gens, 2)):
-            yield i, j
 
 
 def co_minimal(rows: Sequence[ExponentVector], a: int, b: int) -> bool:
@@ -96,11 +86,18 @@ def select_center(r: LevelRing, p: MonomialPresentation,
                   memo: dict | None = None) -> tuple[int, int] | None:
     """The center the rule of the module docstring picks on r for the base
     presentation p: the top-scoring slot of the first pair of minimal
-    generators that has one, ties to the least i, then the least j, or None.
+    generators that has one, or None.  Tied slots go to the i first in
+    `LevelRing.listing` (the newest exceptional divisor first, then the base
+    divisors in order), then to the j first there, and the pair comes back
+    in that order.
+
     Whether a pair is co-minimal on a facet depends only on the generators'
-    exponents over the facet's divisors (`co_minimal`), so the answer is
-    kept in memo under the pair and them, and a facet the blow-ups leave
-    alone is not asked again; a caller passes one memo per tower.
+    exponents over the facet's divisors (`co_minimal`).  Up one tower a
+    position names one divisor with one ray, so those exponents are fixed
+    by the facet, and the answer is kept in memo under the pair and the
+    facet: a facet the blow-ups leave alone is not asked again.  A memo
+    therefore serves one tower, of one p over one base ring, and a caller
+    passes a fresh one for each tower.
 
     None means p is a divisor on r.  Start at an interior point of a facet,
     at a minimal generator attaining the least exponent there, and walk to
@@ -111,24 +108,26 @@ def select_center(r: LevelRing, p: MonomialPresentation,
     minimal = [k for k, g in enumerate(gens)
                if not any(h != g and all(map(ge, g, h)) for h in gens)]
     rows = [r.exponents(g) for g in gens]
+    rank = {k: m for m, k in enumerate(r.listing)}
     memo = {} if memo is None else memo
     for a, b in combinations(minimal, 2):
         delta = tuple(map(sub, rows[a], rows[b]))
         slots = set()
-        for f in map(sorted, r.facets):
+        for f in r.facets:
             above = [i for i in f if delta[i] > 0]
             below = [j for j in f if delta[j] < 0]
             if not (above and below):
                 continue
-            key = (a, b, tuple(tuple(row[k] for k in f) for row in rows))
+            key = (a, b, f)
             if key not in memo:
-                memo[key] = co_minimal(key[2], a, b)
+                memo[key] = co_minimal(
+                    [tuple(row[k] for k in f) for row in rows], a, b)
             if memo[key]:
-                slots.update((delta[i] - delta[j], i, j)
+                slots.update((delta[j] - delta[i], rank[i], rank[j])
                              for i in above for j in below)
         if slots:
-            _, i, j = max(slots, key=lambda s: (s[0], -s[1], -s[2]))
-            return (i, j) if i < j else (j, i)
+            _, ri, rj = min(slots)  # the top score, then the least ranks
+            return r.listing[min(ri, rj)], r.listing[max(ri, rj)]
     return None
 
 

@@ -17,8 +17,7 @@ from math import comb
 
 from . import chow
 from .chow import ChowClass, LevelRing, base_ring, pushforward, reduce_nils
-from .principalize import (TowerTrace, admissible_pairs,
-                           principalize as run_principalize)
+from .principalize import TowerTrace, principalize as run_principalize
 from .errors import MonomialSegreError, TermBudgetError, TowerDivergenceError
 from .lattice import (MonomialPresentation, residual_split, support,
                       support_cover_check)
@@ -334,6 +333,18 @@ def blowup_invariance_check(p: MonomialPresentation, i: int, j: int,
     if (TruncatedSeries.one(n, degree_bound) - base_sum) != integral:
         failures.append("link triangulation total differs from the base integral")
     return not failures, "; ".join(failures)
+
+
+def admissible_pairs(r: LevelRing, p: MonomialPresentation):
+    """Non-nil variable pairs (i, j) in which the exponents on r of two
+    generators of the base presentation p are incomparable: the centers
+    `verify` checks blow-up invariance at."""
+    gens = [r.exponents(g) for g in p.generators]
+    for i, j in combinations(range(r.num_vars), 2):
+        if not r.stratum_is_empty((i, j)) and any(
+                (u[i] - v[i]) * (u[j] - v[j]) < 0
+                for u, v in combinations(gens, 2)):
+            yield i, j
 
 
 @dataclass(frozen=True)

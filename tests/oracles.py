@@ -70,18 +70,18 @@ def random_presentation(rnd):
 
 def substitute_center(terms, pi, pj, sign):
     """Binomial substitution at the two center positions of terms laid out
-    as (E, Y_1, ..., Y_n): each center power Y^a becomes (Y + sign E)^a,
+    as (Y_1, ..., Y_n, E): each center power Y^a becomes (Y + sign E)^a,
     expanded term by term.  Sign -1 rewrites the transforms Y~ as Y - E, for
     a push-forward; sign +1 pulls Y back to Y~ + E."""
     working = {}
     for e, c in terms.items():
-        ai, aj = e[pi + 1], e[pj + 1]
+        ai, aj = e[pi], e[pj]
         for r1 in range(ai + 1):
             for r2 in range(aj + 1):
                 t = list(e)
-                t[0] += r1 + r2
-                t[pi + 1] -= r1
-                t[pj + 1] -= r2
+                t[-1] += r1 + r2
+                t[pi] -= r1
+                t[pj] -= r2
                 t = tuple(t)
                 v = sign ** (r1 + r2) * comb(ai, r1) * comb(aj, r2) * c
                 working[t] = working.get(t, 0) + v
@@ -91,27 +91,27 @@ def substitute_center(terms, pi, pj, sign):
 def pullback(terms, pi, pj):
     """p* down one blow-up on plain term dicts over (Y_1, ..., Y_n): each
     center variable maps to its transform plus E, every other variable to
-    its transform.  Returns the nonzero terms over (E, Y~_1, ..., Y~_n)."""
-    lifted = {(0,) + e: c for e, c in terms.items()}
+    its transform.  Returns the nonzero terms over (Y~_1, ..., Y~_n, E)."""
+    lifted = {e + (0,): c for e, c in terms.items()}
     return {e: c for e, c in substitute_center(lifted, pi, pj, 1).items() if c}
 
 
 def total_transform(generators, steps):
     """The generators' exponents on the top level of a tower, one blow-up at
     a time: above the blow-up of {i, j}, a generator g gains the exponent
-    g_i + g_j on the new exceptional divisor, in front, and keeps its other
+    g_i + g_j on the new exceptional divisor, last, and keeps its other
     entries on the proper transforms."""
     gens = [tuple(g) for g in generators]
     for step in steps:
         pi, pj = step.center
-        gens = [(g[pi] + g[pj],) + g for g in gens]
+        gens = [g + (g[pi] + g[pj],) for g in gens]
     return gens
 
 
 def pushforward_by_normal_form(terms, pi, pj):
     """Push-forward down one blow-up by normal form, on plain term dicts.
 
-    terms maps exponents over the upper layout (E, Y~_1, ..., Y~_n) to
+    terms maps exponents over the upper layout (Y~_1, ..., Y~_n, E) to
     coefficients; pi, pj are the 0-based center positions among the Y.
     Substitute Y~_center -> Y - E, rewrite E^k (k >= 2) with
     E^2 = E(Y_i + Y_j) - Y_i Y_j until every power of E is below 2, then keep
@@ -121,18 +121,17 @@ def pushforward_by_normal_form(terms, pi, pj):
     work = list(working.items())
     while work:
         e, c = work.pop()
-        if e[0] < 2:
+        if e[-1] < 2:
             reduced[e] = reduced.get(e, 0) + c
             continue
         base = list(e)
-        base[0] -= 2
-        for bumps, sign in (((0, pi + 1), 1), ((0, pj + 1), 1),
-                            ((pi + 1, pj + 1), -1)):
+        base[-1] -= 2
+        for bumps, sign in (((-1, pi), 1), ((-1, pj), 1), ((pi, pj), -1)):
             t = list(base)
             for pos in bumps:
                 t[pos] += 1
             work.append((tuple(t), sign * c))
-    return {e[1:]: c for e, c in reduced.items() if e[0] == 0 and c}
+    return {e[:-1]: c for e, c in reduced.items() if e[-1] == 0 and c}
 
 
 def pushforward_by_substitution(terms, pi, pj):
@@ -145,12 +144,12 @@ def pushforward_by_substitution(terms, pi, pj):
     working = substitute_center(terms, pi, pj, -1)
     out = {}
     for e, c in working.items():
-        k = e[0]
+        k = e[-1]
         if k == 0:
-            out[e[1:]] = out.get(e[1:], 0) + c
+            out[e[:-1]] = out.get(e[:-1], 0) + c
         # the monomials Y_i^(r+1) Y_j^(k-1-r) of Y_i Y_j h_{k-2}; none for k < 2
         for r in range(k - 1):
-            t = list(e[1:])
+            t = list(e[:-1])
             t[pi] += r + 1
             t[pj] += k - 1 - r
             t = tuple(t)
@@ -165,7 +164,7 @@ def stratum_is_empty_by_recursion(dim, nil_pairs, steps, labels):
     dim is the ambient dimension, nil_pairs the label pairs declared not to
     meet on the base, and steps the blow-ups above the base, lowest first;
     every stratum here is a set of labels, each center read off its lower
-    ring's labels and each exceptional divisor off its upper ring's first.
+    ring's labels and each exceptional divisor off its upper ring's last.
     On the base a stratum is empty when it has more than dim labels or
     contains a nil pair.  Above a blow-up of
     {i, j} with exceptional E: the proper transforms of i and j are
@@ -181,7 +180,7 @@ def stratum_is_empty_by_recursion(dim, nil_pairs, steps, labels):
         return any(frozenset(pair) <= s for pair in nil_pairs)
     step = steps[-1]
     i, j = (step.lower.variables[k] for k in step.center)
-    exceptional = step.upper.variables[0]
+    exceptional = step.upper.variables[-1]
     low = {lab[1:] if lab in ("~" + i, "~" + j) else lab
            for lab in s - {exceptional}}
     if {i, j} <= low:

@@ -178,7 +178,7 @@ def test_criterion_8_pushforward_identities(capsys):
     ]
     step2 = blow_up(base_ring(2), 0, 1)
     e_class = TruncatedSeries.one(3, bound) - \
-        reciprocal_one_plus((1, 0, 0), bound)
+        reciprocal_one_plus((0, 0, 1), bound)
     X1, X2 = symbols(2)
     want = expand_terms(X1 * X2 / ((1 + X1) * (1 + X2)), (X1, X2), bound)
     checks.append(

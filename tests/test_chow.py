@@ -71,7 +71,7 @@ def test_stratum_size_cap():
 def test_blow_up_labels_and_nils():
     r = base_ring(2)
     step = blow(r, "X1", "X2")
-    assert step.upper.variables == ("E1", "~X1", "~X2")
+    assert step.upper.variables == ("~X1", "~X2", "E1")
     assert [pair for pair in combinations(step.upper.variables, 2)
             if step.upper.stratum_is_empty(at(step.upper, pair))] == \
         [("~X1", "~X2")]
@@ -98,7 +98,7 @@ def test_blow_up_checks_its_positions():
         blow_up(r_nil, 0, 2)
     up = blow_up(r_nil, 0, 1).upper
     with pytest.raises(EmptyCenterError, match=r"center \(~a, ~b\)"):
-        blow_up(up, 1, 2)
+        blow_up(up, 0, 1)
 
 
 def test_exceptional_pair_tracking_uses_lower_triples():
@@ -131,16 +131,16 @@ def test_exceptional_label_may_repeat_a_base_label():
     # the new E1 is not the base divisor E1, whose transform is ~E1
     step = blow(base_ring(2, labels=("E1", "X2")), "E1", "X2")
     up = step.upper
-    assert up.variables == ("E1", "~E1", "~X2")
+    assert up.variables == ("~E1", "~X2", "E1")
     assert sorted(sorted(up.variables[k] for k in f) for f in up.facets) == \
         [["E1", "~E1"], ["E1", "~X2"]]
 
 
 def test_exponents_are_read_off_the_rays():
     step = blow(base_ring(2), "X1", "X2")
-    assert step.upper.rays == ((1, 1), (1, 0), (0, 1))
+    assert step.upper.rays == ((1, 0), (0, 1), (1, 1))
     assert [step.upper.exponents(g) for g in ((3, 0), (1, 1), (0, 3))] == \
-        [(3, 3, 0), (2, 1, 1), (3, 0, 3)]
+        [(3, 0, 3), (1, 1, 2), (0, 3, 3)]
     # a monomial over any other width would be truncated by the dot product
     for g in ((1,), (1, 0, 0)):
         with pytest.raises(LevelMismatchError):
@@ -219,7 +219,7 @@ def test_pushforward_exceptional_segre():
     # E/(1+E) downstairs is X1 X2 / ((1+X1)(1+X2))
     step = blow(base_ring(2), "X1", "X2")
     up = step.upper
-    ecls = TruncatedSeries.one(3, BOUND) - reciprocal_one_plus((1, 0, 0), BOUND)
+    ecls = TruncatedSeries.one(3, BOUND) - reciprocal_one_plus((0, 0, 1), BOUND)
     got = pushforward(step, ChowClass(up, ecls)).series
     X1, X2 = symbols(2)
     want = expand_terms(X1 * X2 / ((1 + X1) * (1 + X2)), (X1, X2), BOUND)
@@ -239,15 +239,15 @@ def upper_classes(draw):
     order."""
     n = draw(st.sampled_from([2, 3]))
     i, j = draw(st.sampled_from(list(permutations(range(n), 2))))
-    exponents = st.tuples(st.integers(0, 6), *[st.integers(0, 2)] * n)
+    exponents = st.tuples(*[st.integers(0, 2)] * n, st.integers(0, 6))
     return n, i, j, draw(st.dictionaries(exponents, st.integers(-4, 4),
                                          max_size=8))
 
 
 # E ~X1 X3 and E^2 X3 share the off-center part X3, and their E^{>=2} parts,
 # +X1 X2 X3 and -X1 X2 X3, cancel in its table: the class pushes to zero
-@example((3, 0, 1, {(1, 1, 0, 1): 1, (2, 0, 0, 1): 1}))
-@example((3, 1, 0, {(1, 1, 0, 1): 1, (2, 0, 0, 1): 1}))
+@example((3, 0, 1, {(1, 0, 1, 1): 1, (0, 0, 1, 2): 1}))
+@example((3, 1, 0, {(1, 0, 1, 1): 1, (0, 0, 1, 2): 1}))
 @given(upper_classes())
 @settings(max_examples=80, deadline=None)
 def test_pushforward_closed_form_matches_normal_form(case):
@@ -270,9 +270,9 @@ def test_reduce_nils_drops_empty_supports():
 def test_reduce_nils_drops_deep_supports():
     # support wider than the ambient dimension is an empty stratum
     step = blow(base_ring(2), "X1", "X2")
-    s = TruncatedSeries(3, 4, {(1, 1, 1): 1, (2, 1, 0): 3})
+    s = TruncatedSeries(3, 4, {(1, 1, 1): 1, (1, 0, 2): 3})
     out = reduce_nils(step.upper, s)
-    assert out.terms == {(2, 1, 0): Fraction(3)}
+    assert out.terms == {(1, 0, 2): Fraction(3)}
 
 
 def test_scheme_is_empty_basic():
@@ -289,7 +289,7 @@ def test_scheme_is_divisor():
     assert scheme_is_divisor(r, presentation(((1, 0), (0, 1)))) is None
     # one blow-up up, the base presentation's total transform is E1
     up = blow(r, "X1", "X2").upper
-    assert scheme_is_divisor(up, presentation(((1, 0), (0, 1)))) == (1, 0, 0)
+    assert scheme_is_divisor(up, presentation(((1, 0), (0, 1)))) == (0, 0, 1)
     r_nil = base_ring(2, nil_pairs=[("X1", "X2")])
     assert scheme_is_divisor(
         r_nil, presentation(((2, 1), (1, 2)))) == (1, 1)
@@ -420,7 +420,7 @@ def test_pushforward_leaves_out_deep_terms_off_the_star():
     # with X1 cap X3 empty, ~X2^2 X3 lies on the nonempty stratum ~X2 cap X3
     # upstairs; its E^2 part -X1 X2 X3 would lie on an empty one downstairs
     step = blow(base_ring(3, nil_pairs=[("X1", "X3")]), "X1", "X2")
-    c = ChowClass(step.upper, TruncatedSeries(4, BOUND, {(0, 0, 2, 1): 1}))
+    c = ChowClass(step.upper, TruncatedSeries(4, BOUND, {(0, 2, 1, 0): 1}))
     assert pushforward_by_substitution(c.series.terms, 0, 1) == \
         {(0, 2, 1): 1, (1, 1, 1): -1}
     assert pushforward(step, c).series.terms == {(0, 2, 1): 1}
@@ -443,7 +443,7 @@ def test_pushforward_of_a_reduced_class_is_the_reduced_substitution(tower,
     # any three factors, then up to three of one center transform: a power
     # of a transform is what reaches E^{>=2} outside the star
     monomials = st.tuples(st.lists(st.integers(0, up.num_vars - 1), max_size=3),
-                          st.sampled_from([pi + 1, pj + 1]), st.integers(0, 3))
+                          st.sampled_from([pi, pj]), st.integers(0, 3))
     drawn = data.draw(st.lists(st.tuples(monomials, st.integers(-4, 4)),
                                max_size=8))
     terms = {tuple((pos + [t] * a).count(k) for k in range(up.num_vars)): v

@@ -124,8 +124,8 @@ def test_placement_order_presets():
 def test_lift_to_H_coordinates():
     lifted = lift_to_H(complement_configuration(STAIRCASE), 0, 1)
     assert lifted.points == (
-        ("v0", (3, 3, 0, 1)), ("v1", (2, 1, 1, 1)), ("v2", (3, 0, 3, 1)),
-        ("a1", (0, 1, 0, 0)), ("a2", (0, 0, 1, 0)), ("a0", (1, 0, 0, 0)))
+        ("v0", (3, 0, 3, 1)), ("v1", (1, 1, 2, 1)), ("v2", (0, 3, 3, 1)),
+        ("a1", (1, 0, 0, 0)), ("a2", (0, 1, 0, 0)), ("a0", (0, 0, 1, 0)))
 
 
 def test_lift_lists_its_points_in_placement_order():

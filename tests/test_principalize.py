@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from monomial_segre.chow import base_ring, blow_up, scheme_is_divisor
 from monomial_segre.errors import TowerDivergenceError
 from monomial_segre.lattice import presentation
-from monomial_segre.principalize import (admissible_pairs, co_minimal,
-                                         principalize, select_center)
+from monomial_segre.principalize import (co_minimal, principalize,
+                                         select_center)
+from monomial_segre.segre import admissible_pairs
 
 from oracles import random_presentation, slot_scores
 
@@ -29,14 +30,14 @@ def test_select_center_none_for_principal():
 
 def test_level_one_center_under_lex():
     # the staircase ideal after blowing up the origin: its generators read
-    # (3,3,0), (2,1,1), (3,0,3) in (E1, ~X1, ~X2), where the two strict
+    # (3,0,3), (1,1,2), (0,3,3) in (~X1, ~X2, E1), where the two strict
     # transforms no longer meet.  The lexicographically first admissible
-    # pair is (0, 1); the center rule works the first pair of minimal
-    # generators at its top-scoring slot instead
+    # pair is (~X1, E1); the center rule works the first pair of minimal
+    # generators at its top-scoring slot, (E1, ~X2), instead
     r = blow_up(base_ring(2), 0, 1).upper
     p = presentation(((3, 0), (1, 1), (0, 3)))
-    assert list(admissible_pairs(r, p)) == [(0, 1), (0, 2)]
-    assert select_center(r, p) == (0, 2)
+    assert list(admissible_pairs(r, p)) == [(0, 2), (1, 2)]
+    assert select_center(r, p) == (2, 1)
 
 
 @st.composite
@@ -217,3 +218,35 @@ def test_the_termination_measure_falls_along_every_tower():
                 assert below_in_multiset_order(
                     levels[k + 1][worked[k]].values(), scores.values()), \
                     (p.generators, k)
+
+
+def test_the_tower_memo_picks_the_center_a_fresh_memo_picks():
+    # principalize keeps one memo for a whole tower, keyed by facet; on
+    # every level of every tower, the center it blew up is the one
+    # select_center picks with a memo of its own
+    deep = presentation(((0, 5, 1), (1, 0, 3), (2, 1, 4), (4, 0, 2)))
+    depths = []
+    for p in MEASURED_TOWERS + [deep]:
+        trace = principalize(base_ring(p.num_vars), p)
+        depths.append(len(trace.steps))
+        for step in trace.steps:
+            assert select_center(step.lower, p) == step.center, \
+                (p.generators, step.lower.depth)
+    assert depths[-1] == 83
+
+
+def test_a_tie_goes_to_the_slot_first_in_listing_order():
+    # one blow-up up, (3,1,3), (4,0,1) has two top slots, (E1, ~X1) and
+    # (X2, ~X1).  The listing puts E1, the newest exceptional divisor, first,
+    # although its position is the last one
+    p = presentation(((3, 1, 3), (4, 0, 1)))
+    trace = principalize(base_ring(3), p)
+    r = trace.steps[1].lower
+    assert r.variables == ("~X1", "X2", "~X3", "E1")
+    assert [r.variables[k] for k in r.listing] == ["E1", "~X1", "X2", "~X3"]
+    (scores,) = slot_scores(p.generators, trace.steps[:1], r.facets)
+    top = max(scores.values())
+    assert sorted(sorted(r.variables[k] for k in edge)
+                  for edge, s in scores.items() if s == top) == \
+        [["E1", "~X1"], ["X2", "~X1"]]
+    assert [r.variables[k] for k in select_center(r, p)] == ["E1", "~X1"]

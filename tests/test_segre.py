@@ -2,22 +2,22 @@ import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from monomial_segre import segre
+from monomial_segre import chow, segre
 from monomial_segre.chow import base_ring
 from monomial_segre.lattice import presentation
-from monomial_segre.segre import (blowup_invariance_check, default_degree_bound,
-                                  orthant_triangulation,
+from monomial_segre.segre import (admissible_pairs, blowup_invariance_check,
+                                  default_degree_bound, orthant_triangulation,
                                   residual_identity_check, segre_integral,
                                   segre_tower, simplex_contribution, verify)
 from monomial_segre.polytope import (HalfSimplex, blowup_replay,
                                      complement_configuration, lift_to_H,
                                      placing_triangulation)
-from monomial_segre.principalize import admissible_pairs
 from monomial_segre.series import TruncatedSeries
 
 from oracles import (expand_terms, newton_region_area, newton_region_volume,
@@ -210,6 +210,23 @@ def test_empty_scheme_under_declared_nils_is_zero():
 def test_blowup_invariance_staircase():
     assert blowup_invariance_check(
         STAIRCASE, 0, 1, segre_integral(STAIRCASE, 6).series) == (True, "")
+
+
+@pytest.mark.parametrize("p", [STAIRCASE,
+                               presentation(((2, 0, 1), (0, 3, 1), (1, 1, 0)))])
+def test_the_lift_and_the_blown_up_ring_share_one_layout(p):
+    # blowup_invariance_check pushes the lifted cells' series down with
+    # chow.pushforward, so a lifted coordinate must be the ring's divisor
+    # at the same position: each generator's point is its exponents on the
+    # blown-up ring, and the a0 ray points at the exceptional divisor
+    n = p.num_vars
+    for i, j in permutations(range(n), 2):
+        up = chow.blow_up(base_ring(n), i, j).upper
+        points = lift_to_H(complement_configuration(p), i, j).homogeneous
+        for k, g in enumerate(p.generators):
+            assert points[f"v{k}"] == up.exponents(g) + (1,), (i, j, g)
+        e = up.variables.index(f"E{up.depth}")
+        assert points["a0"] == tuple(int(m == e) for m in range(n + 1)) + (0,)
 
 
 def test_blowup_invariance_fails_a_non_injective_alpha(monkeypatch):
