@@ -24,7 +24,7 @@ import sys
 from .chow import base_ring
 from .errors import MonomialSegreError, TermBudgetError, TowerDivergenceError
 from .lattice import MonomialPresentation, presentation
-from .polytope import ORDER_PRESETS, hvol
+from .polytope import ORDER_PRESETS
 from .principalize import CENTER_RULE
 from .segre import (default_degree_bound, orthant_triangulation, segre_integral,
                     segre_tower, simplex_contribution, split_cells, verify)
@@ -294,7 +294,7 @@ def cmd_triangulate(args) -> int:
                 "infinite_directions": sorted(d + 1 for d in
                                               cell.infinite_directions),
                 "provenance": list(cell.provenance),
-                "hvol": hvol(cell),
+                "hvol": cell.volume,
                 "contribution": simplex_contribution(cell, dmax)}
 
     doc = presentation_doc(p, dmax)

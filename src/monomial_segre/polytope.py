@@ -4,12 +4,14 @@ the blow-up invariance check reads.
 
 Vertices at infinity are handled homogeneously: a finite point v becomes
 (v, 1), the ray in coordinate direction j becomes (e_j, 0).  Every predicate
-is the sign of an integer determinant, so there is no epsilon anywhere.
+is the sign of an integer determinant, so there is no epsilon anywhere, and
+the determinant that places a cell is its normalized volume, which the cell
+keeps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -21,12 +23,24 @@ Label = str
 
 
 def det(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
+    """Exact determinant of a square integer matrix.
+
+    Sizes 0 to 5, the sizes placing in dimension 4 or less and the center
+    rule's minors take, have closed forms: 2x2 products, the 3x3 cofactor
+    expansion, and the Laplace expansion by the first two rows for 4x4 (over
+    the 2x2 minors of the last two) and 5x5 (over the 3x3 minors of the last
+    three).  Larger matrices go through fraction-free Bareiss elimination.
+    A matrix that is not square raises `DimensionMismatchError` at every
+    size."""
     n = len(rows)
+    if n < len(_CLOSED_FORMS):
+        try:
+            return _CLOSED_FORMS[n](rows)
+        except ValueError:   # a row of the wrong length did not unpack
+            raise DimensionMismatchError(
+                "determinant of a non-square matrix") from None
     if any(len(r) != n for r in rows):
         raise DimensionMismatchError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
     m = [list(r) for r in rows]
     sign = 1
     prev = 1
@@ -45,6 +59,68 @@ def det(rows: Sequence[Sequence[int]]) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def _det0(rows):
+    return 1
+
+
+def _det1(rows):
+    (a0,), = rows
+    return a0
+
+
+def _det2(rows):
+    (a0, a1), (b0, b1) = rows
+    return a0 * b1 - a1 * b0
+
+
+def _det3(rows):
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
+    return (a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0)
+            + a2 * (b0 * c1 - b1 * c0))
+
+
+def _det4(rows):
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), \
+        (d0, d1, d2, d3) = rows
+    return ((a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+            - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+            + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+            + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+            - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+            + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0))
+
+
+def _det5(rows):
+    (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4), (c0, c1, c2, c3, c4), \
+        (d0, d1, d2, d3, d4), (e0, e1, e2, e3, e4) = rows
+    # mKL: the 2x2 minors of the last two rows on columns K, L
+    m01 = d0 * e1 - d1 * e0
+    m02 = d0 * e2 - d2 * e0
+    m03 = d0 * e3 - d3 * e0
+    m04 = d0 * e4 - d4 * e0
+    m12 = d1 * e2 - d2 * e1
+    m13 = d1 * e3 - d3 * e1
+    m14 = d1 * e4 - d4 * e1
+    m23 = d2 * e3 - d3 * e2
+    m24 = d2 * e4 - d4 * e2
+    m34 = d3 * e4 - d4 * e3
+    # each 2x2 minor of the first two rows times the 3x3 minor of the last
+    # three on the other columns, signed by the columns' parity
+    return ((a0 * b1 - a1 * b0) * (c2 * m34 - c3 * m24 + c4 * m23)
+            - (a0 * b2 - a2 * b0) * (c1 * m34 - c3 * m14 + c4 * m13)
+            + (a0 * b3 - a3 * b0) * (c1 * m24 - c2 * m14 + c4 * m12)
+            - (a0 * b4 - a4 * b0) * (c1 * m23 - c2 * m13 + c3 * m12)
+            + (a1 * b2 - a2 * b1) * (c0 * m34 - c3 * m04 + c4 * m03)
+            - (a1 * b3 - a3 * b1) * (c0 * m24 - c2 * m04 + c4 * m02)
+            + (a1 * b4 - a4 * b1) * (c0 * m23 - c2 * m03 + c3 * m02)
+            + (a2 * b3 - a3 * b2) * (c0 * m14 - c1 * m04 + c4 * m01)
+            - (a2 * b4 - a4 * b2) * (c0 * m13 - c1 * m03 + c3 * m01)
+            + (a3 * b4 - a4 * b3) * (c0 * m12 - c1 * m02 + c2 * m01))
+
+
+_CLOSED_FORMS = (_det0, _det1, _det2, _det3, _det4, _det5)
 
 
 @dataclass(frozen=True)
@@ -84,12 +160,19 @@ def configuration(dim: int, finite_points: Iterable[tuple[Label, ExponentVector]
 
 @dataclass(frozen=True)
 class HalfSimplex:
-    """Simplex with finite vertices plus unbounded coordinate directions."""
+    """Simplex with finite vertices plus unbounded coordinate directions,
+    and its normalized volume.
+
+    A placed cell carries the volume its placing computed (see
+    `placing_triangulation` and `_contract`); a cell built without one gets
+    it from its geometry, by `hvol`.  The volume takes no part in equality
+    or hashing, which, like `key`, see only the geometry and provenance."""
 
     dim: int
     finite_vertices: tuple[ExponentVector, ...]
     infinite_directions: frozenset[int]
     provenance: tuple[Label, ...] = ()
+    volume: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "finite_vertices",
@@ -101,6 +184,8 @@ class HalfSimplex:
                 raise DimensionMismatchError(f"vertex {v} has length {len(v)}")
         if len(self.finite_vertices) - 1 + len(self.infinite_directions) > self.dim:
             raise MonomialSegreError("too many vertices for the ambient dimension")
+        if self.volume is None:
+            object.__setattr__(self, "volume", hvol(self))
 
     def key(self):
         """Identity of the simplex as a geometric object (vertex order ignored)."""
@@ -114,8 +199,12 @@ class Triangulation:
 
 
 def hvol(s: HalfSimplex) -> int:
-    """Normalized volume (Euclidean volume times the dimension factorial):
-    |det| of the edge vectors after projecting along the infinite directions."""
+    """Normalized volume (Euclidean volume times the dimension factorial)
+    from the geometry: |det| of the edge vectors after projecting along the
+    infinite directions.  It equals |det| of the cell's homogeneous vectors,
+    (v, 1) for a vertex and (e_d, 0) for a direction, by expansion along
+    the direction rows.  Only a cell built without a volume is measured
+    here; a placed cell keeps the one its placing computed."""
     keep = [i for i in range(s.dim) if i not in s.infinite_directions]
     proj = [tuple(v[i] for i in keep) for v in s.finite_vertices]
     edges = [tuple(a - b for a, b in zip(v, proj[0])) for v in proj[1:]]
@@ -153,12 +242,13 @@ def placement_order(config: PointConfiguration, preset: str) -> list[Label]:
 
 
 def _cell_from_labels(config: PointConfiguration, labels: Iterable[Label],
-                      order_index: dict[Label, int]) -> HalfSimplex:
+                      order_index: dict[Label, int], volume: int) -> HalfSimplex:
     hom = config.homogeneous
     labs = sorted(labels, key=lambda l: order_index[l])
     finite = tuple(hom[lab][:-1] for lab in labs if hom[lab][-1])
     dirs = frozenset(hom[lab].index(1) for lab in labs if not hom[lab][-1])
-    return HalfSimplex(config.dim, finite, dirs, provenance=tuple(labs))
+    return HalfSimplex(config.dim, finite, dirs, provenance=tuple(labs),
+                       volume=volume)
 
 
 def placing_triangulation(config: PointConfiguration,
@@ -178,6 +268,13 @@ def placing_triangulation(config: PointConfiguration,
     over x puts x in place of each vertex v in turn, which gives the new
     cell's facet opposite v; swapping x and v negates the determinant, so
     that facet keeps the sign of f.  A facet two new cells share is interior.
+
+    The test's determinant is also the new cell's normalized volume: up to
+    sign, det(f + x) is the determinant of the cell's homogeneous vectors,
+    which `hvol` reads off its geometry, and s * det(f + x) is positive
+    exactly when x sees f.  So each cell keeps s * det(f + x) from the test
+    that created it, and the starting cell |det(basis)|; no cell is
+    measured twice.
     """
     hom = config.homogeneous
     order = [lab for lab, _ in config.points] if order is None else list(order)
@@ -211,10 +308,11 @@ def placing_triangulation(config: PointConfiguration,
         raise DegenerateConfigurationError(
             "no full-dimensional starting simplex exists in the given order")
 
-    cells: list[frozenset[Label]] = [frozenset(basis)]
     # det(facet k + basis[k]) is (-1)^(dim-k) det(basis), and the facet's
     # outward sign is the opposite of that
-    sign = 1 if det([hom[b] for b in basis]) > 0 else -1
+    start = det([hom[b] for b in basis])
+    cells: list[tuple[frozenset[Label], int]] = [(frozenset(basis), abs(start))]
+    sign = 1 if start > 0 else -1
     boundary: dict[frozenset[Label], tuple[tuple[Label, ...], int]] = {}
     for k in range(d1):
         facet = tuple(basis[:k] + basis[k + 1:])
@@ -222,11 +320,14 @@ def placing_triangulation(config: PointConfiguration,
 
     for lab in skipped + order[consumed:]:
         x = hom[lab]
-        seen = [(key, facet, s) for key, (facet, s) in boundary.items()
-                if s * det([hom[f] for f in facet] + [x]) > 0]
-        for key, facet, s in seen:
+        seen = []
+        for key, (facet, s) in boundary.items():
+            volume = s * det([hom[f] for f in facet] + [x])
+            if volume > 0:
+                seen.append((key, facet, s, volume))
+        for key, facet, s, volume in seen:
             del boundary[key]
-            cells.append(key | {lab})
+            cells.append((key | {lab}, volume))
             for k in range(len(facet)):
                 new = facet[:k] + (lab,) + facet[k + 1:]
                 new_key = frozenset(new)
@@ -235,7 +336,8 @@ def placing_triangulation(config: PointConfiguration,
 
     order_index = {lab: k for k, lab in enumerate(order)}
     cell_objs = tuple(sorted(
-        (_cell_from_labels(config, c, order_index) for c in cells),
+        (_cell_from_labels(config, c, order_index, volume)
+         for c, volume in cells),
         key=lambda s: s.provenance))
     return Triangulation(cell_objs, tuple(order))
 
@@ -281,10 +383,20 @@ class BlowupReplay:
 
 def _contract(cell: HalfSimplex, drop_direction: int) -> HalfSimplex:
     """Delete one infinite direction and the last coordinate, a0, of every
-    vertex."""
+    vertex.  The image keeps the cell's volume.
+
+    In the cell's homogeneous matrix, a vertex row is (v, v_i + v_j, 1)
+    and a direction row (e_d, 0, 0), or (0, 1, 0) for a0.  Contracting a0
+    deletes its row, a unit vector, and the a0 column, so |det| is kept.
+    Contracting ray i (a U1 cell, without ray j or a0): after the column
+    operation that subtracts columns i and j from a0, which keeps det, the
+    a0 column is -1 in ray i's row and 0 elsewhere, so deleting that row
+    and column keeps |det| too.  Either way what is left is the image's
+    homogeneous matrix."""
     dirs = cell.infinite_directions - {drop_direction}
     finite = tuple(v[:-1] for v in cell.finite_vertices)
-    return HalfSimplex(cell.dim - 1, finite, dirs, provenance=cell.provenance)
+    return HalfSimplex(cell.dim - 1, finite, dirs, provenance=cell.provenance,
+                       volume=cell.volume)
 
 
 def blowup_replay(config: PointConfiguration, i: int, j: int) -> BlowupReplay:

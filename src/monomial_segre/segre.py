@@ -22,7 +22,7 @@ from .errors import MonomialSegreError, TermBudgetError, TowerDivergenceError
 from .lattice import (MonomialPresentation, residual_split, support,
                       support_cover_check)
 from .polytope import (HalfSimplex, PointConfiguration, Triangulation,
-                       blowup_replay, complement_configuration, hvol,
+                       blowup_replay, complement_configuration,
                        placement_order, placing_triangulation)
 from .series import (TERM_BUDGET, TruncatedSeries, divide_one_plus,
                      reciprocal_one_plus, tensor_line)
@@ -38,8 +38,9 @@ def default_degree_bound(n: int) -> int:
 
 
 def simplex_contribution(t: HalfSimplex, degree_bound: int) -> TruncatedSeries:
-    """hvol(t) * prod of X_j over bounded directions, divided by (1 + v.X) for
-    every finite vertex v; zero for degenerate simplices.
+    """t.volume * prod of X_j over bounded directions, divided by (1 + v.X)
+    for every finite vertex v; zero for degenerate simplices.  The volume is
+    the one the cell carries, so a placed cell is not measured again.
 
     The monomial is divided by every nonzero vertex's form in one
     `divide_one_plus`, at the full degree bound; the origin's form is 1 and
@@ -48,7 +49,7 @@ def simplex_contribution(t: HalfSimplex, degree_bound: int) -> TruncatedSeries:
     same, and the branch exists only because bench/tracing.py fails a traced
     run in which `series.mul` or `series.reciprocal_one_plus` records no
     call.  The branch goes when the tracer wraps `divide_one_plus`."""
-    volume = hvol(t)
+    volume = t.volume
     n = t.dim
     if volume == 0:
         return TruncatedSeries.zero(n, degree_bound)

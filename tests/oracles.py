@@ -18,6 +18,7 @@ Division by 1 + L has a degree-by-degree recurrence on term dicts as its
 reference.  The placing triangulation has a reference that rebuilds the
 boundary from every cell for each new point and reads each facet's side
 off the opposite vertex of its cell, with rational determinants.  The
+determinant has the Leibniz permutation sum as its reference.  The
 center rule's slot scores have a reference that finds co-minimal pairs by
 Fourier-Motzkin elimination on each facet.  The area of a bounded Newton
 region in two variables comes from a monotone-chain lower hull and the
@@ -28,7 +29,7 @@ draws the same way, with small series builders that only tests need.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import comb, gcd
 
 import sympy
@@ -286,6 +287,20 @@ def _fraction_rank_and_det(rows):
             m[k] = [a - factor * b for a, b in zip(m[k], top)]
         rank += 1
     return rank, value
+
+
+def det_by_leibniz(rows):
+    """Determinant of a square matrix as the sum over the permutations p of
+    sign(p) * prod_k rows[k][p(k)], the sign read off the inversion count."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        term = 1
+        for k, col in enumerate(perm):
+            term *= rows[k][col]
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        total += -term if inversions % 2 else term
+    return total
 
 
 def placing_cells_by_rebuild(config, order):

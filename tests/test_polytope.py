@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -10,8 +12,9 @@ from monomial_segre.polytope import (ORDER_PRESETS, HalfSimplex,
                                      complement_configuration, configuration,
                                      det, hvol, lift_to_H, placement_order,
                                      placing_triangulation)
+from monomial_segre.segre import orthant_triangulation
 
-from oracles import placing_cells_by_rebuild
+from oracles import det_by_leibniz, placing_cells_by_rebuild
 
 STAIRCASE = presentation(((3, 0), (1, 1), (0, 3)))
 
@@ -24,6 +27,47 @@ def test_det_exact_integers():
     assert det(((2, 0), (0, 3))) == 6
     assert det(((1, 2), (2, 4))) == 0
     assert det(((0, 1, 0), (1, 0, 0), (0, 0, 1))) == -1
+
+
+@st.composite
+def square_matrices(draw):
+    # every size with a closed form, and two that go through Bareiss; a
+    # zero row or a repeated row makes the determinant 0
+    n = draw(st.integers(0, 7))
+    rows = draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if n:
+        k, m = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(("plain", "zero row", "repeated row")))
+        if kind == "zero row":
+            rows[k] = [0] * n
+        elif kind == "repeated row":
+            rows[k] = list(rows[m])
+    return rows
+
+
+@given(square_matrices())
+@example([])
+@example([[0, 0, 1, 0, 0], [1, 0, 0, 0, 0], [0, 0, 0, 0, 1],
+          [0, 1, 0, 0, 0], [0, 0, 0, 1, 0]])   # an odd permutation
+@settings(max_examples=200, deadline=None)
+def test_det_matches_the_permutation_sum(rows):
+    want = det_by_leibniz(rows)
+    assert det(rows) == want
+    assert det(tuple(map(tuple, rows))) == want
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_det_rejects_a_matrix_that_is_not_square(n):
+    square = [[int(r == c) for c in range(n)] for r in range(n)]
+    for k in range(n):
+        for width in (n - 1, n + 1):
+            ragged = [row[:] for row in square]
+            ragged[k] = [1] * width
+            with pytest.raises(DimensionMismatchError):
+                det(ragged)
+    with pytest.raises(DimensionMismatchError):
+        det([row + [0] for row in square])
 
 
 def test_hvol_unit_simplex():
@@ -198,10 +242,16 @@ def test_finite_volume_additivity_order_independent(points):
     assert totals[0] == totals[1]
 
 
+def _volumes_are_geometric(cells):
+    for c in cells:
+        assert c.volume == hvol(c), c
+
+
 def _same_as_rebuild(config, order):
     t = placing_triangulation(config, order)
     assert [c.provenance for c in t.cells] == \
         placing_cells_by_rebuild(config, order), (config, order)
+    _volumes_are_geometric(t.cells)
 
 
 @st.composite
@@ -231,6 +281,25 @@ def test_placing_matches_the_rebuilt_boundary(p):
             if i != j:
                 lifted = lift_to_H(c, i, j)
                 _same_as_rebuild(lifted, placement_order(lifted, "default"))
+
+
+@given(generator_sets(st.integers(2, 4)))
+@example(STAIRCASE)
+@example(presentation(((2, 0, 1), (0, 3, 1), (1, 1, 0))))
+@example(presentation(((1, 2, 0, 1), (0, 1, 3, 2), (2, 0, 1, 0))))
+@settings(max_examples=30, deadline=None)
+def test_every_cell_carries_its_geometric_volume(p):
+    # the volume a cell keeps from its placing, or from a contraction,
+    # equals the one its geometry gives: the orthant's cells under every
+    # preset, and every cell, alpha image and link of every replay
+    for preset in ORDER_PRESETS:
+        _volumes_are_geometric(orthant_triangulation(p, preset).cells)
+    c = complement_configuration(p)
+    for i, j in permutations(range(p.num_vars), 2):
+        r = blowup_replay(c, i, j)
+        _volumes_are_geometric(r.U0 + r.Udoubleprime + r.links)
+        _volumes_are_geometric(
+            [cell for pair in r.U1 + r.Uprime for cell in pair])
 
 
 @given(st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=4, max_size=8,

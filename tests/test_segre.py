@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from monomial_segre import chow, segre
+from monomial_segre import chow, polytope, segre
 from monomial_segre.chow import base_ring
 from monomial_segre.lattice import presentation
 from monomial_segre.segre import (admissible_pairs, blowup_invariance_check,
@@ -254,6 +254,37 @@ def test_blowup_invariance_for_every_ordered_center_pair(seed):
             if i != j:
                 assert blowup_invariance_check(p, i, j, integral) == \
                     (True, ""), (p.generators, i, j)
+
+
+@pytest.mark.parametrize("p", [
+    STAIRCASE, presentation(((2, 0, 1), (0, 3, 1), (1, 1, 0))),
+    presentation(((1, 2, 0, 1), (0, 1, 3, 2), (2, 0, 1, 0)))])
+def test_each_cell_is_measured_once(monkeypatch, p):
+    # a placed cell keeps the determinant its placing took as its volume,
+    # and a contracted cell the volume of the cell it came from, so the
+    # integral, the replay and the blow-up check take no determinant beyond
+    # their placing's
+    calls = []
+    det = polytope.det
+
+    def counting(rows):
+        calls.append(len(rows))
+        return det(rows)
+    monkeypatch.setattr(polytope, "det", counting)
+
+    def count(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+    assert count(segre_integral, p) == count(orthant_triangulation, p) > 0
+    integral = segre_integral(p).series
+    config = complement_configuration(p)
+    pairs = list(admissible_pairs(base_ring(p.num_vars), p))
+    assert pairs
+    for i, j in pairs:
+        assert count(blowup_invariance_check, p, i, j, integral) == \
+            count(blowup_replay, config, i, j) == \
+            count(placing_triangulation, lift_to_H(config, i, j)) > 0
 
 
 def test_verify_aggregates_all_checks():
