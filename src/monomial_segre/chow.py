@@ -60,6 +60,7 @@ therefore reduced, and the tower needs no nil reduction between levels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from math import comb
 from operator import add, mul, sub
@@ -213,29 +214,21 @@ def blow_up(r: LevelRing, i: int, j: int) -> BlowupStep:
     return BlowupStep(r, upper, (i, j))
 
 
-# the E^{>=2} part of p_*(E^k0 Y~_i^ai Y~_j^aj), keyed by (k0, ai, aj); it
-# depends on nothing else, so one table serves every level of every tower
-_DEEP_PUSH: dict[tuple[int, int, int], tuple] = {}
-
-
+@cache
 def _deep_push(k0: int, ai: int, aj: int) -> tuple:
     """The E^{>=2} part of p_*(E^k0 Y~_i^ai Y~_j^aj) as ((x, y), w) pairs,
-    one for each term w Y_i^x Y_j^y (see the module docstring)."""
-    key = (k0, ai, aj)
-    table = _DEEP_PUSH.get(key)
-    if table is None:
-        acc: dict[tuple[int, int], int] = {}
-        for r1 in range(ai + 1):
-            for r2 in range(aj + 1):
-                k = k0 + r1 + r2
-                w = comb(ai, r1) * comb(aj, r2) * (-1) ** (r1 + r2)
-                # the monomials Y_i^(r+1) Y_j^(k-1-r) of Y_i Y_j h_{k-2}
-                for r in range(k - 1):
-                    xy = (ai - r1 + r + 1, aj - r2 + k - 1 - r)
-                    acc[xy] = acc.get(xy, 0) - w
-        table = _DEEP_PUSH[key] = tuple(item for item in acc.items()
-                                        if item[1])
-    return table
+    one for each term w Y_i^x Y_j^y (see the module docstring).  It depends
+    on nothing else, so one table serves every level of every tower."""
+    acc: dict[tuple[int, int], int] = {}
+    for r1 in range(ai + 1):
+        for r2 in range(aj + 1):
+            k = k0 + r1 + r2
+            w = comb(ai, r1) * comb(aj, r2) * (-1) ** (r1 + r2)
+            # the monomials Y_i^(r+1) Y_j^(k-1-r) of Y_i Y_j h_{k-2}
+            for r in range(k - 1):
+                xy = (ai - r1 + r + 1, aj - r2 + k - 1 - r)
+                acc[xy] = acc.get(xy, 0) - w
+    return tuple(item for item in acc.items() if item[1])
 
 
 def pushforward(step: BlowupStep, c: ChowClass) -> ChowClass:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from math import comb
 
@@ -24,8 +24,8 @@ from .lattice import (MonomialPresentation, residual_split, support,
 from .polytope import (HalfSimplex, PointConfiguration, Triangulation,
                        blowup_replay, complement_configuration,
                        placement_order, placing_triangulation)
-from .series import (TERM_BUDGET, TruncatedSeries, divide_one_plus,
-                     reciprocal_one_plus, tensor_line)
+from .series import (TERM_BUDGET, TruncatedSeries, check_term_budget,
+                     divide_one_plus, reciprocal_one_plus, tensor_line)
 
 ORIGIN_LABEL = "O"
 
@@ -121,10 +121,12 @@ def segre_integral(p: MonomialPresentation, degree_bound: int | None = None,
     Only the Newton cells' series are computed here; the complement cells'
     wait in the result until `SegreResult.complement_terms` is read.  Every
     cell's series is truncated at the same bound and the cells of the whole
-    orthant sum to exactly 1, so this is 1 minus the complement's sum."""
+    orthant sum to exactly 1, so this is 1 minus the complement's sum.  A
+    series wider than TERM_BUDGET raises TermBudgetError before any work."""
     n = p.num_vars
     if degree_bound is None:
         degree_bound = default_degree_bound(n)
+    check_term_budget(n, degree_bound)
     tri = orthant_triangulation(p, order_preset)
     complement, newton = split_cells(tri)
     newton_terms = _terms_for(newton, degree_bound)
@@ -136,26 +138,16 @@ def segre_integral(p: MonomialPresentation, degree_bound: int | None = None,
     return SegreResult(series, newton_terms, complement, pipeline="integral")
 
 
-# (t, r) -> every composition of t into r positive parts, with its
-# multinomial coefficient; a pure function of its key, like chow._DEEP_PUSH
-_COMPOSITIONS: dict[tuple[int, int], tuple] = {}
-
-
+@cache
 def _compositions(t: int, r: int) -> tuple:
     """The pairs (parts, multinomial coefficient of parts) over the
     compositions of t into r positive parts, each coefficient built as the
     product C(t, parts_1) C(t - parts_1, parts_2) ... of binomials."""
-    key = (t, r)
-    table = _COMPOSITIONS.get(key)
-    if table is None:
-        if r == 1:
-            table = (((t,), 1),)
-        else:
-            table = tuple(((first,) + rest, comb(t, first) * m)
-                          for first in range(1, t - r + 2)
-                          for rest, m in _compositions(t - first, r - 1))
-        _COMPOSITIONS[key] = table
-    return table
+    if r == 1:
+        return (((t,), 1),)
+    return tuple(((first,) + rest, comb(t, first) * m)
+                 for first in range(1, t - r + 2)
+                 for rest, m in _compositions(t - first, r - 1))
 
 
 def _top_faces(top: LevelRing, d) -> list[tuple[int, ...]]:
@@ -212,8 +204,9 @@ def _divisor_segre_reduced(top: LevelRing, d, degree_bound: int):
 def segre_tower(p: MonomialPresentation, degree_bound: int | None = None,
                 ring: LevelRing | None = None) -> SegreResult:
     """Blow-up tower pipeline: principalize, apply D/(1+D) at the top, push
-    the class back down level by level.  A top expansion of more than
-    TERM_BUDGET terms raises TermBudgetError before it is built.
+    the class back down level by level.  A series wider than TERM_BUDGET
+    raises TermBudgetError before any work, and so does a top expansion of
+    more than TERM_BUDGET terms before it is built.
 
     The top expansion is reduced, and `pushforward` keeps a reduced class
     reduced (see the chow module docstring), so no level needs a nil
@@ -225,6 +218,7 @@ def segre_tower(p: MonomialPresentation, degree_bound: int | None = None,
     n = p.num_vars
     if degree_bound is None:
         degree_bound = default_degree_bound(n)
+    check_term_budget(n, degree_bound)
     if ring is None:
         ring = base_ring(n, p.variable_labels)
     trace = run_principalize(ring, p)
@@ -350,26 +344,41 @@ def admissible_pairs(r: LevelRing, p: MonomialPresentation):
 
 @dataclass(frozen=True)
 class VerifyReport:
-    presentation: MonomialPresentation
     checks: tuple[CheckResult, ...]
     diverged: bool = False
 
     @property
+    def status(self) -> str:
+        """The run's verdict: "pass" when every check passed, "diverged"
+        when the one failed check is the one whose tower reached its cap
+        (only pipeline_equality climbs a tower), and "fail" otherwise."""
+        failed = sum(not c.passed for c in self.checks)
+        if not failed:
+            return "pass"
+        return "diverged" if self.diverged and failed == 1 else "fail"
+
+    @property
     def ok(self) -> bool:
-        return not self.diverged and all(c.passed for c in self.checks)
+        return self.status == "pass"
 
 
 def verify(p: MonomialPresentation, degree_bound: int | None = None,
-           nil_pairs=()) -> VerifyReport:
+           ring: LevelRing | None = None) -> VerifyReport:
     """Run every identity check on one presentation and aggregate a report.
 
-    Each check returns (passed, detail) and becomes one CheckResult, in a
-    fixed order.  A tower that reaches no divisor within its cap fails the
-    check that climbed it and sets the report's `diverged`."""
+    ring is the base ring, as for the pipelines; None means no nil pairs.
+    The blow-up checks lift the configuration to n + 1 variables, so a
+    series that wide over TERM_BUDGET raises TermBudgetError before any
+    check runs.  Each check returns (passed, detail) and becomes one
+    CheckResult, in a fixed order.  A tower that reaches no divisor within
+    its cap fails the check that climbed it and sets the report's
+    `diverged`."""
     n = p.num_vars
     if degree_bound is None:
         degree_bound = default_degree_bound(n)
-    ring = base_ring(n, p.variable_labels, nil_pairs)
+    check_term_budget(n + 1, degree_bound)
+    if ring is None:
+        ring = base_ring(n, p.variable_labels)
     checks: list[CheckResult] = []
     diverged = False
 
@@ -437,4 +446,4 @@ def verify(p: MonomialPresentation, degree_bound: int | None = None,
         run(f"blowup_invariance_{bi + 1}_{bj + 1}", blowup_invariance_check,
             p, bi, bj, base.series)
 
-    return VerifyReport(p, tuple(checks), diverged)
+    return VerifyReport(tuple(checks), diverged)

@@ -19,6 +19,7 @@ it.
 
 from __future__ import annotations
 
+from functools import cache
 from math import comb
 from operator import add
 from typing import Iterable, Mapping
@@ -228,10 +229,6 @@ class TruncatedSeries:
         return f"TruncatedSeries({self.render()!r}, D_max={self.degree_bound})"
 
 
-# (num_vars, degree_bound) -> dense layout; a pure function of its key
-_LAYOUTS: dict[tuple[int, int], tuple] = {}
-
-
 def check_term_budget(num_vars: int, degree_bound: int) -> None:
     """Raise when there are more monomials of degree <= degree_bound in
     num_vars variables than TERM_BUDGET."""
@@ -242,28 +239,26 @@ def check_term_budget(num_vars: int, degree_bound: int) -> None:
             f"has up to {count} terms, more than the budget of {TERM_BUDGET}")
 
 
+@cache
 def _layout(num_vars: int, degree_bound: int):
     """Every monomial of degree <= degree_bound, in graded lexicographic
     order; the index of each; and, for each monomial of degree below the
     bound, the indices of its successors e + e_i, i = 0..num_vars-1.  A
     monomial of top degree has no successor within the bound, so it has no
-    row."""
-    key = (num_vars, degree_bound)
-    layout = _LAYOUTS.get(key)
-    if layout is None:
-        check_term_budget(num_vars, degree_bound)
-        monomials: list[Exponent] = []
-        level = [(0,) * num_vars]
-        for _ in range(degree_bound + 1):
-            monomials += level
-            level = sorted({e[:i] + (e[i] + 1,) + e[i + 1:]
-                            for e in level for i in range(num_vars)})
-        index = {e: k for k, e in enumerate(monomials)}
-        successors = [tuple(index[e[:i] + (e[i] + 1,) + e[i + 1:]]
-                            for i in range(num_vars))
-                      for e in monomials if sum(e) < degree_bound]
-        layout = _LAYOUTS[key] = (monomials, index, successors)
-    return layout
+    row.  The layout is a pure function of its arguments, so it is built
+    once; a layout over TERM_BUDGET raises, and is not kept."""
+    check_term_budget(num_vars, degree_bound)
+    monomials: list[Exponent] = []
+    level = [(0,) * num_vars]
+    for _ in range(degree_bound + 1):
+        monomials += level
+        level = sorted({e[:i] + (e[i] + 1,) + e[i + 1:]
+                        for e in level for i in range(num_vars)})
+    index = {e: k for k, e in enumerate(monomials)}
+    successors = [tuple(index[e[:i] + (e[i] + 1,) + e[i + 1:]]
+                        for i in range(num_vars))
+                  for e in monomials if sum(e) < degree_bound]
+    return monomials, index, successors
 
 
 def divide_one_plus(s: TruncatedSeries,

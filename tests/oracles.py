@@ -267,26 +267,33 @@ def divide_by_degree(s, v):
     return TruncatedSeries(s.num_vars, s.degree_bound, out)
 
 
-def _fraction_rank_and_det(rows):
+def _rank_and_det(rows):
     """Rank of a list of integer vectors, and their determinant when they
-    are square, by Gaussian elimination over the rationals."""
-    m = [[Fraction(a) for a in r] for r in rows]
-    rank, value = 0, Fraction(1)
+    are square, by Gaussian elimination over the rationals.  A row with a
+    zero in the pivot column is left as it is; another is scaled by the
+    pivot before the pivot row is subtracted, so every entry stays an
+    integer, and the determinant is the product of the pivots over the
+    product of those scales."""
+    m = [list(r) for r in rows]
+    rank, num, den = 0, 1, 1
     for col in range(len(m[0]) if m else 0):
         pivot = next((k for k in range(rank, len(m)) if m[k][col]), None)
         if pivot is None:
-            value = Fraction(0)
+            num = 0
             continue
         if pivot != rank:
             m[rank], m[pivot] = m[pivot], m[rank]
-            value = -value
+            num = -num
         top = m[rank]
-        value *= top[col]
+        p = top[col]
+        num *= p
         for k in range(rank + 1, len(m)):
-            factor = m[k][col] / top[col]
-            m[k] = [a - factor * b for a, b in zip(m[k], top)]
+            f = m[k][col]
+            if f:
+                m[k] = [p * a - f * b for a, b in zip(m[k], top)]
+                den *= p
         rank += 1
-    return rank, value
+    return rank, Fraction(num, den)
 
 
 def det_by_leibniz(rows):
@@ -312,21 +319,26 @@ def placing_cells_by_rebuild(config, order):
     sees.  The boundary is rebuilt for each label from all cells so far (a
     facet of exactly one cell), and the label sees a facet when the facet's
     determinant with it and with the cell's opposite vertex have opposite
-    nonzero signs."""
+    nonzero signs.  A facet stays on the boundary for many labels, so each
+    (facet, label) sign is computed once."""
     hom = config.homogeneous
     d1 = config.dim + 1
     basis, skipped = [], []
     rest = list(order)
     while rest and len(basis) < d1:
         lab = rest.pop(0)
-        rank, _ = _fraction_rank_and_det([hom[b] for b in basis] + [hom[lab]])
+        rank, _ = _rank_and_det([hom[b] for b in basis] + [hom[lab]])
         (basis if rank > len(basis) else skipped).append(lab)
     assert len(basis) == d1, "no full-dimensional starting simplex"
 
+    sides = {}
+
     def side(facet, probe):
-        _, value = _fraction_rank_and_det([hom[f] for f in facet] +
-                                          [hom[probe]])
-        return (value > 0) - (value < 0)
+        key = (facet, probe)
+        if key not in sides:
+            _, value = _rank_and_det([hom[f] for f in facet] + [hom[probe]])
+            sides[key] = (value > 0) - (value < 0)
+        return sides[key]
 
     cells = [frozenset(basis)]
     for lab in skipped + rest:

@@ -350,6 +350,18 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_generators_must_be_a_list_of_lists(capsys, monkeypatch):
+    # a string is not read letter by letter, nor an object by its keys
+    for generators in ("ab", {"a": [1, 0], "b": [0, 1]}, [[1, 0], "ab"]):
+        text = json.dumps({"n": 2, "generators": generators})
+        for command in ("compute", "tower", "verify"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            code, out, err = run(capsys, [command, "--input", "-"])
+            assert code == EXIT_USAGE and out == "", (command, text)
+            assert err == ("error: labels must be a list, and generators "
+                           "and nil_pairs lists of lists\n"), err
+
+
 def test_tower_refuses_a_top_expansion_over_the_budget(capsys):
     # the depth-38 tower's base series at dmax 20 is within the budget, but
     # its top expansion, counted after principalizing, has 71,000 terms
@@ -416,8 +428,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     def broken(p, *a, **k):
         report = real_verify(p, *a, **k)
         bad = report.checks[0].__class__("forced", False, "")
-        return report.__class__(report.presentation,
-                                report.checks + (bad,), report.diverged)
+        return report.__class__(report.checks + (bad,), report.diverged)
     monkeypatch.setattr(cli, "verify", broken)
     code, doc, _ = run_json(capsys, ["verify"] + STAIRCASE_ARGS +
                             ["--dmax", "3"])
@@ -488,6 +499,44 @@ def test_verify_exits_diverged_at_the_cap(capsys, monkeypatch):
     assert [c["name"] for c in failed] == ["pipeline_equality"]
     assert failed[0]["detail"] == ("tower divergence: no divisor reached "
                                    "within 2 blow-ups")
+
+
+def _fail_the_residual_check(monkeypatch, cap):
+    from monomial_segre import segre
+    from monomial_segre.principalize import principalize
+
+    monkeypatch.setattr(segre, "run_principalize",
+                        functools.partial(principalize, cap=cap))
+    monkeypatch.setattr(segre, "residual_identity_check",
+                        lambda p, integral: (False, "forced"))
+
+
+def test_verify_fails_a_failed_identity_next_to_a_capped_tower(capsys,
+                                                              monkeypatch):
+    # the capped tower is not the one failure, so the run is a failure
+    _fail_the_residual_check(monkeypatch, cap=1)
+    code, doc, _ = run_json(capsys, ["verify"] + STAIRCASE_ARGS)
+    assert code == EXIT_FAIL
+    assert doc["ok"] is False
+    failed = [c for c in doc["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["pipeline_equality",
+                                           "residual_identity"]
+    assert failed[0]["detail"].startswith("tower divergence: ")
+
+
+def test_corpus_fails_a_failed_identity_next_to_a_capped_tower(capsys,
+                                                              monkeypatch):
+    # the four instances whose tower hits the cap of one fail, as the other
+    # four do, on their residual check
+    _fail_the_residual_check(monkeypatch, cap=1)
+    code, doc, _ = run_json(capsys, ["corpus", "--count", "8", "--seed", "1",
+                                     "--jobs", "1"])
+    assert code == EXIT_FAIL
+    assert (doc["passed"], doc["failed"], doc["diverged"]) == (0, 8, 0)
+    assert sorted(len(r["failed"]) for r in doc["results"]) == [1] * 4 + [2] * 4
+    for r in doc["results"]:
+        assert r["status"] == "fail"
+        assert r["failed"][-1] == "residual_identity"
 
 
 def test_corpus_worker_count():

@@ -18,7 +18,8 @@ from monomial_segre.segre import (admissible_pairs, blowup_invariance_check,
 from monomial_segre.polytope import (HalfSimplex, blowup_replay,
                                      complement_configuration, lift_to_H,
                                      placing_triangulation)
-from monomial_segre.series import TruncatedSeries
+from monomial_segre.errors import TermBudgetError
+from monomial_segre.series import TruncatedSeries, check_term_budget
 
 from oracles import (expand_terms, newton_region_area, newton_region_volume,
                      random_presentation, simplex_contribution_by_products,
@@ -398,7 +399,7 @@ def test_verify_checks_the_unreduced_integral_under_nils(monkeypatch):
     assert segre_integral(p, 5).series != \
         segre_integral(p, 5, ring=ring).series
     calls = _record_integrals(monkeypatch)
-    report = verify(p, 5, nil_pairs=nils)
+    report = verify(p, 5, ring=ring)
     assert report.ok, [c for c in report.checks if not c.passed]
     names = [c.name for c in report.checks]
     assert "residual_identity" in names
@@ -408,9 +409,62 @@ def test_verify_checks_the_unreduced_integral_under_nils(monkeypatch):
                      (p.generators, "rays_first", True)]
 
 
+def _record_towers(monkeypatch):
+    calls = []
+
+    def recording(p, degree_bound=None, ring=None):
+        calls.append(p.generators)
+        return segre_tower(p, degree_bound, ring)
+    monkeypatch.setattr(segre, "segre_tower", recording)
+    return calls
+
+
+def test_verify_refuses_a_lift_over_the_budget_before_any_check(monkeypatch):
+    # at n = 3 and dmax 40 the base series fits the budget, C(43, 3), but
+    # the blow-up checks' lift to four variables, C(44, 4), does not
+    p = presentation(((1, 2, 3), (3, 2, 1)))
+    integrals = _record_integrals(monkeypatch)
+    towers = _record_towers(monkeypatch)
+    with pytest.raises(TermBudgetError, match="4 variables at degree bound 40"):
+        verify(p, 40)
+    assert integrals == [] and towers == []
+    check_term_budget(3, 40)
+
+
+def test_the_pipelines_refuse_a_series_over_the_budget_first(monkeypatch):
+    # C(3 + 65, 3) > TERM_BUDGET: neither pipeline places a cell or climbs
+    # a tower before it refuses
+    placed, climbed = [], []
+    monkeypatch.setattr(segre, "orthant_triangulation",
+                        lambda *a: placed.append(a))
+    monkeypatch.setattr(segre, "run_principalize",
+                        lambda *a: climbed.append(a))
+    p = presentation(((1, 1, 1),))
+    for pipeline in (segre_integral, segre_tower):
+        with pytest.raises(TermBudgetError,
+                           match="3 variables at degree bound 65"):
+            pipeline(p, 65)
+    assert placed == [] and climbed == []
+
+
+def test_a_report_diverges_only_when_the_capped_tower_alone_fails():
+    passed = segre.CheckResult("residual_identity", True)
+    failed = segre.CheckResult("residual_identity", False)
+    capped = segre.CheckResult("pipeline_equality", False,
+                               "tower divergence: no divisor reached")
+    equal = segre.CheckResult("pipeline_equality", True)
+    report = segre.VerifyReport
+    assert report((equal, passed)).status == "pass"
+    assert report((equal, failed)).status == "fail"
+    assert report((capped, passed), diverged=True).status == "diverged"
+    assert report((capped, failed), diverged=True).status == "fail"
+    assert [report((equal, passed)).ok,
+            report((capped, passed), diverged=True).ok] == [True, False]
+
+
 def test_verify_with_nils():
     report = verify(presentation(((1, 0), (0, 1))), 5,
-                    nil_pairs=[("X1", "X2")])
+                    ring=base_ring(2, nil_pairs=[("X1", "X2")]))
     assert report.ok
     assert not report.diverged
 
