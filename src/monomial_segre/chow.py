@@ -180,11 +180,13 @@ class ChowClass:
 class BlowupStep:
     """One blow-up: the exceptional divisor is the last position of `upper`,
     every other position names the same divisor (or its proper transform) on
-    both rings, and `center` holds the two blown-up positions."""
+    both rings, `center` holds the two blown-up positions, and `split` the
+    lower facets through both, each of which `upper` cuts in two."""
 
     lower: LevelRing
     upper: LevelRing
     center: tuple[int, int]
+    split: tuple[frozenset[int], ...]
 
 
 def blow_up(r: LevelRing, i: int, j: int) -> BlowupStep:
@@ -201,17 +203,18 @@ def blow_up(r: LevelRing, i: int, j: int) -> BlowupStep:
     if r.stratum_is_empty((i, j)):
         raise EmptyCenterError(f"center ({r.variables[i]}, {r.variables[j]}) "
                                "is a known-empty intersection")
-    facets = []
+    facets, split = [], []
     for f in r.facets:
         if i in f and j in f:
+            split.append(f)
             facets += [f - {i} | {r.num_vars}, f - {j} | {r.num_vars}]
         else:
             facets.append(f)
-    variables = tuple("~" + lab if k in (i, j) else lab for k, lab in
-                      enumerate(r.variables)) + (f"E{r.depth + 1}",)
+    variables = list(r.variables) + [f"E{r.depth + 1}"]
+    variables[i], variables[j] = "~" + variables[i], "~" + variables[j]
     rays = r.rays + (tuple(map(add, r.rays[i], r.rays[j])),)
     upper = _BlownUpRing(variables, tuple(facets), rays, depth=r.depth + 1)
-    return BlowupStep(r, upper, (i, j))
+    return BlowupStep(r, upper, (i, j), tuple(split))
 
 
 @cache
@@ -321,10 +324,11 @@ def scheme_is_empty(r: LevelRing, p: MonomialPresentation) -> bool:
     scheme."""
     if p.variable_labels != r.variables:
         raise LevelMismatchError("presentation is not over this ring")
-    if any(all(a == 0 for a in g) for g in p.generators):
+    if not all(map(any, p.generators)):
         return True  # unit ideal
     supports = [support(g) for g in p.generators]
-    return not any(all(supp & f for supp in supports) for f in r.facets)
+    return not any(all(not supp.isdisjoint(f) for supp in supports)
+                   for f in r.facets)
 
 
 def scheme_is_divisor(r: LevelRing,
@@ -332,7 +336,13 @@ def scheme_is_divisor(r: LevelRing,
     """The divisor D when the total transform on r of the base presentation p
     is D plus an empty residual scheme, else None.  D is the least exponent
     on each divisor (`LevelRing.exponents`).  The residual rows are distinct,
-    because the base divisors' rays persist up the tower."""
+    because the base divisors' rays persist up the tower.
+
+    This computes everything from r's rays and facets.  A tower's climb
+    keeps the same verdict per facet instead (`principalize.Climb`: a facet
+    is bad when every residual row is positive somewhere on it, and D is a
+    divisor when no facet is bad), and `principalize` calls this once per
+    tower, on the top, to confirm it."""
     gens = [r.exponents(g) for g in p.generators]
     d = tuple(map(min, zip(*gens)))
     residual = MonomialPresentation(

@@ -22,6 +22,19 @@ pair's scores falls in the well-founded multiset order, the pair runs out
 of slots, and the next pair is worked.  With no slot left, the scheme is a
 divisor (see `select_center`).
 
+The climb is incremental (`Climb`).  A position names one divisor with one
+ray for the whole tower, so each generator's exponent on it, and the least
+of them, never change: a blow-up only appends E's column, row[i] + row[j].
+A facet's verdicts read those columns on the facet's positions and nothing
+else: whether it is bad (every residual row is positive somewhere on it, so
+the residual scheme meets its stratum), and each pair's best slot on it.  So
+they are exact for as long as the facet lives, and each is computed at most
+once.  A blow-up removes only the facets through both centers, and those
+never come back, since no later facet holds that edge.  The scheme is
+a divisor when no bad facet is left (`scheme_is_divisor`).  And by the
+argument above, a pair before the worked pair has no slot and never gets
+one back, so the pair scan resumes at the worked pair instead of the first.
+
 The cap is a budget, not a divergence test: a tower can be finite and
 still deeper than it.  The five-generator ideal
 2,0,1,0;0,3,0,1;1,1,0,2;0,0,2,1;1,0,1,1 needs 411 blow-ups."""
@@ -29,12 +42,14 @@ still deeper than it.  The five-generator ideal
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from operator import ge, mul, neg, sub
 from typing import Sequence
 
 from .chow import BlowupStep, LevelRing, blow_up, scheme_is_divisor
-from .errors import NoAdmissibleCenterError, TowerDivergenceError
+from .errors import (LevelMismatchError, MonomialSegreError,
+                     NoAdmissibleCenterError, TowerDivergenceError)
 from .lattice import ExponentVector, MonomialPresentation
 from .polytope import det
 
@@ -66,24 +81,116 @@ def co_minimal(rows: Sequence[ExponentVector], a: int, b: int) -> bool:
     w >= 0.  Such w form a pointed cone, which is nonzero exactly when it
     has an extreme ray: a solution of delta.w = 0 and d - 2 more of its
     constraints held tight (d the row length), spanned by the signed
-    maximal minors of those d - 1 rows."""
+    maximal minors w of those d - 1 rows (w_c is the determinant with the
+    unit row e_c on top of them), up to sign: the ray is w or -w, whichever
+    is >= 0, if either is."""
     d = len(rows[a])
     delta = tuple(map(sub, rows[a], rows[b]))
-    bounds = [tuple(int(k == m) for k in range(d)) for m in range(d)]
-    bounds += [tuple(map(sub, g, rows[a]))
-               for k, g in enumerate(rows) if k not in (a, b)]
-    for tight in combinations(bounds, d - 2):
+    others = [tuple(map(sub, g, rows[a]))
+              for k, g in enumerate(rows) if k not in (a, b)]
+    units = [tuple(int(k == m) for k in range(d)) for m in range(d)]
+    for tight in combinations(units + others, d - 2):
         system = (delta,) + tight
-        w = tuple((-1) ** c * det([row[:c] + row[c + 1:] for row in system])
-                  for c in range(d))
-        for ray in (w, tuple(map(neg, w))) if any(w) else ():
-            if all(sum(map(mul, row, ray)) >= 0 for row in bounds):
-                return True
+        w = [det((e,) + system) for e in units]
+        if min(w) < 0:
+            w = list(map(neg, w))
+        if min(w) >= 0 and any(w) and all(sum(map(mul, row, w)) >= 0
+                                          for row in others):
+            return True
     return False
 
 
+class Climb:
+    """The state of one tower's climb, for the base presentation p from the
+    ring r up: the generators' exponent rows, the column minima d, the live
+    facets, the facets that are bad (every residual row is positive
+    somewhere on them), and the worked pair with its slots (see
+    `select_center`).  The scheme is a divisor when no bad facet is left.
+
+    A position names one divisor with one ray for the whole tower, so a
+    facet's rows, its d, its verdict and its slots never change while it
+    lives: `advance` adds one column per row (row[i] + row[j], since E's ray
+    is v_i + v_j), drops the facets through both centers, and computes
+    verdicts only for the facets it creates; their slots wait in `fresh`
+    for the next `select_center`, so the last level computes none."""
+
+    def __init__(self, r: LevelRing, p: MonomialPresentation):
+        self.ring, self.p = r, p
+        self.n = n = len(r.rays[0])
+        # rank[k] orders the positions as `LevelRing.listing` does: the
+        # exceptional ones newest first, then the base ones in order
+        self.rank = [k if k < n else n - 1 - k for k in range(r.num_vars)]
+        gens = p.generators
+        self.rows = [list(r.exponents(g)) for g in gens]
+        self.d = list(map(min, zip(*self.rows)))
+        minimal = [k for k, g in enumerate(gens)
+                   if not any(h != g and all(map(ge, g, h)) for h in gens)]
+        self.pairs = list(combinations(minimal, 2))
+        self.worked = 0
+        self.slots: list | None = None  # the worked pair's heap, once built
+        self.fresh: list[frozenset[int]] = []  # facets not yet in the heap
+        self.live: set[frozenset[int]] = set()
+        self.bad: set[frozenset[int]] = set()
+        for f in r.facets:
+            self._add(f)
+
+    def slot(self, f: frozenset[int]) -> tuple | None:
+        """The worked pair's top edge (i, j) of the facet f with delta_i > 0
+        > delta_j, as (score, rank[i], rank[j], i, j, f) with score
+        delta_j - delta_i, so that the least tuple is the slot
+        `select_center` blows up; None when the pair has no two signs on f.
+        It is a slot when the pair is co-minimal on f (`is_co_minimal`)."""
+        a, b = self.pairs[self.worked]
+        u, v, rank = self.rows[a], self.rows[b], self.rank
+        hi, ri, i = min((v[k] - u[k], rank[k], k) for k in f)  # -delta_i
+        lo, rj, j = min((u[k] - v[k], rank[k], k) for k in f)
+        if hi >= 0 or lo >= 0:
+            return None
+        return lo + hi, ri, rj, i, j, f
+
+    def is_co_minimal(self, f: frozenset[int]) -> bool:
+        """True when the worked pair is co-minimal on f (`co_minimal`)."""
+        return co_minimal([tuple(row[k] for k in f) for row in self.rows],
+                          *self.pairs[self.worked])
+
+    def _add(self, f: frozenset[int], maybe_bad: bool = True) -> None:
+        self.live.add(f)
+        d = self.d
+        if maybe_bad and all(any(row[k] > d[k] for k in f)
+                             for row in self.rows):
+            self.bad.add(f)
+        self.fresh.append(f)
+
+    def divisor(self) -> ExponentVector | None:
+        """d when no bad facet is left, so that the total transform is d plus
+        an empty residual scheme, else None."""
+        return None if self.bad else tuple(self.d)
+
+    def advance(self, step: BlowupStep) -> None:
+        """Follow the blow-up step up from the climb's ring: the facets
+        through both centers (`BlowupStep.split`) go, and each leaves two
+        pieces through E."""
+        if step.lower is not self.ring:
+            raise LevelMismatchError("the blow-up is not from this ring")
+        i, j = step.center
+        e = len(self.d)
+        for row in self.rows:
+            row.append(row[i] + row[j])
+        self.d.append(min(row[e] for row in self.rows))
+        self.rank.append(self.n - 1 - e)
+        # a row least on all of f is least on E too, whose column is the sum
+        # of i's and j's, so only the pieces of a bad facet can be bad
+        for f in step.split:
+            self.live.remove(f)
+            bad = f in self.bad
+            self.bad.discard(f)
+            self._add(f - {i} | {e}, bad)
+            self._add(f - {j} | {e}, bad)
+        self.ring = step.upper
+
+
 def select_center(r: LevelRing, p: MonomialPresentation,
-                  memo: dict | None = None) -> tuple[int, int] | None:
+                  memo: Climb | None = None) -> tuple[int, int] | None:
     """The center the rule of the module docstring picks on r for the base
     presentation p: the top-scoring slot of the first pair of minimal
     generators that has one, or None.  Tied slots go to the i first in
@@ -91,43 +198,43 @@ def select_center(r: LevelRing, p: MonomialPresentation,
     divisors in order), then to the j first there, and the pair comes back
     in that order.
 
-    Whether a pair is co-minimal on a facet depends only on the generators'
-    exponents over the facet's divisors (`co_minimal`).  Up one tower a
-    position names one divisor with one ray, so those exponents are fixed
-    by the facet, and the answer is kept in memo under the pair and the
-    facet: a facet the blow-ups leave alone is not asked again.  A memo
-    therefore serves one tower, of one p over one base ring, and a caller
-    passes a fresh one for each tower.
+    memo is the tower's `Climb`, on r for p; None builds a fresh one from r,
+    so the rule can be asked on any ring.  Pairs before the climb's worked
+    pair have no slot and never get one back (the module docstring), so the
+    scan resumes at the worked pair.  That pair's best edge of two signs on
+    each facet sits in a heap, built when the pair is first worked and fed
+    here with the edges of the facets each blow-up creates (`Climb.fresh`).
+    An edge that comes to the top is dropped when its facet was removed or
+    the pair is not co-minimal there, and is otherwise the slot to blow up,
+    which removes its facet.  So along a tower `co_minimal` runs at most
+    once per pair and facet, and never on a facet removed before its edge
+    came to the top.
 
     None means p is a divisor on r.  Start at an interior point of a facet,
     at a minimal generator attaining the least exponent there, and walk to
     any point of the facet: the least exponent can change hands only where
     it is tied between two minimal generators, a co-minimal pair, and each
     such pair is one-signed on the facet."""
-    gens = p.generators
-    minimal = [k for k, g in enumerate(gens)
-               if not any(h != g and all(map(ge, g, h)) for h in gens)]
-    rows = [r.exponents(g) for g in gens]
-    rank = {k: m for m, k in enumerate(r.listing)}
-    memo = {} if memo is None else memo
-    for a, b in combinations(minimal, 2):
-        delta = tuple(map(sub, rows[a], rows[b]))
-        slots = set()
-        for f in r.facets:
-            above = [i for i in f if delta[i] > 0]
-            below = [j for j in f if delta[j] < 0]
-            if not (above and below):
-                continue
-            key = (a, b, f)
-            if key not in memo:
-                memo[key] = co_minimal(
-                    [tuple(row[k] for k in f) for row in rows], a, b)
-            if memo[key]:
-                slots.update((delta[j] - delta[i], rank[i], rank[j])
-                             for i in above for j in below)
-        if slots:
-            _, ri, rj = min(slots)  # the top score, then the least ranks
-            return r.listing[min(ri, rj)], r.listing[max(ri, rj)]
+    climb = Climb(r, p) if memo is None else memo
+    if climb.ring is not r or climb.p != p:
+        raise LevelMismatchError("the climb is not on this ring for p")
+    while climb.worked < len(climb.pairs):
+        if climb.slots is None:
+            climb.slots = [s for f in climb.live if (s := climb.slot(f))]
+            heapify(climb.slots)
+        else:
+            for f in climb.fresh:
+                if s := climb.slot(f):
+                    heappush(climb.slots, s)
+        climb.fresh.clear()
+        slots = climb.slots
+        while slots:
+            _, ki, kj, i, j, f = slots[0]
+            if f in climb.live and climb.is_co_minimal(f):
+                return (i, j) if ki < kj else (j, i)
+            heappop(slots)
+        climb.worked += 1
+        climb.slots = None
     return None
 
 
@@ -137,25 +244,36 @@ def principalize(r0: LevelRing, p0: MonomialPresentation,
     divisor.
 
     p0 is over the base ring r0, and every level reads its generators'
-    exponents through its rays.  Each level asks `scheme_is_divisor` first
-    and stops there; otherwise `select_center`, with one memo for the
-    tower, picks the center and `blow_up` subdivides the ring's complex.
-    After cap blow-ups without a divisor, TowerDivergenceError carries the
-    partial trace (the CLI prints its centers)."""
+    exponents through its rays.  `scheme_is_divisor` asks r0 first, so a
+    tower of depth 0 builds no state.  Otherwise one `Climb` follows the
+    tower: each level asks it for the divisor first and stops there;
+    otherwise `select_center`, with the climb as its memo, picks the
+    center, `blow_up` subdivides the ring's complex, and the climb
+    advances.  `scheme_is_divisor` confirms the top from scratch, and a
+    disagreement raises.  After cap blow-ups without a divisor,
+    TowerDivergenceError carries the partial trace (the CLI prints its
+    centers)."""
+    if (d := scheme_is_divisor(r0, p0)) is not None:
+        return TowerTrace((), r0, d)
     ring = r0
     steps: list[BlowupStep] = []
-    memo: dict = {}
-    while (d := scheme_is_divisor(ring, p0)) is None:
+    climb = Climb(r0, p0)
+    while (d := climb.divisor()) is None:
         if len(steps) == cap:
             raise TowerDivergenceError(
                 f"no divisor reached within {cap} blow-ups",
                 trace=TowerTrace(tuple(steps), ring, (0,) * ring.num_vars))
-        center = select_center(ring, p0, memo)
+        center = select_center(ring, p0, climb)
         if center is None:
             raise NoAdmissibleCenterError(
                 "non-divisor presentation leaves select_center no slot of "
                 "any minimal generator pair; this indicates a model bug")
         step = blow_up(ring, *center)
+        climb.advance(step)
         ring = step.upper
         steps.append(step)
+    if scheme_is_divisor(ring, p0) != d:
+        raise MonomialSegreError(
+            f"the climb's divisor {d} is not the top's; this indicates a "
+            "model bug")
     return TowerTrace(tuple(steps), ring, d)

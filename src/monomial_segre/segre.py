@@ -367,18 +367,21 @@ def verify(p: MonomialPresentation, degree_bound: int | None = None,
     """Run every identity check on one presentation and aggregate a report.
 
     ring is the base ring, as for the pipelines; None means no nil pairs.
-    The blow-up checks lift the configuration to n + 1 variables, so a
-    series that wide over TERM_BUDGET raises TermBudgetError before any
-    check runs.  Each check returns (passed, detail) and becomes one
-    CheckResult, in a fixed order.  A tower that reaches no divisor within
-    its cap fails the check that climbed it and sets the report's
+    The blow-up checks, one per admissible pair, lift the configuration to
+    n + 1 variables, and every other check works in n.  So the pairs are
+    counted first, and a series over TERM_BUDGET in n + 1 variables when
+    there is a pair, or in n when there is none, raises TermBudgetError
+    before any check runs.  Each check returns (passed, detail) and becomes
+    one CheckResult, in a fixed order.  A tower that reaches no divisor
+    within its cap fails the check that climbed it and sets the report's
     `diverged`."""
     n = p.num_vars
     if degree_bound is None:
         degree_bound = default_degree_bound(n)
-    check_term_budget(n + 1, degree_bound)
     if ring is None:
         ring = base_ring(n, p.variable_labels)
+    pairs = list(admissible_pairs(ring, p))
+    check_term_budget(n + 1 if pairs else n, degree_bound)
     checks: list[CheckResult] = []
     diverged = False
 
@@ -442,7 +445,7 @@ def verify(p: MonomialPresentation, degree_bound: int | None = None,
         return True, ""
     run("support_property", supports)
 
-    for (bi, bj) in admissible_pairs(ring, p):
+    for (bi, bj) in pairs:
         run(f"blowup_invariance_{bi + 1}_{bj + 1}", blowup_invariance_check,
             p, bi, bj, base.series)
 

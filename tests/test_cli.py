@@ -296,9 +296,10 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
     assert run(capsys, ["compute", "--gens", "1,0;0,1",
                         "--preset", "rays_first"])[0] == EXIT_USAGE
     # over the term budget, C(3 + 65, 3) > TERM_BUDGET, whichever way dmax
-    # comes; verify's blow-up checks, at C(4 + 31, 4), count one more variable
+    # comes; verify's blow-up checks, at C(4 + 31, 4), count one more
+    # variable where the job has an admissible pair, as X1^3, X2^3 do
     budget_runs = [["compute", "--gens", "1,1,1", "--dmax", "65"],
-                   ["verify", "--gens", "1,1,1", "--dmax", "31"],
+                   ["verify", "--gens", "3,0,0;0,3,0", "--dmax", "31"],
                    ["compute", "--input", "-"]]
     for argv in budget_runs:
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(
@@ -348,6 +349,16 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
                                 str(tmp_path / "missing.json")])
     assert code == EXIT_USAGE
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_verify_without_a_pair_is_budgeted_in_its_own_width(capsys):
+    # X1 X2 X3 has no admissible pair, so no check lifts a variable: every
+    # series is C(3 + 31, 3) = 5,984 terms wide, within the budget, though
+    # C(4 + 31, 4) is not
+    code, out, err = run(capsys, ["verify", "--gens", "1,1,1",
+                                  "--dmax", "31"])
+    assert code == 0, err
+    assert json.loads(out)["ok"] is True
 
 
 def test_generators_must_be_a_list_of_lists(capsys, monkeypatch):

@@ -1,19 +1,24 @@
 import random
 from collections import Counter
+from importlib import import_module
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monomial_segre.chow import base_ring, blow_up, scheme_is_divisor
+from monomial_segre.chow import (LevelRing, base_ring, blow_up,
+                                 scheme_is_divisor)
 from monomial_segre.errors import TowerDivergenceError
 from monomial_segre.lattice import presentation
-from monomial_segre.principalize import (co_minimal, principalize,
+from monomial_segre.principalize import (Climb, co_minimal, principalize,
                                          select_center)
 from monomial_segre.segre import admissible_pairs
 
 from oracles import random_presentation, slot_scores
+
+# the package re-exports the function `principalize` under its module's name
+principalize_module = import_module("monomial_segre.principalize")
 
 
 def test_admissible_pairs_skip_empty_strata():
@@ -220,19 +225,61 @@ def test_the_termination_measure_falls_along_every_tower():
                     (p.generators, k)
 
 
+# two deep draws: 83 and 197 levels
+DEEP_TOWERS = [presentation(((0, 5, 1), (1, 0, 3), (2, 1, 4), (4, 0, 2))),
+               presentation(((0, 6, 3), (1, 0, 5), (4, 3, 1), (6, 1, 2)))]
+
+
 def test_the_tower_memo_picks_the_center_a_fresh_memo_picks():
-    # principalize keeps one memo for a whole tower, keyed by facet; on
-    # every level of every tower, the center it blew up is the one
-    # select_center picks with a memo of its own
-    deep = presentation(((0, 5, 1), (1, 0, 3), (2, 1, 4), (4, 0, 2)))
+    # principalize keeps one Climb for a whole tower and updates it only on
+    # the facets each blow-up creates; on every level of every tower, its
+    # divisor is the one scheme_is_divisor finds from scratch, and the
+    # center it picks is the one the tower blew up and the one
+    # select_center picks with a fresh Climb of its own
     depths = []
-    for p in MEASURED_TOWERS + [deep]:
+    for p in MEASURED_TOWERS + DEEP_TOWERS:
         trace = principalize(base_ring(p.num_vars), p)
         depths.append(len(trace.steps))
-        for step in trace.steps:
-            assert select_center(step.lower, p) == step.center, \
-                (p.generators, step.lower.depth)
-    assert depths[-1] == 83
+        rings = [s.lower for s in trace.steps] + [trace.top_ring]
+        climb = Climb(rings[0], p)
+        for k, ring in enumerate(rings):
+            assert climb.divisor() == scheme_is_divisor(ring, p), \
+                (p.generators, k)
+            if k == len(trace.steps):
+                break
+            step = trace.steps[k]
+            assert select_center(ring, p, climb) == \
+                select_center(ring, p) == step.center, (p.generators, k)
+            climb.advance(step)
+    assert depths[-2:] == [83, 197]
+
+
+def test_the_climb_does_each_facet_once(monkeypatch):
+    # a work guard in counts, not times, over the 83-level tower.  co_minimal
+    # is asked once per pair and facet: no call repeats its arguments, the
+    # pair and the facet's exponent rows (no two facets of this tower share
+    # their rows).  The generators' exponents are read three times, not
+    # once per level: for the base ring's divisor test, for the climb's
+    # state, and for the top's confirmation
+    asked: Counter = Counter()
+    exponents = Counter()
+    original_co_minimal = principalize_module.co_minimal
+    original_exponents = LevelRing.exponents
+
+    def co_minimal_counted(rows, a, b):
+        asked[a, b, tuple(rows)] += 1
+        return original_co_minimal(rows, a, b)
+
+    def exponents_counted(ring, g):
+        exponents[g] += 1
+        return original_exponents(ring, g)
+    monkeypatch.setattr(principalize_module, "co_minimal", co_minimal_counted)
+    monkeypatch.setattr(LevelRing, "exponents", exponents_counted)
+    p = DEEP_TOWERS[0]
+    assert len(principalize(base_ring(p.num_vars), p).steps) == 83
+    assert asked and max(asked.values()) == 1
+    assert set(exponents) == set(p.generators)
+    assert max(exponents.values()) == 3
 
 
 def test_a_tie_goes_to_the_slot_first_in_listing_order():
