@@ -55,6 +55,20 @@ class is reduced (every term's support lies in an upper facet):
 `pushforward` leaves out the keys that fail the star test, whose E^{>=2}
 parts are zero in the lower ring.  Its result on a reduced class is
 therefore reduced, and the tower needs no nil reduction between levels.
+
+A tower's class is held grouped by support (`ChowClass.grouped`): a dict
+from a set of positions to the terms whose nonzero entries are exactly
+there.  A divisor keeps its position up the tower, so one exponent serves
+every level, at the top ring's width, with zeros past a level's own.  A
+term that holds none of E, i and j is its own E^0 part and has no E^{>=2}
+part, so it is a term of the level below exactly as it is, and so is its
+whole group.  `pushforward` passes such groups down untouched and visits
+only the groups that hold E, i or j.  All terms of a group share R, the
+support minus {i, j, E}, so one star test per group decides all their
+E^{>=2} parts, and those land in the group R + {i, j}.  A group holding E
+has no E^0 part and is gone once pushed.  A class built from a bare series,
+as `verify`'s one-level pushes build it, is pushed term by term instead:
+it is pushed once, and grouping it would cost more than the push saves.
 """
 
 from __future__ import annotations
@@ -70,6 +84,9 @@ from .errors import EmptyCenterError, LevelMismatchError, MonomialSegreError
 from .lattice import (ExponentVector, MonomialPresentation, default_labels,
                       support)
 from .series import TruncatedSeries
+
+# support -> the terms with exactly that support, as a grouped class holds them
+_Groups = dict[frozenset[int], dict[tuple[int, ...], int]]
 
 
 @dataclass(frozen=True)
@@ -164,16 +181,49 @@ def base_ring(n: int, labels: Iterable[str] | None = None,
     return LevelRing(labels, maximal, rays)
 
 
-@dataclass(frozen=True)
 class ChowClass:
-    ring: LevelRing
-    series: TruncatedSeries
+    """A class on a level ring, held one of two ways.
 
-    def __post_init__(self):
-        if self.series.num_vars != self.ring.num_vars:
+    `ChowClass(ring, series)` holds a bare series over the ring's variables,
+    as `verify`'s one-level pushes and the tests build it.  `grouped` holds
+    the terms grouped by support: a dict from a frozenset of positions to the
+    terms whose nonzero entries are exactly there, every group nonempty and
+    every coefficient nonzero.  A grouped class's exponents may be wider than
+    its ring, with zeros past the ring's width: a tower keeps its top ring's
+    width on every level, since a divisor keeps its position.  `series`
+    slices them to the ring's width when it is read, and keeps what it
+    built.  `pushforward` picks its path by which way the class is held,
+    never by whether `series` has been read."""
+
+    __slots__ = ("ring", "degree_bound", "groups", "_series")
+
+    def __init__(self, ring: LevelRing, series: TruncatedSeries):
+        if series.num_vars != ring.num_vars:
             raise LevelMismatchError(
-                f"series in {self.series.num_vars} variables on a ring with "
-                f"{self.ring.num_vars}")
+                f"series in {series.num_vars} variables on a ring with "
+                f"{ring.num_vars}")
+        self.ring = ring
+        self.degree_bound = series.degree_bound
+        self.groups: _Groups | None = None
+        self._series: TruncatedSeries | None = series
+
+    @classmethod
+    def grouped(cls, ring: LevelRing, degree_bound: int,
+                groups: _Groups) -> ChowClass:
+        """A class held as its support groups, trusted as they are."""
+        c = cls.__new__(cls)
+        c.ring, c.degree_bound, c.groups, c._series = \
+            ring, degree_bound, groups, None
+        return c
+
+    @property
+    def series(self) -> TruncatedSeries:
+        if self._series is None:
+            w = self.ring.num_vars
+            self._series = TruncatedSeries._raw(w, self.degree_bound, {
+                e[:w]: v for terms in self.groups.values()
+                for e, v in terms.items()})
+        return self._series
 
 
 @dataclass(frozen=True)
@@ -242,10 +292,25 @@ def pushforward(step: BlowupStep, c: ChowClass) -> ChowClass:
     when k0 = 0, and a term with no E and no center exponent has nothing
     else.  The E^{>=2} part, v Y^b times the `_deep_push` table of
     (k0, ai, aj), is summed into one (x, y) -> coefficient table per
-    off-center key Y^b.  Each key's star test runs once, on the support of
-    Y^b: a key off the star of the center edge (the facets through {i, j}
-    minus i and j) gets no table, and every other key yields one term
-    Y^b Y_i^x Y_j^y per nonzero entry of its table.
+    off-center key Y^b.  A key off the star of the center edge (the facets
+    through {i, j} minus i and j) gets no table, and every other key yields
+    one term Y^b Y_i^x Y_j^y per nonzero entry of its table.
+
+    A grouped class is pushed group by group, and its result is grouped at
+    the same width:
+      - a group disjoint from {i, j, E} passes down as the same object: each
+        of its terms is its own E^0 part and has no other;
+      - a group without E keeps its terms as they are, E^0 parts whose E
+        entry is already zero;
+      - a group with E is dropped once pushed, since no term in it has an
+        E^0 part;
+      - the star test runs once per group, on its support minus {i, j, E},
+        and a group that passes adds its E^{>=2} parts into the group of
+        that support plus {i, j}, copied first, so the input is never
+        changed.
+    So a level visits only the groups that hold E, i or j.  A class built
+    from a bare series is pushed term by term, with the same tables and the
+    same star rule: grouping it would cost more than the one push it gets.
 
     On a reduced class the result is reduced (module docstring); on any
     other class only its E^0 terms may lie on empty strata.  On a base ring
@@ -256,29 +321,24 @@ def pushforward(step: BlowupStep, c: ChowClass) -> ChowClass:
     pi, pj = step.center
     lower = step.lower
     star = [f - {pi, pj} for f in lower.facets if pi in f and pj in f]
-    out: dict[tuple[int, ...], int] = {}
-    # off-center key -> (x, y) -> coefficient, or False off the star
-    deep: dict[tuple[int, ...], dict[tuple[int, int], int] | bool] = {}
-    for e, v in c.series.terms.items():
-        k0, ai, aj = e[-1], e[pi], e[pj]
-        low = e[:-1]
-        if not k0:
-            # distinct terms with no E drop to distinct exponents
-            out[low] = v
-        if k0 + ai + aj < 2:
-            continue  # no E^{>=2} part
-        t = list(low)
-        t[pi] = t[pj] = 0
-        key = tuple(t)
-        table = deep.get(key)
-        if table is None:
-            rest = frozenset(m for m, a in enumerate(key) if a)
-            table = deep[key] = {} if any(rest <= f for f in star) else False
-        if table is False:
-            continue
-        for xy, w in _deep_push(k0, ai, aj):
-            table[xy] = table.get(xy, 0) + w * v
-    for key, table in deep.items():
+
+    def on_star(rest: frozenset[int]) -> bool:
+        return any(rest <= f for f in star)
+
+    if c.groups is None:
+        return ChowClass(lower, TruncatedSeries._raw(
+            lower.num_vars, c.degree_bound,
+            _push_terms(c.series.terms, pi, pj, on_star)))
+    return ChowClass.grouped(lower, c.degree_bound, _push_groups(
+        c.groups, pi, pj, lower.num_vars, on_star))
+
+
+def _land_deep(out: dict[tuple[int, ...], int], pi: int, pj: int,
+               tables: dict[tuple[int, ...], dict]) -> None:
+    """Add each key's table into out, one term Y^b Y_i^x Y_j^y per nonzero
+    entry, deleting a term that cancels; a key whose table is False (off the
+    star) adds nothing."""
+    for key, table in tables.items():
         if table is False:
             continue
         t = list(key)
@@ -294,8 +354,76 @@ def pushforward(step: BlowupStep, c: ChowClass) -> ChowClass:
                 out[tt] = w
             else:
                 del out[tt]
-    return ChowClass(lower, TruncatedSeries._raw(
-        lower.num_vars, c.series.degree_bound, out))
+
+
+def _push_terms(terms, pi: int, pj: int, on_star) -> dict[tuple[int, ...], int]:
+    """The push of a bare series' terms, E last, term by term."""
+    out: dict[tuple[int, ...], int] = {}
+    # off-center key -> (x, y) -> coefficient, or False off the star
+    deep: dict[tuple[int, ...], dict[tuple[int, int], int] | bool] = {}
+    for e, v in terms.items():
+        k0, ai, aj = e[-1], e[pi], e[pj]
+        low = e[:-1]
+        if not k0:
+            # distinct terms with no E drop to distinct exponents
+            out[low] = v
+        if k0 + ai + aj < 2:
+            continue  # no E^{>=2} part
+        t = list(low)
+        t[pi] = t[pj] = 0
+        key = tuple(t)
+        table = deep.get(key)
+        if table is None:
+            rest = frozenset(m for m, a in enumerate(key) if a)
+            table = deep[key] = {} if on_star(rest) else False
+        if table is False:
+            continue
+        for xy, w in _deep_push(k0, ai, aj):
+            table[xy] = table.get(xy, 0) + w * v
+    _land_deep(out, pi, pj, deep)
+    return out
+
+
+def _push_groups(groups: _Groups, pi: int, pj: int, pe: int,
+                 on_star) -> _Groups:
+    """The push of a grouped class, E at position pe (see `pushforward`)."""
+    touched = frozenset((pi, pj, pe))
+    out: _Groups = {}
+    # support of the E^{>=2} parts -> off-center key -> (x, y) -> coefficient
+    deep: dict[frozenset[int], dict[tuple[int, ...], dict]] = {}
+    for supp, terms in groups.items():
+        if pe not in supp:
+            out[supp] = terms  # each term is its own E^0 part
+        if touched.isdisjoint(supp):
+            continue  # and has no other
+        rest = supp - touched
+        if not on_star(rest):
+            continue  # its E^{>=2} parts lie on empty strata
+        tables = deep.setdefault(rest | {pi, pj}, {})
+        for e, v in terms.items():
+            k0, ai, aj = e[pe], e[pi], e[pj]
+            if k0 + ai + aj < 2:
+                continue  # no E^{>=2} part
+            t = list(e)
+            t[pi] = t[pj] = t[pe] = 0
+            key = tuple(t)
+            table = tables.get(key)
+            if table is None:
+                table = tables[key] = {}
+            for xy, w in _deep_push(k0, ai, aj):
+                table[xy] = table.get(xy, 0) + w * v
+    for supp, tables in deep.items():
+        if not tables:
+            continue
+        # copied, so the input's group stays as it is; a reduced class has no
+        # such group, since the transforms of i and j do not meet upstairs
+        merged = dict(out.get(supp, ()))
+        _land_deep(merged, pi, pj, tables)
+        if merged:
+            out[supp] = merged
+        else:
+            out.pop(supp, None)
+    return out
 
 
 def reduce_nils(r: LevelRing, series: TruncatedSeries) -> TruncatedSeries:

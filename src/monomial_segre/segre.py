@@ -162,7 +162,7 @@ def _top_faces(top: LevelRing, d) -> list[tuple[int, ...]]:
     return sorted(faces)
 
 
-def _divisor_segre_reduced(top: LevelRing, d, degree_bound: int):
+def _divisor_segre_reduced(top: LevelRing, d, degree_bound: int) -> ChowClass:
     """D/(1+D) on the top ring, on nonempty strata only, in closed form:
 
         D/(1+D) = sum over 1 <= |e| <= degree_bound of
@@ -175,8 +175,10 @@ def _divisor_segre_reduced(top: LevelRing, d, degree_bound: int):
     positive parts, C(degree_bound, r) terms in all, and no two terms share
     an exponent, so the count is known before anything is built; over
     TERM_BUDGET it raises TermBudgetError.  Every coefficient is nonzero
-    and every degree within the bound, so the terms go to the trusted
-    constructor."""
+    and every degree within the bound, and a face's terms all have that face
+    as their support, so they make one group of a grouped class, as it is
+    (`chow.ChowClass.grouped`); a face wider than the bound has no terms and
+    no group."""
     faces = _top_faces(top, d)
     count = sum(comb(degree_bound, len(s)) for s in faces)
     if count > TERM_BUDGET:
@@ -185,9 +187,12 @@ def _divisor_segre_reduced(top: LevelRing, d, degree_bound: int):
             f"bound {degree_bound} has {count} terms, more than the budget "
             f"of {TERM_BUDGET}")
     zero = [0] * top.num_vars
-    total = {}
+    groups = {}
     for s in faces:
         r = len(s)
+        if r > degree_bound:
+            continue
+        total = groups[frozenset(s)] = {}
         powers = [[d[m] ** a for a in range(degree_bound + 1)] for m in s]
         for t in range(r, degree_bound + 1):
             sign = 1 if t % 2 else -1
@@ -198,7 +203,7 @@ def _divisor_segre_reduced(top: LevelRing, d, degree_bound: int):
                     e[m] = a
                     c *= pw[a]
                 total[tuple(e)] = c
-    return TruncatedSeries._raw(top.num_vars, degree_bound, total)
+    return ChowClass.grouped(top, degree_bound, groups)
 
 
 def segre_tower(p: MonomialPresentation, degree_bound: int | None = None,
@@ -210,7 +215,11 @@ def segre_tower(p: MonomialPresentation, degree_bound: int | None = None,
 
     The top expansion is reduced, and `pushforward` keeps a reduced class
     reduced (see the chow module docstring), so no level needs a nil
-    reduction.  The one `reduce_nils` at the base changes nothing.  It is
+    reduction.  The class stays grouped by support, at the top ring's width,
+    all the way down: each level visits only the groups that hold its
+    exceptional divisor or a center, and passes every other group down as
+    it is.  Its series is read once, at the base, sliced to the base width.
+    The one `reduce_nils` at the base changes nothing.  It is
     kept so that both pipelines end in the same `reduce_nils(ring, ...)`,
     and because the per-layer tracer (bench/tracing.py) fails a `corpus`
     run that records no `reduce_nils` call, while that workload calls
@@ -224,7 +233,7 @@ def segre_tower(p: MonomialPresentation, degree_bound: int | None = None,
     trace = run_principalize(ring, p)
     top = trace.top_ring
     d = trace.terminal_divisor
-    c = ChowClass(top, _divisor_segre_reduced(top, d, degree_bound))
+    c = _divisor_segre_reduced(top, d, degree_bound)
     for step in reversed(trace.steps):
         c = pushforward(step, c)
     return SegreResult(reduce_nils(ring, c.series), (), (), pipeline="tower",

@@ -11,7 +11,8 @@ from monomial_segre.chow import (ChowClass, base_ring, blow_up, pushforward,
                                  scheme_is_empty)
 from monomial_segre.errors import (EmptyCenterError, LevelMismatchError,
                                    MonomialSegreError)
-from monomial_segre.lattice import MonomialPresentation, presentation
+from monomial_segre.lattice import (MonomialPresentation, presentation,
+                                   support)
 from monomial_segre.segre import _divisor_segre_reduced
 from monomial_segre.series import TruncatedSeries, reciprocal_one_plus
 
@@ -382,7 +383,7 @@ def check_top_expansion(tower, d, bound):
             if not stratum_is_empty_by_recursion(
                 base.num_vars, nils, steps,
                 {top.variables[k] for k, a in enumerate(e) if a})}
-    got = _divisor_segre_reduced(top, d, bound).terms
+    got = _divisor_segre_reduced(top, d, bound).series.terms
     assert got == want
     faces = {c for f in top.facets
              for r in range(1, len(f) + 1)
@@ -456,3 +457,65 @@ def test_pushforward_of_a_reduced_class_is_the_reduced_substitution(tower,
                                                          pi, pj)))
     assert got.terms == want.terms
     assert reduce_nils(low, got) == got
+
+
+# -- the grouped push-down --------------------------------------------------
+
+
+def check_grouped(c):
+    """c is held by support: every group nonempty, every term's support its
+    group's key, and no coefficient zero."""
+    assert c.groups is not None
+    for supp, terms in c.groups.items():
+        assert terms, supp
+        for e, v in terms.items():
+            assert v and support(e) == supp, (supp, e, v)
+
+
+@given(towers(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_grouped_push_down_matches_the_normal_form_level_by_level(tower,
+                                                                  data):
+    # each level's class is read flat before it is pushed, as the tracer
+    # reads it, and the push still takes the grouped path
+    base, _, steps = tower
+    top = steps[-1].upper if steps else base
+    d = data.draw(st.lists(st.integers(0, 3), min_size=top.num_vars,
+                           max_size=top.num_vars))
+    bound = data.draw(st.integers(1, 5))
+    c = _divisor_segre_reduced(top, d, bound)
+    check_grouped(c)
+    for step in reversed(steps):
+        low = step.lower
+        want = reduce_nils(low, TruncatedSeries(
+            low.num_vars, bound,
+            pushforward_by_normal_form(c.series.terms, *step.center)))
+        c = pushforward(step, c)
+        check_grouped(c)
+        assert c.series.terms == want.terms, low.depth
+
+
+def test_e2_parts_cancel_e0_terms_and_empty_a_group():
+    # ~X1 ~X2 X3 keeps X1 X2 X3 as its E^0 part, and the E^{>=2} parts of
+    # itself (-1), E^2 X3 (-1) and E ~X1 X3 (+1) cancel it: its group
+    # {X1, X2, X3} empties and is dropped.  In {X1, X2}, the E^0 part of
+    # ~X1 ~X2 cancels with its own E^{>=2} part, and E^3 adds -X1 X2^2 and
+    # -X1^2 X2; X3^2 passes as it is
+    step = blow(base_ring(3), "X1", "X2")
+    groups = {frozenset({0, 1, 2}): {(1, 1, 1, 0): 1},
+              frozenset({2, 3}): {(0, 0, 1, 2): 1},
+              frozenset({0, 2, 3}): {(1, 0, 1, 1): 1},
+              frozenset({0, 1}): {(1, 1, 0, 0): 1},
+              frozenset({3}): {(0, 0, 0, 3): 1},
+              frozenset({2}): {(0, 0, 2, 0): 3}}
+    c = ChowClass.grouped(step.upper, BOUND, groups)
+    flat = {e: v for terms in groups.values() for e, v in terms.items()}
+    got = pushforward(step, c)
+    check_grouped(got)
+    assert got.series.terms == pushforward_by_normal_form(flat, 0, 1)
+    assert got.groups == {frozenset({0, 1}): {(1, 2, 0, 0): -1,
+                                              (2, 1, 0, 0): -1},
+                          frozenset({2}): {(0, 0, 2, 0): 3}}
+    assert got.groups[frozenset({2})] is groups[frozenset({2})]
+    # the input is unchanged
+    assert c.series.terms == flat

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monomial_segre.chow import (LevelRing, base_ring, blow_up,
+from monomial_segre.chow import (LevelRing, base_ring, blow_up, pushforward,
                                  scheme_is_divisor)
 from monomial_segre.errors import TowerDivergenceError
 from monomial_segre.lattice import presentation
 from monomial_segre.principalize import (Climb, co_minimal, principalize,
                                          select_center)
-from monomial_segre.segre import admissible_pairs
+from monomial_segre.segre import (_divisor_segre_reduced, admissible_pairs,
+                                  segre_integral, segre_tower)
 
 from oracles import random_presentation, slot_scores
 
@@ -280,6 +281,38 @@ def test_the_climb_does_each_facet_once(monkeypatch):
     assert asked and max(asked.values()) == 1
     assert set(exponents) == set(p.generators)
     assert max(exponents.values()) == 3
+
+
+def test_the_push_down_passes_every_untouched_group_as_it_is():
+    # a work guard in structure, not times, over the 83-level tower: on every
+    # level, the input class is unchanged when read after the call, as the
+    # tracer reads it, and each group with none of i, j and E is the very
+    # object it was, so no level copies or re-keys the terms it does not own
+    p = DEEP_TOWERS[0]
+    trace = principalize(base_ring(p.num_vars), p)
+    assert len(trace.steps) == 83
+    c = _divisor_segre_reduced(trace.top_ring, trace.terminal_divisor,
+                               p.num_vars + 3)
+    passed = 0
+    for step in reversed(trace.steps):
+        w = step.upper.num_vars
+        before = {e[:w]: v for terms in c.groups.values()
+                  for e, v in terms.items()}
+        pushed = pushforward(step, c)
+        assert c.series.terms == before, step.upper.depth
+        touched = {*step.center, step.lower.num_vars}
+        for supp, terms in c.groups.items():
+            if touched.isdisjoint(supp):
+                assert pushed.groups[supp] is terms, step.upper.depth
+                passed += 1
+        c = pushed
+    assert passed
+
+
+@pytest.mark.parametrize("p", DEEP_TOWERS)
+def test_deep_towers_agree_with_the_integral(p):
+    bound = p.num_vars + 3
+    assert segre_tower(p, bound).series == segre_integral(p, bound).series
 
 
 def test_a_tie_goes_to_the_slot_first_in_listing_order():
