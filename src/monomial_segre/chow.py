@@ -57,25 +57,27 @@ parts are zero in the lower ring.  Its result on a reduced class is
 therefore reduced, and the tower needs no nil reduction between levels.
 
 A tower's class is held grouped by support (`ChowClass.grouped`): a dict
-from a set of positions to the terms whose nonzero entries are exactly
-there.  A divisor keeps its position up the tower, so one exponent serves
-every level, at the top ring's width, with zeros past a level's own.  A
-term that holds none of E, i and j is its own E^0 part and has no E^{>=2}
-part, so it is a term of the level below exactly as it is, and so is its
-whole group.  `pushforward` passes such groups down untouched and visits
-only the groups that hold E, i or j.  All terms of a group share R, the
-support minus {i, j, E}, so one star test per group decides all their
-E^{>=2} parts, and those land in the group R + {i, j}.  A group holding E
-has no E^0 part and is gone once pushed.  A class built from a bare series,
-as `verify`'s one-level pushes build it, is pushed term by term instead:
-it is pushed once, and grouping it would cost more than the push saves.
+from a support, the sorted tuple of positions where a term is nonzero, to
+that group's terms, each keyed by its exponents at those positions only.  A
+divisor keeps its position up the tower, so a key names the same divisors
+on every level, and a term costs its support, not the ring's width.  A term
+that holds none of E, i and j is its own E^0 part and has no E^{>=2} part,
+so it is a term of the level below exactly as it is, and so is its whole
+group.  `pushforward` passes such groups down untouched and visits only the
+groups that hold E, i or j, reading their terms column by column.  All
+terms of a group share R, the support minus {i, j, E}, so one star test per
+group decides all their E^{>=2} parts, and those are built directly at the
+width of the group R + {i, j}.  A group holding E has no E^0 part and is
+gone once pushed.  A class built from a bare series, as `verify`'s
+one-level pushes build it, is pushed term by term instead: it is pushed
+once, and grouping it would cost more than the push saves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
+from itertools import combinations, filterfalse
 from math import comb
 from operator import add, mul, sub
 from typing import Iterable
@@ -85,8 +87,8 @@ from .lattice import (ExponentVector, MonomialPresentation, default_labels,
                       support)
 from .series import TruncatedSeries
 
-# support -> the terms with exactly that support, as a grouped class holds them
-_Groups = dict[frozenset[int], dict[tuple[int, ...], int]]
+# sorted support -> {exponents at those positions, each positive: coefficient}
+_Groups = dict[tuple[int, ...], dict[tuple[int, ...], int]]
 
 
 @dataclass(frozen=True)
@@ -186,14 +188,13 @@ class ChowClass:
 
     `ChowClass(ring, series)` holds a bare series over the ring's variables,
     as `verify`'s one-level pushes and the tests build it.  `grouped` holds
-    the terms grouped by support: a dict from a frozenset of positions to the
-    terms whose nonzero entries are exactly there, every group nonempty and
-    every coefficient nonzero.  A grouped class's exponents may be wider than
-    its ring, with zeros past the ring's width: a tower keeps its top ring's
-    width on every level, since a divisor keeps its position.  `series`
-    slices them to the ring's width when it is read, and keeps what it
-    built.  `pushforward` picks its path by which way the class is held,
-    never by whether `series` has been read."""
+    the terms grouped by support: a dict from a sorted tuple of positions to
+    the terms whose nonzero entries are exactly there, each term keyed by
+    its exponents at those positions, in order, so every entry is positive.
+    Every group is nonempty and every coefficient nonzero.  `series`
+    scatters the terms out to the ring's width when it is read, and keeps
+    what it built.  `pushforward` picks its path by which way the class is
+    held, never by whether `series` has been read."""
 
     __slots__ = ("ring", "degree_bound", "groups", "_series")
 
@@ -219,10 +220,15 @@ class ChowClass:
     @property
     def series(self) -> TruncatedSeries:
         if self._series is None:
-            w = self.ring.num_vars
-            self._series = TruncatedSeries._raw(w, self.degree_bound, {
-                e[:w]: v for terms in self.groups.values()
-                for e, v in terms.items()})
+            flat = {}
+            for supp, terms in self.groups.items():
+                # the group's exponents by column, one per ring position
+                cols = [(0,) * len(terms)] * self.ring.num_vars
+                for m, col in zip(supp, zip(*terms)):
+                    cols[m] = col
+                flat.update(zip(zip(*cols), terms.values()))
+            self._series = TruncatedSeries._raw(self.ring.num_vars,
+                                                self.degree_bound, flat)
         return self._series
 
 
@@ -296,21 +302,22 @@ def pushforward(step: BlowupStep, c: ChowClass) -> ChowClass:
     through {i, j} minus i and j) gets no table, and every other key yields
     one term Y^b Y_i^x Y_j^y per nonzero entry of its table.
 
-    A grouped class is pushed group by group, and its result is grouped at
-    the same width:
+    A grouped class is pushed group by group, and its result is grouped the
+    same way, with sparse keys:
       - a group disjoint from {i, j, E} passes down as the same object: each
         of its terms is its own E^0 part and has no other;
-      - a group without E keeps its terms as they are, E^0 parts whose E
-        entry is already zero;
+      - a group without E keeps its terms as they are, E^0 parts;
       - a group with E is dropped once pushed, since no term in it has an
         E^0 part;
       - the star test runs once per group, on its support minus {i, j, E},
-        and a group that passes adds its E^{>=2} parts into the group of
-        that support plus {i, j}, copied first, so the input is never
-        changed.
-    So a level visits only the groups that hold E, i or j.  A class built
-    from a bare series is pushed term by term, with the same tables and the
-    same star rule: grouping it would cost more than the one push it gets.
+        and a group that passes reads its terms column by column (E, i, j
+        and the rest) and builds their E^{>=2} parts at the width of the
+        group of that support plus {i, j}; they are added into a copy of
+        that group, so the input is never changed.
+    So a level visits only the groups that hold E, i or j, and the work on
+    each of their terms is as wide as its group.  A class built from a bare
+    series is pushed term by term, with the same tables and the same star
+    rule: grouping it would cost more than the one push it gets.
 
     On a reduced class the result is reduced (module docstring); on any
     other class only its E^0 terms may lie on empty strata.  On a base ring
@@ -322,8 +329,8 @@ def pushforward(step: BlowupStep, c: ChowClass) -> ChowClass:
     lower = step.lower
     star = [f - {pi, pj} for f in lower.facets if pi in f and pj in f]
 
-    def on_star(rest: frozenset[int]) -> bool:
-        return any(rest <= f for f in star)
+    def on_star(rest: Iterable[int]) -> bool:
+        return any(f.issuperset(rest) for f in star)
 
     if c.groups is None:
         return ChowClass(lower, TruncatedSeries._raw(
@@ -336,8 +343,8 @@ def pushforward(step: BlowupStep, c: ChowClass) -> ChowClass:
 def _land_deep(out: dict[tuple[int, ...], int], pi: int, pj: int,
                tables: dict[tuple[int, ...], dict]) -> None:
     """Add each key's table into out, one term Y^b Y_i^x Y_j^y per nonzero
-    entry, deleting a term that cancels; a key whose table is False (off the
-    star) adds nothing."""
+    entry, with x and y at indices pi and pj of the key, deleting a term
+    that cancels; a key whose table is False (off the star) adds nothing."""
     for key, table in tables.items():
         if table is False:
             continue
@@ -388,25 +395,31 @@ def _push_groups(groups: _Groups, pi: int, pj: int, pe: int,
                  on_star) -> _Groups:
     """The push of a grouped class, E at position pe (see `pushforward`)."""
     touched = frozenset((pi, pj, pe))
-    out: _Groups = {}
-    # support of the E^{>=2} parts -> off-center key -> (x, y) -> coefficient
-    deep: dict[frozenset[int], dict[tuple[int, ...], dict]] = {}
-    for supp, terms in groups.items():
-        if pe not in supp:
-            out[supp] = terms  # each term is its own E^0 part
-        if touched.isdisjoint(supp):
-            continue  # and has no other
-        rest = supp - touched
+    # a group without E keeps its terms as E^0 parts, and one disjoint from
+    # {i, j, E} has no other part
+    out = groups.copy()
+    # support of the E^{>=2} parts -> off-center key at that support's
+    # width, zero at i and j -> (x, y) -> coefficient
+    deep: dict[tuple[int, ...], dict[tuple[int, ...], dict]] = {}
+    for supp in filterfalse(touched.isdisjoint, groups):
+        if supp[-1] == pe:  # E is the last position
+            del out[supp]  # no term of it has an E^0 part
+        rest = [m for m in supp if m not in touched]
         if not on_star(rest):
             continue  # its E^{>=2} parts lie on empty strata
-        tables = deep.setdefault(rest | {pi, pj}, {})
-        for e, v in terms.items():
-            k0, ai, aj = e[pe], e[pi], e[pj]
+        target = tuple(sorted(rest + [pi, pj]))
+        tables = deep.setdefault(target, {})
+        terms = groups[supp]
+        # the group's exponents by column, one per position it holds, and
+        # each term's off-center part at the target's width, zero at i and j
+        cols = dict(zip(supp, zip(*terms)))
+        zero = (0,) * len(terms)
+        keys = zip(*[zero if m == pi or m == pj else cols[m] for m in target])
+        for key, k0, ai, aj, v in zip(keys, cols.get(pe, zero),
+                                      cols.get(pi, zero), cols.get(pj, zero),
+                                      terms.values()):
             if k0 + ai + aj < 2:
                 continue  # no E^{>=2} part
-            t = list(e)
-            t[pi] = t[pj] = t[pe] = 0
-            key = tuple(t)
             table = tables.get(key)
             if table is None:
                 table = tables[key] = {}
@@ -418,7 +431,7 @@ def _push_groups(groups: _Groups, pi: int, pj: int, pe: int,
         # copied, so the input's group stays as it is; a reduced class has no
         # such group, since the transforms of i and j do not meet upstairs
         merged = dict(out.get(supp, ()))
-        _land_deep(merged, pi, pj, tables)
+        _land_deep(merged, supp.index(pi), supp.index(pj), tables)
         if merged:
             out[supp] = merged
         else:

@@ -150,14 +150,16 @@ def _compositions(t: int, r: int) -> tuple:
                  for rest, m in _compositions(t - first, r - 1))
 
 
-def _top_faces(top: LevelRing, d) -> list[tuple[int, ...]]:
+def _top_faces(top: LevelRing, d, degree_bound: int) -> list[tuple[int, ...]]:
     """The nonempty strata of the top ring inside the support of d, as
     sorted position tuples: every nonempty subset of a facet's positive
-    part."""
+    part with at most degree_bound positions.  A wider face carries no term
+    of the expansion, so none is listed, and a k-position facet costs the
+    subsets of at most degree_bound positions, not all 2^k."""
     faces: set[tuple[int, ...]] = set()
     for f in top.facets:
         g = sorted(m for m in f if d[m])
-        for r in range(1, len(g) + 1):
+        for r in range(1, min(len(g), degree_bound) + 1):
             faces.update(combinations(g, r))
     return sorted(faces)
 
@@ -173,36 +175,33 @@ def _divisor_segre_reduced(top: LevelRing, d, degree_bound: int) -> ChowClass:
     other term lies on an empty stratum or has a zero coefficient.  A face
     of r positions gives one term per composition of each total t into r
     positive parts, C(degree_bound, r) terms in all, and no two terms share
-    an exponent, so the count is known before anything is built; over
-    TERM_BUDGET it raises TermBudgetError.  Every coefficient is nonzero
-    and every degree within the bound, and a face's terms all have that face
-    as their support, so they make one group of a grouped class, as it is
-    (`chow.ChowClass.grouped`); a face wider than the bound has no terms and
-    no group."""
-    faces = _top_faces(top, d)
+    an exponent.  A face wider than the bound gives none, so `_top_faces`
+    lists only the faces of at most degree_bound positions, and the count is
+    known before any term is built; over TERM_BUDGET it raises
+    TermBudgetError.  Every coefficient is nonzero and every degree within
+    the bound, and a face's terms all have that face as their support, so
+    they make one group of a grouped class (`chow.ChowClass.grouped`): the
+    face is the group's key, and each composition, the exponents at the
+    face's positions, is a term's key as it is."""
+    faces = _top_faces(top, d, degree_bound)
     count = sum(comb(degree_bound, len(s)) for s in faces)
     if count > TERM_BUDGET:
         raise TermBudgetError(
             f"the top expansion of a {top.num_vars}-variable tower at degree "
             f"bound {degree_bound} has {count} terms, more than the budget "
             f"of {TERM_BUDGET}")
-    zero = [0] * top.num_vars
     groups = {}
     for s in faces:
         r = len(s)
-        if r > degree_bound:
-            continue
-        total = groups[frozenset(s)] = {}
+        total = groups[s] = {}
         powers = [[d[m] ** a for a in range(degree_bound + 1)] for m in s]
         for t in range(r, degree_bound + 1):
             sign = 1 if t % 2 else -1
             for parts, mult in _compositions(t, r):
-                e = zero[:]
                 c = sign * mult
-                for m, a, pw in zip(s, parts, powers):
-                    e[m] = a
+                for a, pw in zip(parts, powers):
                     c *= pw[a]
-                total[tuple(e)] = c
+                total[parts] = c
     return ChowClass.grouped(top, degree_bound, groups)
 
 
@@ -215,10 +214,15 @@ def segre_tower(p: MonomialPresentation, degree_bound: int | None = None,
 
     The top expansion is reduced, and `pushforward` keeps a reduced class
     reduced (see the chow module docstring), so no level needs a nil
-    reduction.  The class stays grouped by support, at the top ring's width,
-    all the way down: each level visits only the groups that hold its
-    exceptional divisor or a center, and passes every other group down as
-    it is.  Its series is read once, at the base, sliced to the base width.
+    reduction.  The class stays grouped by support all the way down, each
+    term keyed by its exponents at its group's positions only: each level
+    visits only the groups that hold its exceptional divisor or a center,
+    and passes every other group down as it is.  `pushforward` is pure and
+    is called once per level.  The series is read once, at the base, where
+    the terms are scattered out to the base width.  The top expansion lists
+    only faces of at most degree_bound positions, so its cost follows the
+    bound, not the width of the top facets.
+
     The one `reduce_nils` at the base changes nothing.  It is
     kept so that both pipelines end in the same `reduce_nils(ring, ...)`,
     and because the per-layer tracer (bench/tracing.py) fails a `corpus`

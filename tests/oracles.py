@@ -25,7 +25,8 @@ region in two variables comes from a monotone-chain lower hull and the
 shoelace formula, and its volume in three variables from Ehrhart theory:
 the lattice points outside the dilates of the Newton polyhedron.  The
 seeded draw rule for random presentations is here too, so that every suite
-draws the same way, with small series builders that only tests need.
+draws the same way, with small series builders that only tests need, and
+the layout rule a grouped class's sparse keys obey.
 """
 
 from fractions import Fraction
@@ -484,3 +485,30 @@ def newton_region_volume(generators):
     counts = [outside(k) for k in range(1, 5)]
     third = counts[3] - 3 * counts[2] + 3 * counts[1] - counts[0]
     return Fraction(third, 6)
+
+
+def check_sparse_groups(c):
+    """c is held by support with sparse keys: every group nonempty and keyed
+    by a sorted tuple of distinct positions of its ring, and every term's
+    exponents as long as the key, every entry positive, with a nonzero
+    coefficient.  So no term is stored at the ring's full width."""
+    assert c.groups is not None
+    for supp, terms in c.groups.items():
+        assert terms, supp
+        assert type(supp) is tuple and list(supp) == sorted(set(supp)), supp
+        assert all(0 <= m < c.ring.num_vars for m in supp), supp
+        for e, v in terms.items():
+            assert v and len(e) == len(supp) and min(e) > 0, (supp, e, v)
+
+
+def flat_terms(groups, width):
+    """The terms of a grouped class's groups as a plain dict at the given
+    width, each term's exponents placed at its group's positions."""
+    out = {}
+    for supp, terms in groups.items():
+        for e, v in terms.items():
+            t = [0] * width
+            for m, a in zip(supp, e, strict=True):
+                t[m] = a
+            out[tuple(t)] = v
+    return out

@@ -11,13 +11,12 @@ from monomial_segre.chow import (ChowClass, base_ring, blow_up, pushforward,
                                  scheme_is_empty)
 from monomial_segre.errors import (EmptyCenterError, LevelMismatchError,
                                    MonomialSegreError)
-from monomial_segre.lattice import (MonomialPresentation, presentation,
-                                   support)
+from monomial_segre.lattice import MonomialPresentation, presentation
 from monomial_segre.segre import _divisor_segre_reduced
 from monomial_segre.series import TruncatedSeries, reciprocal_one_plus
 
-from oracles import (expand_terms, pullback, pushforward_by_normal_form,
-                     pushforward_by_substitution,
+from oracles import (check_sparse_groups, expand_terms, flat_terms, pullback,
+                     pushforward_by_normal_form, pushforward_by_substitution,
                      scheme_is_empty_by_enumeration,
                      stratum_is_empty_by_recursion, symbols,
                      total_transform, variable)
@@ -462,16 +461,6 @@ def test_pushforward_of_a_reduced_class_is_the_reduced_substitution(tower,
 # -- the grouped push-down --------------------------------------------------
 
 
-def check_grouped(c):
-    """c is held by support: every group nonempty, every term's support its
-    group's key, and no coefficient zero."""
-    assert c.groups is not None
-    for supp, terms in c.groups.items():
-        assert terms, supp
-        for e, v in terms.items():
-            assert v and support(e) == supp, (supp, e, v)
-
-
 @given(towers(), st.data())
 @settings(max_examples=40, deadline=None)
 def test_grouped_push_down_matches_the_normal_form_level_by_level(tower,
@@ -484,14 +473,14 @@ def test_grouped_push_down_matches_the_normal_form_level_by_level(tower,
                            max_size=top.num_vars))
     bound = data.draw(st.integers(1, 5))
     c = _divisor_segre_reduced(top, d, bound)
-    check_grouped(c)
+    check_sparse_groups(c)
     for step in reversed(steps):
         low = step.lower
         want = reduce_nils(low, TruncatedSeries(
             low.num_vars, bound,
             pushforward_by_normal_form(c.series.terms, *step.center)))
         c = pushforward(step, c)
-        check_grouped(c)
+        check_sparse_groups(c)
         assert c.series.terms == want.terms, low.depth
 
 
@@ -502,20 +491,22 @@ def test_e2_parts_cancel_e0_terms_and_empty_a_group():
     # ~X1 ~X2 cancels with its own E^{>=2} part, and E^3 adds -X1 X2^2 and
     # -X1^2 X2; X3^2 passes as it is
     step = blow(base_ring(3), "X1", "X2")
-    groups = {frozenset({0, 1, 2}): {(1, 1, 1, 0): 1},
-              frozenset({2, 3}): {(0, 0, 1, 2): 1},
-              frozenset({0, 2, 3}): {(1, 0, 1, 1): 1},
-              frozenset({0, 1}): {(1, 1, 0, 0): 1},
-              frozenset({3}): {(0, 0, 0, 3): 1},
-              frozenset({2}): {(0, 0, 2, 0): 3}}
+    groups = {(0, 1, 2): {(1, 1, 1): 1},
+              (2, 3): {(1, 2): 1},
+              (0, 2, 3): {(1, 1, 1): 1},
+              (0, 1): {(1, 1): 1},
+              (3,): {(3,): 1},
+              (2,): {(2,): 3}}
     c = ChowClass.grouped(step.upper, BOUND, groups)
-    flat = {e: v for terms in groups.values() for e, v in terms.items()}
+    check_sparse_groups(c)
+    flat = flat_terms(groups, 4)
+    assert flat == {(1, 1, 1, 0): 1, (0, 0, 1, 2): 1, (1, 0, 1, 1): 1,
+                    (1, 1, 0, 0): 1, (0, 0, 0, 3): 1, (0, 0, 2, 0): 3}
     got = pushforward(step, c)
-    check_grouped(got)
+    check_sparse_groups(got)
     assert got.series.terms == pushforward_by_normal_form(flat, 0, 1)
-    assert got.groups == {frozenset({0, 1}): {(1, 2, 0, 0): -1,
-                                              (2, 1, 0, 0): -1},
-                          frozenset({2}): {(0, 0, 2, 0): 3}}
-    assert got.groups[frozenset({2})] is groups[frozenset({2})]
+    assert got.groups == {(0, 1): {(1, 2): -1, (2, 1): -1},
+                          (2,): {(2,): 3}}
+    assert got.groups[(2,)] is groups[(2,)]
     # the input is unchanged
     assert c.series.terms == flat

@@ -385,6 +385,34 @@ def test_tower_refuses_a_top_expansion_over_the_budget(capsys):
                    "of 50000\n")
 
 
+@pytest.mark.parametrize("command, n, dmax", [("tower", 22, 2),
+                                              ("verify", 22, 2),
+                                              ("tower", 200, 1)])
+def test_a_wide_principal_ideal_costs_its_faces_within_dmax(capsys, command,
+                                                             n, dmax):
+    # x1...x22 is a divisor on the one 22-position facet, which has 2^22
+    # faces; the top expansion lists only the 22 + 231 faces of at most
+    # dmax = 2 positions, which carry all its terms (at n = 200 the full list
+    # would not fit in memory).  The class is D - D^2 + ..., D = X1 + ... + Xn
+    start = time.perf_counter()
+    code, doc, err = run_json(capsys, [command, "--gens", ",".join(["1"] * n),
+                                       "--dmax", str(dmax)])
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_OK and err == ""
+    if command == "verify":
+        assert all(check["passed"] for check in doc["checks"])
+        return
+    want = {}
+    for k in range(n):
+        want[tuple(int(m == k) for m in range(n))] = 1
+        if dmax == 2:
+            for l in range(k, n):
+                want[tuple((m == k) + (m == l) for m in range(n))] = \
+                    -1 if k == l else -2
+    assert {tuple(t["exponents"]): t["coefficient"]
+            for t in doc["series"]} == want
+
+
 def test_nil_pair_error_does_not_depend_on_the_hash_seed():
     # the pairs are checked in the order given: the first bad one is named
     doc = json.dumps({"n": 2, "generators": [[1, 0], [0, 1]],

@@ -10,13 +10,15 @@ from hypothesis import strategies as st
 from monomial_segre.chow import (LevelRing, base_ring, blow_up, pushforward,
                                  scheme_is_divisor)
 from monomial_segre.errors import TowerDivergenceError
-from monomial_segre.lattice import presentation
+from monomial_segre.lattice import presentation, support
 from monomial_segre.principalize import (Climb, co_minimal, principalize,
                                          select_center)
 from monomial_segre.segre import (_divisor_segre_reduced, admissible_pairs,
                                   segre_integral, segre_tower)
 
-from oracles import random_presentation, slot_scores
+from oracles import (check_sparse_groups, flat_terms,
+                     pushforward_by_normal_form, random_presentation,
+                     slot_scores)
 
 # the package re-exports the function `principalize` under its module's name
 principalize_module = import_module("monomial_segre.principalize")
@@ -295,9 +297,7 @@ def test_the_push_down_passes_every_untouched_group_as_it_is():
                                p.num_vars + 3)
     passed = 0
     for step in reversed(trace.steps):
-        w = step.upper.num_vars
-        before = {e[:w]: v for terms in c.groups.values()
-                  for e, v in terms.items()}
+        before = flat_terms(c.groups, step.upper.num_vars)
         pushed = pushforward(step, c)
         assert c.series.terms == before, step.upper.depth
         touched = {*step.center, step.lower.num_vars}
@@ -307,6 +307,45 @@ def test_the_push_down_passes_every_untouched_group_as_it_is():
                 passed += 1
         c = pushed
     assert passed
+
+
+def test_every_level_of_a_deep_push_down_keys_its_terms_sparsely():
+    # a layout guard over the 83-level tower: on every level each group is
+    # keyed by its sorted positions and each term by its exponents there, all
+    # positive, so no term comes back at the top ring's width; and the
+    # level's series is the normal form of the level above.  The normal form
+    # is linear, and a term holding none of i, j and E is its own normal
+    # form with E dropped, so the oracle runs on the other terms only
+    p = DEEP_TOWERS[0]
+    trace = principalize(base_ring(p.num_vars), p)
+    assert len(trace.steps) == 83
+    c = _divisor_segre_reduced(trace.top_ring, trace.terminal_divisor,
+                               p.num_vars + 3)
+    check_sparse_groups(c)
+    for step in reversed(trace.steps):
+        pi, pj = step.center
+        low, pe = step.lower, step.lower.num_vars
+        held = {}
+        want = {}
+        for e, v in c.series.terms.items():
+            if e[pi] or e[pj] or e[pe]:
+                held[e] = v
+            else:
+                want[e[:-1]] = v
+        for e, v in pushforward_by_normal_form(held, pi, pj).items():
+            v += want.get(e, 0)
+            if v:
+                want[e] = v
+            else:
+                want.pop(e, None)
+        c = pushforward(step, c)
+        check_sparse_groups(c)
+        got = c.series.terms
+        # the normal form keeps terms on empty strata, which the push leaves
+        # out; every other term must agree
+        assert all(want.get(e) == v for e, v in got.items()), low.depth
+        assert not any(low.in_facet(support(e))
+                       for e in want.keys() - got.keys()), low.depth
 
 
 @pytest.mark.parametrize("p", DEEP_TOWERS)
