@@ -440,7 +440,9 @@ def _push_groups(groups: _Groups, pi: int, pj: int, pe: int,
 
 
 def reduce_nils(r: LevelRing, series: TruncatedSeries) -> TruncatedSeries:
-    """Delete every term whose support lies in no facet (an empty stratum)."""
+    """Delete every term whose support lies in no facet (an empty stratum).
+    Every kept term is a term of the clean series, so the result is built
+    unchecked."""
     if series.num_vars != r.num_vars:
         raise LevelMismatchError("series does not match the ring")
     nonempty: dict[frozenset[int], bool] = {}  # many terms share a support
@@ -451,7 +453,7 @@ def reduce_nils(r: LevelRing, series: TruncatedSeries) -> TruncatedSeries:
             nonempty[supp] = r.in_facet(supp)
         if nonempty[supp]:
             terms[e] = v
-    return TruncatedSeries(r.num_vars, series.degree_bound, terms)
+    return TruncatedSeries._raw(r.num_vars, series.degree_bound, terms)
 
 
 def scheme_is_empty(r: LevelRing, p: MonomialPresentation) -> bool:

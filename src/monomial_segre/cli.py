@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -173,47 +174,42 @@ def _output(out):
 def emit(doc, out=None):
     """Write doc and a newline to out (default stdout), byte for byte as
     json.dumps(doc, indent=2) would, with each TruncatedSeries in it laid out
-    as its series_doc.  A series is written term by term, so neither its
-    list of terms nor the whole document is ever built.  The dicts that hold
-    a series must have string keys."""
+    as its series_doc.
+
+    One json.dumps lays out the document, with each series replaced by a
+    placeholder string.  The text is written between the placeholders, and
+    each series term by term at its placeholder's place and indentation, so
+    neither its list of terms nor the whole laid-out document is ever built.
+    The text must hold the placeholder exactly once per series; when some
+    key or string of the document holds it too, the document is laid out
+    again with the next placeholder."""
+    for k in itertools.count():
+        placeholder = f"\x00series{k}\x00"
+        found = []
+
+        def stand_in(value):
+            if not isinstance(value, TruncatedSeries):
+                raise TypeError(f"Object of type {type(value).__name__} "
+                                "is not JSON serializable")
+            found.append(value)
+            return placeholder
+
+        pieces = json.dumps(doc, indent=2, default=stand_in).split(
+            json.encoder.encode_basestring_ascii(placeholder))
+        if len(pieces) == len(found) + 1:
+            break
     with _output(sys.stdout if out is None else out) as out:
-        _write(doc, out, "")
-        out.write("\n")
-
-
-def _holds_series(value) -> bool:
-    if isinstance(value, TruncatedSeries):
-        return True
-    if isinstance(value, dict):
-        value = value.values()
-    elif not isinstance(value, (list, tuple)):
-        return False
-    return any(map(_holds_series, value))
-
-
-def _write(value, out, pad):
-    """Write value at indentation pad, as json.dumps(indent=2) lays it out."""
-    if isinstance(value, TruncatedSeries):
-        _write_series(value, out, pad)
-    elif not _holds_series(value):
-        out.write(json.dumps(value, indent=2).replace("\n", "\n" + pad))
-    else:
-        inner = pad + "  "
-        if isinstance(value, dict):
-            brackets = "{}"
-            items = ((json.dumps(k) + ": ", v) for k, v in value.items())
-        else:
-            brackets, items = "[]", (("", v) for v in value)
-        sep = brackets[0] + "\n" + inner
-        for key, v in items:
-            out.write(sep + key)
-            _write(v, out, inner)
-            sep = ",\n" + inner
-        out.write("\n" + pad + brackets[1])
+        for piece, series in zip(pieces, found):
+            out.write(piece)
+            line = piece[piece.rfind("\n") + 1:]
+            _write_series(series, out, line[:len(line) - len(line.lstrip())])
+        out.write(pieces[-1] + "\n")
 
 
 def _write_series(series, out, pad):
-    """series_doc(series) at indentation pad, one write per term."""
+    """series_doc(series) at indentation pad, one write per term: a term is
+    its coefficient and exponents filled into the one %-template that lays
+    out every term of the series."""
     terms = series.terms
     if not terms:
         out.write("[]")
@@ -223,14 +219,15 @@ def _write_series(series, out, pad):
     exponents = sorted(terms)
     exponents.sort(key=sum)
     term_pad, key_pad, entry_pad = pad + "  ", pad + "    ", pad + "      "
-    between = ",\n" + entry_pad
-    sep = "[\n" + term_pad
+    entries = (f"[\n{entry_pad}" + f",\n{entry_pad}".join(
+        ["%d"] * series.num_vars) + f"\n{key_pad}]"
+        if series.num_vars else "[]")
+    term = (f'{{\n{key_pad}"coefficient": %d,\n{key_pad}"exponents": '
+            f'{entries}\n{term_pad}}}')
+    template, later = "[\n" + term_pad + term, ",\n" + term_pad + term
     for e in exponents:
-        entries = (f"[\n{entry_pad}{between.join(map(str, e))}\n{key_pad}]"
-                   if e else "[]")
-        out.write(f'{sep}{{\n{key_pad}"coefficient": {terms[e]},\n'
-                  f'{key_pad}"exponents": {entries}\n{term_pad}}}')
-        sep = ",\n" + term_pad
+        out.write(template % (terms[e], *e))
+        template = later
     out.write("\n" + pad + "]")
 
 

@@ -194,8 +194,35 @@ class HalfSimplex:
 
 @dataclass(frozen=True)
 class Triangulation:
-    cells: tuple[HalfSimplex, ...]
+    """A placing triangulation of a configuration: each placed cell as its
+    label set and the normalized volume its placing computed, and the order
+    the labels were placed in.
+
+    A cell becomes a `HalfSimplex` only when it is read.  `cells` builds
+    every cell on first read and keeps them, sorted by provenance (the
+    labels in placement order); `cells_with` builds only the cells that
+    hold a label, or only those that avoid it, in the same order."""
+
+    config: PointConfiguration
+    placed: tuple[tuple[frozenset[Label], int], ...]
     placement_order: tuple[Label, ...]
+
+    @cached_property
+    def cells(self) -> tuple[HalfSimplex, ...]:
+        return self._build(self.placed)
+
+    def cells_with(self, label: Label,
+                   present: bool = True) -> tuple[HalfSimplex, ...]:
+        """The cells whose labels hold label, or with present false the
+        cells that avoid it, built now, in the order of `cells`."""
+        return self._build([c for c in self.placed if (label in c[0]) == present])
+
+    def _build(self, placed) -> tuple[HalfSimplex, ...]:
+        order_index = {lab: k for k, lab in enumerate(self.placement_order)}
+        return tuple(sorted(
+            (_cell_from_labels(self.config, labels, order_index, volume)
+             for labels, volume in placed),
+            key=lambda s: s.provenance))
 
 
 def hvol(s: HalfSimplex) -> int:
@@ -275,6 +302,9 @@ def placing_triangulation(config: PointConfiguration,
     exactly when x sees f.  So each cell keeps s * det(f + x) from the test
     that created it, and the starting cell |det(basis)|; no cell is
     measured twice.
+
+    The result keeps each cell as its label set and that volume; a cell
+    becomes a `HalfSimplex` when it is read (see `Triangulation`).
     """
     hom = config.homogeneous
     order = [lab for lab, _ in config.points] if order is None else list(order)
@@ -334,12 +364,7 @@ def placing_triangulation(config: PointConfiguration,
                 if boundary.pop(new_key, None) is None:
                     boundary[new_key] = (new, s)
 
-    order_index = {lab: k for k, lab in enumerate(order)}
-    cell_objs = tuple(sorted(
-        (_cell_from_labels(config, c, order_index, volume)
-         for c, volume in cells),
-        key=lambda s: s.provenance))
-    return Triangulation(cell_objs, tuple(order))
+    return Triangulation(config, tuple(cells), tuple(order))
 
 
 # -- blow-up lift and replay -------------------------------------------------

@@ -25,7 +25,8 @@ from .polytope import (HalfSimplex, PointConfiguration, Triangulation,
                        blowup_replay, complement_configuration,
                        placement_order, placing_triangulation)
 from .series import (TERM_BUDGET, TruncatedSeries, check_term_budget,
-                     divide_one_plus, reciprocal_one_plus, tensor_line)
+                     divide_one_plus, reciprocal_one_plus, sum_series,
+                     tensor_line)
 
 ORIGIN_LABEL = "O"
 
@@ -39,8 +40,10 @@ def default_degree_bound(n: int) -> int:
 
 def simplex_contribution(t: HalfSimplex, degree_bound: int) -> TruncatedSeries:
     """t.volume * prod of X_j over bounded directions, divided by (1 + v.X)
-    for every finite vertex v; zero for degenerate simplices.  The volume is
-    the one the cell carries, so a placed cell is not measured again.
+    for every finite vertex v; zero for degenerate simplices, and when the
+    monomial's degree is above the bound, as `TruncatedSeries.monomial`
+    gives.  The volume is the one the cell carries, so a placed cell is not
+    measured again.
 
     The monomial is divided by every nonzero vertex's form in one
     `divide_one_plus`, at the full degree bound; the origin's form is 1 and
@@ -54,8 +57,9 @@ def simplex_contribution(t: HalfSimplex, degree_bound: int) -> TruncatedSeries:
     if volume == 0:
         return TruncatedSeries.zero(n, degree_bound)
     numerator = tuple(0 if d in t.infinite_directions else 1 for d in range(n))
-    monomial = TruncatedSeries.monomial(numerator, n, degree_bound,
-                                        coefficient=volume)
+    # a nonzero int volume at a degree within the bound is a clean term
+    monomial = TruncatedSeries._raw(n, degree_bound, {numerator: volume} if
+                                    sum(numerator) <= degree_bound else {})
     forms = [v for v in t.finite_vertices if any(v)]
     if len(forms) == 1:
         return monomial * reciprocal_one_plus(forms[0], degree_bound)
@@ -72,17 +76,27 @@ class SimplexTerm:
 class SegreResult:
     """A pipeline's Segre class, with what produced it.
 
-    The integral pipeline keeps the cells of its triangulation: the Newton
-    cells with their contributions, which its sum reads, and the complement
-    cells bare.  `complement_terms` computes the complement cells'
-    contributions on first read, at the series' degree bound, and keeps
-    them; only `verify`'s orthant check and the tests read them."""
+    The integral pipeline keeps the Newton cells with their contributions,
+    which its sum reads, as `per_simplex`, and its orthant triangulation as
+    `complement`, with the complement cells unbuilt.  `complement_cells`
+    builds the cells that avoid the origin on first read, and
+    `complement_terms` computes their contributions on first read, at the
+    series' degree bound; both keep what they build.  Only `verify`'s
+    orthant check and the tests read them.  A `complement` given as a tuple
+    of cells is read back as it is."""
 
     series: TruncatedSeries
     per_simplex: tuple[SimplexTerm, ...]          # cells covering the Newton region
-    complement_cells: tuple[HalfSimplex, ...]     # cells covering its convex complement
+    complement: tuple[HalfSimplex, ...] | Triangulation
     pipeline: str
     trace: TowerTrace | None = None
+
+    @cached_property
+    def complement_cells(self) -> tuple[HalfSimplex, ...]:
+        """The cells covering the Newton region's convex complement."""
+        if isinstance(self.complement, Triangulation):
+            return self.complement.cells_with(ORIGIN_LABEL, present=False)
+        return self.complement
 
     @cached_property
     def complement_terms(self) -> tuple[SimplexTerm, ...]:
@@ -107,19 +121,20 @@ def orthant_triangulation(p: MonomialPresentation,
 
 
 def split_cells(t: Triangulation):
-    complement = tuple(c for c in t.cells if ORIGIN_LABEL not in c.provenance)
-    newton = tuple(c for c in t.cells if ORIGIN_LABEL in c.provenance)
-    return complement, newton
+    """(the complement cells, the Newton cells) of an orthant triangulation."""
+    return t.cells_with(ORIGIN_LABEL, present=False), t.cells_with(ORIGIN_LABEL)
 
 
 def segre_integral(p: MonomialPresentation, degree_bound: int | None = None,
                    order_preset: str = "default",
                    ring: LevelRing | None = None) -> SegreResult:
     """Newton-region integral pipeline: the sum of the contributions of the
-    cells through the origin, which cover the Newton region.
+    cells through the origin, which cover the Newton region, added in one
+    dict.
 
-    Only the Newton cells' series are computed here; the complement cells'
-    wait in the result until `SegreResult.complement_terms` is read.  Every
+    Only the Newton cells are built and their series computed here; the
+    complement cells wait unbuilt in the result's triangulation until
+    `SegreResult.complement_cells` or `complement_terms` is read.  Every
     cell's series is truncated at the same bound and the cells of the whole
     orthant sum to exactly 1, so this is 1 minus the complement's sum.  A
     series wider than TERM_BUDGET raises TermBudgetError before any work."""
@@ -128,14 +143,11 @@ def segre_integral(p: MonomialPresentation, degree_bound: int | None = None,
         degree_bound = default_degree_bound(n)
     check_term_budget(n, degree_bound)
     tri = orthant_triangulation(p, order_preset)
-    complement, newton = split_cells(tri)
-    newton_terms = _terms_for(newton, degree_bound)
-    series = TruncatedSeries.zero(n, degree_bound)
-    for term in newton_terms:
-        series = series + term.series
+    newton_terms = _terms_for(tri.cells_with(ORIGIN_LABEL), degree_bound)
+    series = sum_series(n, degree_bound, [t.series for t in newton_terms])
     if ring is not None:
         series = reduce_nils(ring, series)
-    return SegreResult(series, newton_terms, complement, pipeline="integral")
+    return SegreResult(series, newton_terms, tri, pipeline="integral")
 
 
 @cache
@@ -314,26 +326,27 @@ def blowup_invariance_check(p: MonomialPresentation, i: int, j: int,
             len(distinct) != len(keys):
         failures.append("alpha is not a bijection onto the base cells")
 
-    lifted_sum = TruncatedSeries.zero(n + 1, degree_bound)
+    lifted, targets = [], []
     for cell in replay.U0 + replay.Udoubleprime:
         contribution = simplex_contribution(cell, degree_bound)
-        lifted_sum = lifted_sum + contribution
+        lifted.append(contribution)
         pushed = pushforward(step, ChowClass(step.upper, contribution)).series
         if not pushed.is_zero():
             failures.append(
                 f"U0/U'' cell {cell.provenance} does not push to zero")
-    base_sum = TruncatedSeries.zero(n, degree_bound)
     for cell, image in replay.Uprime + replay.U1:
         contribution = simplex_contribution(cell, degree_bound)
-        lifted_sum = lifted_sum + contribution
+        lifted.append(contribution)
         pushed = pushforward(step, ChowClass(step.upper, contribution)).series
         target = simplex_contribution(image, degree_bound)
-        base_sum = base_sum + target
+        targets.append(target)
         if pushed != target:
             failures.append(
                 f"U'/U1 cell {cell.provenance} does not push to its alpha image")
 
     # totals: push-forward of the lifted integral equals the base integral
+    lifted_sum = sum_series(n + 1, degree_bound, lifted)
+    base_sum = sum_series(n, degree_bound, targets)
     lifted_integral = TruncatedSeries.one(n + 1, degree_bound) - lifted_sum
     pushed_total = pushforward(step, ChowClass(step.upper, lifted_integral)).series
     if pushed_total != integral:
@@ -426,9 +439,8 @@ def verify(p: MonomialPresentation, degree_bound: int | None = None,
 
     def orthant():
         total = TruncatedSeries.one(n, degree_bound)
-        acc = TruncatedSeries.zero(n, degree_bound)
-        for term in integral.per_simplex + integral.complement_terms:
-            acc = acc + term.series
+        acc = sum_series(n, degree_bound, [
+            t.series for t in integral.per_simplex + integral.complement_terms])
         if acc != total:
             return False, "orthant contributions do not sum to 1"
         return True, ""

@@ -229,6 +229,29 @@ class TruncatedSeries:
         return f"TruncatedSeries({self.render()!r}, D_max={self.degree_bound})"
 
 
+def sum_series(num_vars: int, degree_bound: int,
+               addends: Iterable[TruncatedSeries]) -> TruncatedSeries:
+    """The zero series in num_vars variables at degree_bound plus every
+    addend, the series a chain of `+` gives, at the least of the bounds;
+    but added into one dict, where the chain copies its sum once per
+    addend."""
+    bounds = {degree_bound}
+    terms: dict[Exponent, int] = {}
+    get = terms.get
+    for s in addends:
+        if s.num_vars != num_vars:
+            raise DimensionMismatchError(
+                f"variable counts differ: {num_vars} vs {s.num_vars}")
+        bounds.add(s.degree_bound)
+        for e, c in s.terms.items():
+            terms[e] = get(e, 0) + c
+    bound = min(bounds)
+    if len(bounds) > 1:   # some terms may lie above the least bound
+        terms = {e: c for e, c in terms.items() if sum(e) <= bound}
+    return TruncatedSeries._raw(num_vars, bound,
+                                {e: c for e, c in terms.items() if c})
+
+
 def check_term_budget(num_vars: int, degree_bound: int) -> None:
     """Raise when there are more monomials of degree <= degree_bound in
     num_vars variables than TERM_BUDGET."""

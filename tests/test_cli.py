@@ -643,9 +643,42 @@ documents = st.recursive(
 @example({"series": TruncatedSeries.zero(3, 4)})
 @example([TruncatedSeries(2, 3, {(0, 1): -10 ** 50, (2, 1): -7, (1, 0): 3})])
 @example({"constant": TruncatedSeries(0, 2, {(): -(10 ** 60)})})
+# keys and strings that are, or hold, emit's placeholders for a series
+# ("\x00series<k>\x00", k = 0, 1, ...) or their JSON encodings
+@example({"\x00series\x00": None})
+@example({"\x00series0\x00": None})
+@example({"\x00series0\x00": TruncatedSeries(1, 2, {(1,): 4})})
+@example({"s": TruncatedSeries(1, 2, {(1,): 4}), "t": "\x00series0\x00"})
+@example(["\x00series0\x00", TruncatedSeries(2, 2, {(1, 1): -1})])
+@example([TruncatedSeries.zero(1, 1), 'x"\x00series0\x00'])
+@example({'"\\u0000series0\\u0000"': TruncatedSeries.zero(1, 1),
+          "x": ['"\\u0000series0\\u0000"']})
+@example({"\x00series0\x00": ["\x00series1\x00",
+                               TruncatedSeries(1, 3, {(2,): 5})]})
 @settings(max_examples=300, deadline=None)
 def test_emit_lays_out_documents_as_json_dumps(doc):
     assert emitted(doc) == json.dumps(as_plain(doc), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute"] + STAIRCASE_ARGS,
+    ["tower"] + STAIRCASE_ARGS,
+    ["verify"] + STAIRCASE_ARGS,
+    ["triangulate"] + STAIRCASE_ARGS,
+    ["corpus", "--count", "2", "--jobs", "1"],
+], ids=["compute", "tower", "verify", "triangulate", "corpus"])
+def test_a_command_lays_out_its_document_in_one_json_dumps(
+        capsys, monkeypatch, argv):
+    calls = []
+    real = json.dumps
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(json, "dumps", counting)
+    assert main(argv) == EXIT_OK
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)
 
 
 class RecordingStream(io.StringIO):

@@ -12,7 +12,8 @@ from monomial_segre.polytope import (ORDER_PRESETS, HalfSimplex,
                                      complement_configuration, configuration,
                                      det, hvol, lift_to_H, placement_order,
                                      placing_triangulation)
-from monomial_segre.segre import orthant_triangulation
+from monomial_segre.segre import (ORIGIN_LABEL, orthant_triangulation,
+                                  segre_integral)
 
 from oracles import det_by_leibniz, placing_cells_by_rebuild
 
@@ -316,3 +317,56 @@ def test_placing_matches_the_rebuilt_boundary_on_finite_points(points, rnd):
     except DegenerateConfigurationError:
         assume(False)
     _same_as_rebuild(c, order)
+
+
+def _eager_cells(config, order):
+    """Every cell of the placing triangulation of config in the given
+    order, built at once: the provenance of the rebuilt boundary, and each
+    volume from the cell's geometry."""
+    hom = config.homogeneous
+    return [HalfSimplex(config.dim,
+                        [hom[lab][:-1] for lab in labels if hom[lab][-1]],
+                        {hom[lab].index(1) for lab in labels if not hom[lab][-1]},
+                        provenance=tuple(labels))
+            for labels in placing_cells_by_rebuild(config, order)]
+
+
+def _same_cells(got, want):
+    # equal as cells, in order, and by provenance and volume, which the
+    # equality of cells does not compare
+    assert list(got) == want
+    assert [(c.provenance, c.volume) for c in got] == \
+        [(c.provenance, c.volume) for c in want]
+
+
+def _same_split(t, label, eager):
+    _same_cells(t.cells_with(label),
+                [c for c in eager if label in c.provenance])
+    _same_cells(t.cells_with(label, present=False),
+                [c for c in eager if label not in c.provenance])
+
+
+@given(generator_sets(st.integers(1, 4)))
+@example(STAIRCASE)
+@example(presentation(((2, 0, 1), (0, 3, 1), (1, 1, 0))))
+@settings(max_examples=30, deadline=None)
+def test_cells_built_on_read_are_the_eagerly_built_ones(p):
+    # the cells a triangulation builds when they are read, all of them or
+    # those through a label or avoiding it, are the ones built at once:
+    # the orthant under every preset, as the integral reads it, and a lift
+    for preset in ORDER_PRESETS:
+        t = orthant_triangulation(p, preset)
+        eager = _eager_cells(t.config, t.placement_order)
+        _same_cells(t.cells, eager)
+        _same_split(t, ORIGIN_LABEL, eager)
+        result = segre_integral(p, 1, order_preset=preset)
+        _same_cells([term.simplex for term in result.per_simplex],
+                    [c for c in eager if ORIGIN_LABEL in c.provenance])
+        _same_cells(result.complement_cells,
+                    [c for c in eager if ORIGIN_LABEL not in c.provenance])
+    if p.num_vars > 1:
+        lifted = lift_to_H(complement_configuration(p), 0, 1)
+        t = placing_triangulation(lifted)
+        eager = _eager_cells(lifted, t.placement_order)
+        _same_cells(t.cells, eager)
+        _same_split(t, "a0", eager)

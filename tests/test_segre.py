@@ -340,6 +340,38 @@ def test_complement_cells_are_computed_only_where_they_are_read(monkeypatch):
     assert complement == list(result.complement_cells)
 
 
+def test_complement_cells_are_built_only_when_read(monkeypatch):
+    # segre_integral builds the Newton cells alone; the first read of
+    # complement_cells or of complement_terms builds the complement cells,
+    # once, and a later read builds nothing.  Cells are built, then sorted
+    built = []
+    real = polytope._cell_from_labels
+
+    def recording(config, labels, order_index, volume):
+        cell = real(config, labels, order_index, volume)
+        built.append(cell)
+        return cell
+    monkeypatch.setattr(polytope, "_cell_from_labels", recording)
+
+    def in_order(cells):
+        return sorted(cells, key=lambda c: c.provenance)
+    p = presentation(((4, 1), (2, 2), (1, 4)))
+    for read in ("complement_cells", "complement_terms"):
+        built.clear()
+        result = segre_integral(p, 5)
+        assert in_order(built) == [t.simplex for t in result.per_simplex]
+        assert all(segre.ORIGIN_LABEL in c.provenance for c in built)
+        built.clear()
+        getattr(result, read)
+        assert in_order(built) == list(result.complement_cells)
+        assert built and all(segre.ORIGIN_LABEL not in c.provenance
+                             for c in built)
+        built.clear()
+        assert [t.simplex for t in result.complement_terms] == \
+            list(result.complement_cells)
+        assert built == []
+
+
 def test_verify_names_the_residual_mismatch(monkeypatch):
     # an untwisted residual breaks the identity; the detail names the first
     # differing term, as pipeline_equality's does

@@ -10,7 +10,7 @@ from monomial_segre.errors import DimensionMismatchError, MonomialSegreError
 from monomial_segre.series import (TERM_BUDGET, TruncatedSeries,
                                    check_term_budget, divide_one_plus,
                                    graded_piece, reciprocal_one_plus,
-                                   tensor_line)
+                                   sum_series, tensor_line)
 
 from oracles import (divide_by_degree, expand_terms, form_series,
                      reciprocal_by_geometric_series, symbols, variable)
@@ -55,6 +55,31 @@ def test_arithmetic_against_sympy():
     # a one-term factor, on either side, shifts the other's terms
     shifted = expand_terms(X1 * X2 * (1 + 2 * X1), (X1, X2), 4)
     assert (c * a).terms == (a * c).terms == shifted
+
+
+@st.composite
+def series_in(draw, num_vars):
+    bound = draw(st.integers(0, 4))
+    exponents = st.tuples(*[st.integers(0, 4)] * num_vars)
+    return TruncatedSeries(num_vars, bound, draw(st.dictionaries(
+        exponents, st.integers(-3, 3), max_size=8)))
+
+
+@given(st.integers(0, 4), st.lists(series_in(2), max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_sum_series_is_the_chain_of_additions(bound, addends):
+    # the same terms and bound as zero + a + b + ..., addends at other
+    # bounds and cancelling terms included
+    chain = TruncatedSeries.zero(2, bound)
+    for s in addends:
+        chain = chain + s
+    got = sum_series(2, bound, addends)
+    assert (got.degree_bound, got.terms) == (chain.degree_bound, chain.terms)
+
+
+def test_sum_series_checks_the_variable_count():
+    with pytest.raises(DimensionMismatchError):
+        sum_series(2, 3, [TruncatedSeries.one(2, 3), TruncatedSeries.one(3, 3)])
 
 
 def test_mul_truncates_at_bound():
