@@ -75,6 +75,7 @@ once, and grouping it would cost more than the push saves.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, filterfalse
@@ -96,17 +97,13 @@ class LevelRing:
     """Named divisor variables, the facets of their complex of nonempty
     strata, and one ray per variable; build one with `base_ring` or
     `blow_up`.  A stratum, a set of variable positions, is nonempty exactly
-    when it lies in a facet."""
+    when it lies in a facet.  The class checks nothing itself: `base_ring`
+    checks the labels once, and every `blow_up` keeps them unique."""
 
     variables: tuple[str, ...]
     facets: tuple[frozenset[int], ...]
     rays: tuple[ExponentVector, ...]
     depth: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
-        if len(set(self.variables)) != len(self.variables):
-            raise MonomialSegreError("variable labels must be unique")
 
     @property
     def num_vars(self) -> int:
@@ -157,10 +154,22 @@ def base_ring(n: int, labels: Iterable[str] | None = None,
     normal-crossings configuration: a stratum is empty when it has more than
     n divisors or contains one of the nil pairs, whose divisors do not meet.
     The pairs are checked in the order given, so an error names the first
-    bad one.  Each label's ray is its unit vector."""
+    bad one.  Each label's ray is its unit vector.
+
+    This is where labels enter a tower, so they are checked here, once:
+    they must be unique, and none may have the shape of the labels
+    `blow_up` generates (GENERATED_LABEL).  Every level's labels are then
+    unique by construction.  `segre.segre_integral` builds no ring, so it
+    still accepts such labels."""
     if n < 1:
         raise MonomialSegreError("the dimension n must be positive")
     labels = tuple(labels) if labels else default_labels(n)
+    for lab in labels:
+        if GENERATED_LABEL.fullmatch(lab):
+            raise MonomialSegreError(f"label {lab!r} is reserved for blow-up "
+                                     "divisors (E<k>, or a ~ prefix)")
+    if len(set(labels)) != len(labels):
+        raise MonomialSegreError("variable labels must be unique")
     seeds = set()
     for pair in map(tuple, nil_pairs):
         if len(pair) != 2 or pair[0] == pair[1]:
@@ -237,12 +246,18 @@ class BlowupStep:
     """One blow-up: the exceptional divisor is the last position of `upper`,
     every other position names the same divisor (or its proper transform) on
     both rings, `center` holds the two blown-up positions, and `split` the
-    lower facets through both, each of which `upper` cuts in two."""
+    lower facets through both, each of which `upper` cuts in two.  So
+    `split` is also the star of the center edge, which `pushforward`
+    reads."""
 
     lower: LevelRing
     upper: LevelRing
     center: tuple[int, int]
     split: tuple[frozenset[int], ...]
+
+
+# the shape of the labels blow-ups generate: exceptional E<k>, proper ~X
+GENERATED_LABEL = re.compile(r"E[0-9]+|~.*", re.DOTALL)
 
 
 def blow_up(r: LevelRing, i: int, j: int) -> BlowupStep:
@@ -251,7 +266,11 @@ def blow_up(r: LevelRing, i: int, j: int) -> BlowupStep:
     The exceptional divisor E<depth> goes last, at position r.num_vars, so
     every lower position is the same upper position, and its ray is the sum
     of the two centers' rays.  A facet not through both i and j is kept as
-    it is."""
+    it is.
+
+    The labels stay unique with no check: a base label is unique and not of
+    the shape GENERATED_LABEL (`base_ring`), E<depth> is new at each depth,
+    and a ~ prefix keeps distinct labels distinct."""
     if i == j or not (0 <= i < r.num_vars and 0 <= j < r.num_vars):
         raise MonomialSegreError(
             f"center ({i}, {j}) is not two distinct positions among "
@@ -269,7 +288,8 @@ def blow_up(r: LevelRing, i: int, j: int) -> BlowupStep:
     variables = list(r.variables) + [f"E{r.depth + 1}"]
     variables[i], variables[j] = "~" + variables[i], "~" + variables[j]
     rays = r.rays + (tuple(map(add, r.rays[i], r.rays[j])),)
-    upper = _BlownUpRing(variables, tuple(facets), rays, depth=r.depth + 1)
+    upper = _BlownUpRing(tuple(variables), tuple(facets), rays,
+                         depth=r.depth + 1)
     return BlowupStep(r, upper, (i, j), tuple(split))
 
 
@@ -298,9 +318,10 @@ def pushforward(step: BlowupStep, c: ChowClass) -> ChowClass:
     when k0 = 0, and a term with no E and no center exponent has nothing
     else.  The E^{>=2} part, v Y^b times the `_deep_push` table of
     (k0, ai, aj), is summed into one (x, y) -> coefficient table per
-    off-center key Y^b.  A key off the star of the center edge (the facets
-    through {i, j} minus i and j) gets no table, and every other key yields
-    one term Y^b Y_i^x Y_j^y per nonzero entry of its table.
+    off-center key Y^b.  A key off the star of the center edge (the lower
+    facets through {i, j}, which are `step.split`, minus i and j) gets no
+    table, and every other key yields one term Y^b Y_i^x Y_j^y per nonzero
+    entry of its table.
 
     A grouped class is pushed group by group, and its result is grouped the
     same way, with sparse keys:
@@ -327,7 +348,7 @@ def pushforward(step: BlowupStep, c: ChowClass) -> ChowClass:
         raise LevelMismatchError("class is not on the upper ring")
     pi, pj = step.center
     lower = step.lower
-    star = [f - {pi, pj} for f in lower.facets if pi in f and pj in f]
+    star = [f - {pi, pj} for f in step.split]
 
     def on_star(rest: Iterable[int]) -> bool:
         return any(f.issuperset(rest) for f in star)

@@ -21,10 +21,9 @@ import json
 import math
 import os
 import random
-import re
 import sys
 
-from .chow import base_ring
+from .chow import GENERATED_LABEL, base_ring
 from .errors import MonomialSegreError, TermBudgetError, TowerDivergenceError
 from .lattice import MonomialPresentation, presentation
 from .polytope import ORDER_PRESETS
@@ -32,9 +31,6 @@ from .principalize import CENTER_RULE
 from .segre import (default_degree_bound, orthant_triangulation, segre_integral,
                     segre_tower, simplex_contribution, split_cells, verify)
 from .series import TruncatedSeries, check_term_budget
-
-# the shape of the labels blow-ups generate: exceptional E<k>, proper ~X
-GENERATED_LABEL = re.compile(r"E[0-9]+|~.*", re.DOTALL)
 
 # the widest picture `render` draws, in lattice units
 RENDER_MAX_UNITS = 500

@@ -31,9 +31,12 @@ the residual scheme meets its stratum), and each pair's best slot on it.  So
 they are exact for as long as the facet lives, and each is computed at most
 once.  A blow-up removes only the facets through both centers, and those
 never come back, since no later facet holds that edge.  The scheme is
-a divisor when no bad facet is left (`scheme_is_divisor`).  And by the
-argument above, a pair before the worked pair has no slot and never gets
-one back, so the pair scan resumes at the worked pair instead of the first.
+a divisor when no bad facet is left, on the base ring as on every level
+above, so the climb decides a tower of depth 0 too; `scheme_is_divisor`
+finds the same verdict from scratch, and runs once per tower, on the top,
+to confirm it.  And by the argument above, a pair before the worked pair
+has no slot and never gets one back, so the pair scan resumes at the
+worked pair instead of the first.
 
 The cap is a budget, not a divergence test: a tower can be finite and
 still deeper than it.  The five-generator ideal
@@ -244,36 +247,32 @@ def principalize(r0: LevelRing, p0: MonomialPresentation,
     divisor.
 
     p0 is over the base ring r0, and every level reads its generators'
-    exponents through its rays.  `scheme_is_divisor` asks r0 first, so a
-    tower of depth 0 builds no state.  Otherwise one `Climb` follows the
-    tower: each level asks it for the divisor first and stops there;
-    otherwise `select_center`, with the climb as its memo, picks the
-    center, `blow_up` subdivides the ring's complex, and the climb
-    advances.  `scheme_is_divisor` confirms the top from scratch, and a
-    disagreement raises.  After cap blow-ups without a divisor,
-    TowerDivergenceError carries the partial trace (the CLI prints its
-    centers)."""
-    if (d := scheme_is_divisor(r0, p0)) is not None:
-        return TowerTrace((), r0, d)
-    ring = r0
+    exponents through its rays.  One `Climb` follows the tower from r0 up,
+    and decides depth 0 as it decides every level: each level asks it for
+    the divisor first and stops there; otherwise `select_center`, with the
+    climb as its memo, picks the center, `blow_up` subdivides the ring's
+    complex, and the climb advances.  `scheme_is_divisor` then confirms
+    the top from scratch, once per tower, and a disagreement raises.  After
+    cap blow-ups without a divisor, TowerDivergenceError carries the
+    partial trace (the CLI prints its centers)."""
     steps: list[BlowupStep] = []
     climb = Climb(r0, p0)
     while (d := climb.divisor()) is None:
         if len(steps) == cap:
             raise TowerDivergenceError(
                 f"no divisor reached within {cap} blow-ups",
-                trace=TowerTrace(tuple(steps), ring, (0,) * ring.num_vars))
-        center = select_center(ring, p0, climb)
+                trace=TowerTrace(tuple(steps), climb.ring,
+                                 (0,) * climb.ring.num_vars))
+        center = select_center(climb.ring, p0, climb)
         if center is None:
             raise NoAdmissibleCenterError(
                 "non-divisor presentation leaves select_center no slot of "
                 "any minimal generator pair; this indicates a model bug")
-        step = blow_up(ring, *center)
+        step = blow_up(climb.ring, *center)
         climb.advance(step)
-        ring = step.upper
         steps.append(step)
-    if scheme_is_divisor(ring, p0) != d:
+    if scheme_is_divisor(climb.ring, p0) != d:
         raise MonomialSegreError(
             f"the climb's divisor {d} is not the top's; this indicates a "
             "model bug")
-    return TowerTrace(tuple(steps), ring, d)
+    return TowerTrace(tuple(steps), climb.ring, d)

@@ -41,9 +41,8 @@ def default_degree_bound(n: int) -> int:
 def simplex_contribution(t: HalfSimplex, degree_bound: int) -> TruncatedSeries:
     """t.volume * prod of X_j over bounded directions, divided by (1 + v.X)
     for every finite vertex v; zero for degenerate simplices, and when the
-    monomial's degree is above the bound, as `TruncatedSeries.monomial`
-    gives.  The volume is the one the cell carries, so a placed cell is not
-    measured again.
+    monomial's degree is above the bound.  The volume is the one the cell
+    carries, so a placed cell is not measured again.
 
     The monomial is divided by every nonzero vertex's form in one
     `divide_one_plus`, at the full degree bound; the origin's form is 1 and
@@ -279,7 +278,8 @@ def residual_identity_check(p: MonomialPresentation,
     """Check the residual formula: the full integral of p, given as
     `integral` (with no nil reduction), equals
     D/(1+D) + (1/(1+D)) (residual integral twisted by O(D)); the right side
-    is computed here, at the degree bound of `integral`.
+    is computed here, at the degree bound of `integral`, dividing the
+    twisted integral by 1 + D in one `divide_one_plus`.
 
     Returns (passed, detail): (True, "skipped") when p has no divisorial
     part D, (True, "equal"), or (False, "mismatch, first differing term
@@ -289,11 +289,11 @@ def residual_identity_check(p: MonomialPresentation,
     d, residual = residual_split(p)
     if all(a == 0 for a in d):
         return True, "skipped"
-    inv = reciprocal_one_plus(d, degree_bound)
-    d_series = TruncatedSeries.one(n, degree_bound) - inv
+    d_series = TruncatedSeries.one(n, degree_bound) - \
+        reciprocal_one_plus(d, degree_bound)
     residual_integral = segre_integral(residual, degree_bound).series
     twisted = tensor_line(residual_integral, d)
-    rhs = d_series + inv * twisted
+    rhs = d_series + divide_one_plus(twisted, d)
     diff = _first_difference(integral, rhs)
     if diff is None:
         return True, "equal"

@@ -10,11 +10,11 @@ A linear form v.X is its integer coefficient vector v.  Division by a
 product of forms 1 + v.X is the one series primitive besides the ring
 operations: `divide_one_plus` solves prod (1 + v.X) * out = s on a dense list
 of every monomial within the bound, in graded order, with one pass per form
-and no series product.  `reciprocal_one_plus` and `tensor_line` call it with
-one form each, and `segre.simplex_contribution` with every finite vertex of
-a cell.  That list has C(n + D, n) entries for n variables at bound D,
-which is about the size the pipelines' quotients reach; `TERM_BUDGET` caps
-it.
+and no series product.  `reciprocal_one_plus`, `tensor_line` and
+`segre.residual_identity_check` call it with one form each, and
+`segre.simplex_contribution` with every finite vertex of a cell.  That
+list has C(n + D, n) entries for n variables at bound D, which is about the
+size the pipelines' quotients reach; `TERM_BUDGET` caps it.
 """
 
 from __future__ import annotations
@@ -92,11 +92,6 @@ class TruncatedSeries:
     def constant(cls, c, num_vars: int, degree_bound: int) -> "TruncatedSeries":
         return cls(num_vars, degree_bound, {(0,) * num_vars: c})
 
-    @classmethod
-    def monomial(cls, exponent: Iterable[int], num_vars: int, degree_bound: int,
-                 coefficient=1) -> "TruncatedSeries":
-        return cls(num_vars, degree_bound, {tuple(exponent): coefficient})
-
     # -- basic queries ----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -119,27 +114,10 @@ class TruncatedSeries:
                 f"variable counts differ: {self.num_vars} vs {other.num_vars}")
 
     def __add__(self, other):
+        """The sum at the lesser of the two bounds (`sum_series`)."""
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        self._check_vars(other)
-        bound = min(self.degree_bound, other.degree_bound)
-        if bound == self.degree_bound:
-            terms = dict(self.terms)
-        else:
-            terms = {e: c for e, c in self.terms.items() if sum(e) <= bound}
-        for e, c in other.terms.items():
-            if bound != other.degree_bound and sum(e) > bound:
-                continue
-            v = terms.get(e)
-            if v is None:
-                terms[e] = c
-            else:
-                v = v + c
-                if v:
-                    terms[e] = v
-                else:
-                    del terms[e]
-        return TruncatedSeries._raw(self.num_vars, bound, terms)
+        return sum_series(self.num_vars, self.degree_bound, (self, other))
 
     def __neg__(self):
         return TruncatedSeries._raw(self.num_vars, self.degree_bound,
@@ -232,9 +210,9 @@ class TruncatedSeries:
 def sum_series(num_vars: int, degree_bound: int,
                addends: Iterable[TruncatedSeries]) -> TruncatedSeries:
     """The zero series in num_vars variables at degree_bound plus every
-    addend, the series a chain of `+` gives, at the least of the bounds;
-    but added into one dict, where the chain copies its sum once per
-    addend."""
+    addend, at the least of the bounds, added into one dict.  `a + b` is
+    this with a's variables and bound and the addends (a, b), so a chain of
+    `+` gives the same series, but copies its sum once per addend."""
     bounds = {degree_bound}
     terms: dict[Exponent, int] = {}
     get = terms.get

@@ -211,7 +211,7 @@ def scheme_is_empty_by_enumeration(labels, ambient_dim, generators,
 def variable(index, num_vars, degree_bound):
     """The series X_(index+1) in num_vars variables."""
     e = tuple(int(k == index) for k in range(num_vars))
-    return TruncatedSeries.monomial(e, num_vars, degree_bound)
+    return TruncatedSeries(num_vars, degree_bound, {e: 1})
 
 
 def form_series(constant, v, degree_bound):
@@ -242,7 +242,7 @@ def simplex_contribution_by_products(t, degree_bound):
     finite vertex v, multiplied out one product per vertex."""
     n = t.dim
     b = tuple(0 if d in t.infinite_directions else 1 for d in range(n))
-    out = TruncatedSeries.monomial(b, n, degree_bound, coefficient=hvol(t))
+    out = TruncatedSeries(n, degree_bound, {b: hvol(t)})
     for v in t.finite_vertices:
         out = out * reciprocal_by_geometric_series(v, degree_bound)
     return out

@@ -127,13 +127,21 @@ def test_second_level_triple_emptiness():
     assert up.stratum_is_empty(at(up, {"E2", "~E1", "~~X1"}))
 
 
-def test_exceptional_label_may_repeat_a_base_label():
-    # the new E1 is not the base divisor E1, whose transform is ~E1
-    step = blow(base_ring(2, labels=("E1", "X2")), "E1", "X2")
-    up = step.upper
-    assert up.variables == ("~E1", "~X2", "E1")
+def test_a_base_label_may_not_take_a_generated_shape():
+    # E<k> and ~-prefixed labels are the ones blow-ups generate: a base E1
+    # would share its label with the first exceptional divisor.  base_ring
+    # refuses them and checks uniqueness, once for the whole tower, and a
+    # label near the shape but not of it climbs as any other
+    for labels, bad in ((("E1", "X2"), "E1"), (("X1", "~X2"), "~X2")):
+        with pytest.raises(MonomialSegreError,
+                           match=f"label '{bad}' is reserved for blow-up"):
+            base_ring(2, labels=labels)
+    with pytest.raises(MonomialSegreError, match="labels must be unique"):
+        base_ring(2, labels=("a", "a"))
+    up = blow(base_ring(2, labels=("E", "X2~")), "E", "X2~").upper
+    assert up.variables == ("~E", "~X2~", "E1")
     assert sorted(sorted(up.variables[k] for k in f) for f in up.facets) == \
-        [["E1", "~E1"], ["E1", "~X2"]]
+        [["E1", "~E"], ["E1", "~X2~"]]
 
 
 def test_exponents_are_read_off_the_rays():

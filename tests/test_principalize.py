@@ -261,9 +261,8 @@ def test_the_climb_does_each_facet_once(monkeypatch):
     # a work guard in counts, not times, over the 83-level tower.  co_minimal
     # is asked once per pair and facet: no call repeats its arguments, the
     # pair and the facet's exponent rows (no two facets of this tower share
-    # their rows).  The generators' exponents are read three times, not
-    # once per level: for the base ring's divisor test, for the climb's
-    # state, and for the top's confirmation
+    # their rows).  The generators' exponents are read twice, not once per
+    # level: for the climb's state, and for the top's confirmation
     asked: Counter = Counter()
     exponents = Counter()
     original_co_minimal = principalize_module.co_minimal
@@ -282,7 +281,24 @@ def test_the_climb_does_each_facet_once(monkeypatch):
     assert len(principalize(base_ring(p.num_vars), p).steps) == 83
     assert asked and max(asked.values()) == 1
     assert set(exponents) == set(p.generators)
-    assert max(exponents.values()) == 3
+    assert max(exponents.values()) == 2
+
+
+@pytest.mark.parametrize("p, depth", [(presentation(((2, 1),)), 0),
+                                      (DEEP_TOWERS[0], 83)])
+def test_the_divisor_test_runs_once_per_tower(monkeypatch, p, depth):
+    # the climb decides every level, the base included, and the from-scratch
+    # scheme_is_divisor only confirms the top
+    tops = []
+
+    def scheme_is_divisor_counted(ring, q):
+        tops.append(ring)
+        return scheme_is_divisor(ring, q)
+    monkeypatch.setattr(principalize_module, "scheme_is_divisor",
+                        scheme_is_divisor_counted)
+    trace = principalize(base_ring(p.num_vars), p)
+    assert len(trace.steps) == depth
+    assert tops == [trace.top_ring]
 
 
 def test_the_push_down_passes_every_untouched_group_as_it_is():

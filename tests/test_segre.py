@@ -18,7 +18,7 @@ from monomial_segre.segre import (admissible_pairs, blowup_invariance_check,
 from monomial_segre.polytope import (HalfSimplex, blowup_replay,
                                      complement_configuration, lift_to_H,
                                      placing_triangulation)
-from monomial_segre.errors import TermBudgetError
+from monomial_segre.errors import MonomialSegreError, TermBudgetError
 from monomial_segre.series import TruncatedSeries, check_term_budget
 
 from oracles import (expand_terms, newton_region_area, newton_region_volume,
@@ -509,6 +509,39 @@ def test_pipelines_agree_randomized(seed):
     a = segre_integral(p, bound).series
     b = segre_tower(p, bound).series
     assert a == b, p.generators
+
+
+# the ideal (X2, X3)^2 over a base label of the shape blow-ups generate
+GENERATED_BASE_LABEL = presentation(((0, 2, 0), (0, 0, 2), (0, 1, 1)),
+                                    labels=("E1", "X2", "X3"))
+
+
+def test_a_tower_refuses_a_generated_base_label_before_any_blow_up(
+        monkeypatch):
+    # the label is refused where it enters a tower, with the CLI's message,
+    # and not as a repeated label partway up; segre_integral builds no ring,
+    # so it still answers
+    def no_work(*args):
+        raise AssertionError("the refusal comes before any blow-up")
+    monkeypatch.setattr(segre, "run_principalize", no_work)
+    monkeypatch.setattr(chow, "blow_up", no_work)
+    for run in (segre_tower, verify):
+        with pytest.raises(MonomialSegreError,
+                           match="label 'E1' is reserved for blow-up "
+                                 r"divisors \(E<k>, or a ~ prefix\)"):
+            run(GENERATED_BASE_LABEL, 5)
+    assert not segre_integral(GENERATED_BASE_LABEL, 5).series.is_zero()
+
+
+@pytest.mark.parametrize("labels", [("a", "b", "c"), ("E", "E1x", "X~")])
+def test_a_tower_over_ordinary_labels_equals_the_integral(labels):
+    # labels near the generated shape, but not of it, climb as any others,
+    # and every level's labels stay unique with no check above the base
+    p = presentation(GENERATED_BASE_LABEL.generators, labels=labels)
+    tower = segre_tower(p, 5)
+    rings = [s.upper for s in tower.trace.steps]
+    assert rings and tower.series == segre_integral(p, 5).series
+    assert all(len(set(r.variables)) == r.num_vars for r in rings)
 
 
 def test_tower_result_carries_trace():
