@@ -15,8 +15,8 @@ from .errors import (ClassificationError, DegenerateConfigurationError,
 from .lattice import (ExponentVector, MonomialPresentation, presentation,
                       residual_split, support_cover_check)
 from .polytope import (HalfSimplex, PointConfiguration, Triangulation,
-                       blowup_replay, complement_configuration, hvol,
-                       lift_to_H, placing_triangulation)
+                       blowup_replay, complement_configuration, lift_to_H,
+                       placing_triangulation)
 from .principalize import TowerTrace, principalize, select_center
 from .segre import (SegreResult, blowup_invariance_check,
                     residual_identity_check, segre_integral, segre_tower,

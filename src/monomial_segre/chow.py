@@ -157,14 +157,17 @@ def base_ring(n: int, labels: Iterable[str] | None = None,
     bad one.  Each label's ray is its unit vector.
 
     This is where labels enter a tower, so they are checked here, once:
-    they must be unique, and none may have the shape of the labels
-    `blow_up` generates (GENERATED_LABEL).  Every level's labels are then
-    unique by construction.  `segre.segre_integral` builds no ring, so it
-    still accepts such labels."""
+    they must be strings, they must be unique, and none may have the shape
+    of the labels `blow_up` generates (GENERATED_LABEL).  Every level's
+    labels are then unique by construction.  `segre.segre_integral` builds
+    no ring, so it still accepts such labels, and labels that are not
+    strings."""
     if n < 1:
         raise MonomialSegreError("the dimension n must be positive")
     labels = tuple(labels) if labels else default_labels(n)
     for lab in labels:
+        if not isinstance(lab, str):
+            raise MonomialSegreError(f"label {lab!r} is not a string")
         if GENERATED_LABEL.fullmatch(lab):
             raise MonomialSegreError(f"label {lab!r} is reserved for blow-up "
                                      "divisors (E<k>, or a ~ prefix)")

@@ -167,10 +167,10 @@ def _output(out):
         raise UsageError(f"cannot write output: {exc.strerror or exc}")
 
 
-def emit(doc, out=None):
-    """Write doc and a newline to out (default stdout), byte for byte as
-    json.dumps(doc, indent=2) would, with each TruncatedSeries in it laid out
-    as its series_doc.
+def emit(doc):
+    """Write doc and a newline to stdout, byte for byte as json.dumps(doc,
+    indent=2) would, with each TruncatedSeries in it laid out as its
+    series_doc.
 
     One json.dumps lays out the document, with each series replaced by a
     placeholder string.  The text is written between the placeholders, and
@@ -194,7 +194,7 @@ def emit(doc, out=None):
             json.encoder.encode_basestring_ascii(placeholder))
         if len(pieces) == len(found) + 1:
             break
-    with _output(sys.stdout if out is None else out) as out:
+    with _output(sys.stdout) as out:
         for piece, series in zip(pieces, found):
             out.write(piece)
             line = piece[piece.rfind("\n") + 1:]

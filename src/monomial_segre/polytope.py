@@ -163,16 +163,16 @@ class HalfSimplex:
     """Simplex with finite vertices plus unbounded coordinate directions,
     and its normalized volume.
 
-    A placed cell carries the volume its placing computed (see
-    `placing_triangulation` and `_contract`); a cell built without one gets
-    it from its geometry, by `hvol`.  The volume takes no part in equality
-    or hashing, which, like `key`, see only the geometry and provenance."""
+    Every cell carries the volume its placing computed (see
+    `placing_triangulation` and `_contract`), so the volume is required.
+    It takes no part in equality or hashing, which, like `key`, see only
+    the geometry and provenance."""
 
     dim: int
     finite_vertices: tuple[ExponentVector, ...]
     infinite_directions: frozenset[int]
     provenance: tuple[Label, ...] = ()
-    volume: int | None = field(default=None, compare=False)
+    volume: int = field(compare=False, kw_only=True)
 
     def __post_init__(self):
         object.__setattr__(self, "finite_vertices",
@@ -184,8 +184,6 @@ class HalfSimplex:
                 raise DimensionMismatchError(f"vertex {v} has length {len(v)}")
         if len(self.finite_vertices) - 1 + len(self.infinite_directions) > self.dim:
             raise MonomialSegreError("too many vertices for the ambient dimension")
-        if self.volume is None:
-            object.__setattr__(self, "volume", hvol(self))
 
     def key(self):
         """Identity of the simplex as a geometric object (vertex order ignored)."""
@@ -223,23 +221,6 @@ class Triangulation:
             (_cell_from_labels(self.config, labels, order_index, volume)
              for labels, volume in placed),
             key=lambda s: s.provenance))
-
-
-def hvol(s: HalfSimplex) -> int:
-    """Normalized volume (Euclidean volume times the dimension factorial)
-    from the geometry: |det| of the edge vectors after projecting along the
-    infinite directions.  It equals |det| of the cell's homogeneous vectors,
-    (v, 1) for a vertex and (e_d, 0) for a direction, by expansion along
-    the direction rows.  Only a cell built without a volume is measured
-    here; a placed cell keeps the one its placing computed."""
-    keep = [i for i in range(s.dim) if i not in s.infinite_directions]
-    proj = [tuple(v[i] for i in keep) for v in s.finite_vertices]
-    edges = [tuple(a - b for a, b in zip(v, proj[0])) for v in proj[1:]]
-    if len(edges) != len(keep):
-        raise DimensionMismatchError(
-            f"projected simplex is not square: {len(edges)} edges in "
-            f"{len(keep)} coordinates")
-    return abs(det(edges))
 
 
 def complement_configuration(p: MonomialPresentation) -> PointConfiguration:
@@ -296,9 +277,10 @@ def placing_triangulation(config: PointConfiguration,
     cell's facet opposite v; swapping x and v negates the determinant, so
     that facet keeps the sign of f.  A facet two new cells share is interior.
 
-    The test's determinant is also the new cell's normalized volume: up to
-    sign, det(f + x) is the determinant of the cell's homogeneous vectors,
-    which `hvol` reads off its geometry, and s * det(f + x) is positive
+    The test's determinant is also the new cell's normalized volume
+    (Euclidean volume times the dimension factorial): up to sign, det(f + x)
+    is the determinant of the cell's homogeneous vectors, (v, 1) for a
+    vertex and (e_d, 0) for a direction, and s * det(f + x) is positive
     exactly when x sees f.  So each cell keeps s * det(f + x) from the test
     that created it, and the starting cell |det(basis)|; no cell is
     measured twice.

@@ -118,7 +118,7 @@ class Climb:
     for the next `select_center`, so the last level computes none."""
 
     def __init__(self, r: LevelRing, p: MonomialPresentation):
-        self.ring, self.p = r, p
+        self.ring = r
         self.n = n = len(r.rays[0])
         # rank[k] orders the positions as `LevelRing.listing` does: the
         # exceptional ones newest first, then the base ones in order
@@ -192,18 +192,17 @@ class Climb:
         self.ring = step.upper
 
 
-def select_center(r: LevelRing, p: MonomialPresentation,
-                  memo: Climb | None = None) -> tuple[int, int] | None:
-    """The center the rule of the module docstring picks on r for the base
-    presentation p: the top-scoring slot of the first pair of minimal
-    generators that has one, or None.  Tied slots go to the i first in
-    `LevelRing.listing` (the newest exceptional divisor first, then the base
-    divisors in order), then to the j first there, and the pair comes back
-    in that order.
+def select_center(climb: Climb) -> tuple[int, int] | None:
+    """The center the rule of the module docstring picks on the climb's
+    ring for its base presentation p: the top-scoring slot of the first
+    pair of minimal generators that has one, or None.  Tied slots go to the
+    i first in `LevelRing.listing` (the newest exceptional divisor first,
+    then the base divisors in order), then to the j first there, and the
+    pair comes back in that order.
 
-    memo is the tower's `Climb`, on r for p; None builds a fresh one from r,
-    so the rule can be asked on any ring.  Pairs before the climb's worked
-    pair have no slot and never get one back (the module docstring), so the
+    The climb is the tower's, so the rule is asked on any ring r for p as
+    `select_center(Climb(r, p))`.  Pairs before the climb's worked pair
+    have no slot and never get one back (the module docstring), so the
     scan resumes at the worked pair.  That pair's best edge of two signs on
     each facet sits in a heap, built when the pair is first worked and fed
     here with the edges of the facets each blow-up creates (`Climb.fresh`).
@@ -213,14 +212,11 @@ def select_center(r: LevelRing, p: MonomialPresentation,
     once per pair and facet, and never on a facet removed before its edge
     came to the top.
 
-    None means p is a divisor on r.  Start at an interior point of a facet,
-    at a minimal generator attaining the least exponent there, and walk to
-    any point of the facet: the least exponent can change hands only where
-    it is tied between two minimal generators, a co-minimal pair, and each
-    such pair is one-signed on the facet."""
-    climb = Climb(r, p) if memo is None else memo
-    if climb.ring is not r or climb.p != p:
-        raise LevelMismatchError("the climb is not on this ring for p")
+    None means p is a divisor on the ring.  Start at an interior point of a
+    facet, at a minimal generator attaining the least exponent there, and
+    walk to any point of the facet: the least exponent can change hands
+    only where it is tied between two minimal generators, a co-minimal
+    pair, and each such pair is one-signed on the facet."""
     while climb.worked < len(climb.pairs):
         if climb.slots is None:
             climb.slots = [s for f in climb.live if (s := climb.slot(f))]
@@ -249,12 +245,12 @@ def principalize(r0: LevelRing, p0: MonomialPresentation,
     p0 is over the base ring r0, and every level reads its generators'
     exponents through its rays.  One `Climb` follows the tower from r0 up,
     and decides depth 0 as it decides every level: each level asks it for
-    the divisor first and stops there; otherwise `select_center`, with the
-    climb as its memo, picks the center, `blow_up` subdivides the ring's
-    complex, and the climb advances.  `scheme_is_divisor` then confirms
-    the top from scratch, once per tower, and a disagreement raises.  After
-    cap blow-ups without a divisor, TowerDivergenceError carries the
-    partial trace (the CLI prints its centers)."""
+    the divisor first and stops there; otherwise `select_center` picks the
+    center from the climb, `blow_up` subdivides the ring's complex, and the
+    climb advances.  `scheme_is_divisor` then confirms the top from
+    scratch, once per tower, and a disagreement raises.  After cap blow-ups
+    without a divisor, TowerDivergenceError carries the partial trace (the
+    CLI prints its centers)."""
     steps: list[BlowupStep] = []
     climb = Climb(r0, p0)
     while (d := climb.divisor()) is None:
@@ -263,7 +259,7 @@ def principalize(r0: LevelRing, p0: MonomialPresentation,
                 f"no divisor reached within {cap} blow-ups",
                 trace=TowerTrace(tuple(steps), climb.ring,
                                  (0,) * climb.ring.num_vars))
-        center = select_center(climb.ring, p0, climb)
+        center = select_center(climb)
         if center is None:
             raise NoAdmissibleCenterError(
                 "non-divisor presentation leaves select_center no slot of "

@@ -86,11 +86,7 @@ class TruncatedSeries:
 
     @classmethod
     def one(cls, num_vars: int, degree_bound: int) -> "TruncatedSeries":
-        return cls.constant(1, num_vars, degree_bound)
-
-    @classmethod
-    def constant(cls, c, num_vars: int, degree_bound: int) -> "TruncatedSeries":
-        return cls(num_vars, degree_bound, {(0,) * num_vars: c})
+        return cls(num_vars, degree_bound, {(0,) * num_vars: 1})
 
     # -- basic queries ----------------------------------------------------
 
@@ -107,11 +103,6 @@ class TruncatedSeries:
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]))
 
     # -- arithmetic -------------------------------------------------------
-
-    def _check_vars(self, other: "TruncatedSeries"):
-        if self.num_vars != other.num_vars:
-            raise DimensionMismatchError(
-                f"variable counts differ: {self.num_vars} vs {other.num_vars}")
 
     def __add__(self, other):
         """The sum at the lesser of the two bounds (`sum_series`)."""
@@ -130,12 +121,10 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
-            c = _as_int(other)
-            if c == 0:
-                return TruncatedSeries._raw(self.num_vars, self.degree_bound, {})
-            return TruncatedSeries._raw(self.num_vars, self.degree_bound,
-                                        {e: c * v for e, v in self.terms.items()})
-        self._check_vars(other)
+            return NotImplemented
+        if self.num_vars != other.num_vars:
+            raise DimensionMismatchError(
+                f"variable counts differ: {self.num_vars} vs {other.num_vars}")
         bound = min(self.degree_bound, other.degree_bound)
         if len(other.terms) == 1:
             self, other = other, self
@@ -160,25 +149,20 @@ class TruncatedSeries:
         return TruncatedSeries._raw(self.num_vars, bound,
                                     {e: c for e, c in terms.items() if c})
 
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         if isinstance(other, TruncatedSeries):
             return (self.num_vars, self.degree_bound, self.terms) == \
                 (other.num_vars, other.degree_bound, other.terms)
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.num_vars, self.degree_bound,
-                     frozenset(self.terms.items())))
-
     # -- display ----------------------------------------------------------
 
-    def render(self, labels: Iterable[str] | None = None) -> str:
-        labels = default_labels(self.num_vars) if labels is None else \
-            list(labels)
+    def render(self) -> str:
+        """The series as text in graded order, over the default labels
+        X1, X2, ..., with "0" for the zero series."""
         if not self.terms:
             return "0"
+        labels = default_labels(self.num_vars)
         parts = []
         for e, c in self.sorted_terms():
             factors = []
@@ -231,8 +215,11 @@ def sum_series(num_vars: int, degree_bound: int,
 
 
 def check_term_budget(num_vars: int, degree_bound: int) -> None:
-    """Raise when there are more monomials of degree <= degree_bound in
-    num_vars variables than TERM_BUDGET."""
+    """Raise when degree_bound is negative, which no series takes, or when
+    there are more monomials of degree <= degree_bound in num_vars
+    variables than TERM_BUDGET."""
+    if degree_bound < 0:
+        raise MonomialSegreError("degree_bound must be nonnegative")
     count = comb(num_vars + degree_bound, num_vars)
     if count > TERM_BUDGET:
         raise TermBudgetError(

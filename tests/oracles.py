@@ -15,9 +15,11 @@ reference, and a simplex contribution the product of such reciprocals.
 The total transform of generators up a tower has a step-by-step reference
 that widens them by one exponent per blow-up.
 Division by 1 + L has a degree-by-degree recurrence on term dicts as its
-reference.  The placing triangulation has a reference that rebuilds the
-boundary from every cell for each new point and reads each facet's side
-off the opposite vertex of its cell, with rational determinants.  The
+reference.  A cell's normalized volume has the determinant of its projected
+edges as its reference.  The placing triangulation has a reference that
+rebuilds the boundary from every cell for each new point and reads each
+facet's side off the opposite vertex of its cell, with rational
+determinants.  The
 determinant has the Leibniz permutation sum as its reference.  The
 center rule's slot scores have a reference that finds co-minimal pairs by
 Fourier-Motzkin elimination on each facet.  The area of a bounded Newton
@@ -29,14 +31,16 @@ draws the same way, with small series builders that only tests need, and
 the layout rule a grouped class's sparse keys obey.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb, gcd
 
 import sympy
 
+from monomial_segre.errors import DimensionMismatchError
 from monomial_segre.lattice import presentation
-from monomial_segre.polytope import hvol
+from monomial_segre.polytope import HalfSimplex, det
 from monomial_segre.series import TruncatedSeries
 
 
@@ -217,10 +221,10 @@ def variable(index, num_vars, degree_bound):
 def form_series(constant, v, degree_bound):
     """The linear form constant + v.X as a series."""
     n = len(v)
-    out = TruncatedSeries.constant(constant, n, degree_bound)
+    terms = {(0,) * n: constant}
     for i, c in enumerate(v):
-        out = out + c * variable(i, n, degree_bound)
-    return out
+        terms[tuple(int(k == i) for k in range(n))] = c
+    return TruncatedSeries(n, degree_bound, terms)
 
 
 def reciprocal_by_geometric_series(v, degree_bound):
@@ -235,6 +239,29 @@ def reciprocal_by_geometric_series(v, degree_bound):
             break
         acc = acc + power
     return acc
+
+
+def hvol(s):
+    """Normalized volume (Euclidean volume times the dimension factorial)
+    from the geometry: |det| of the edge vectors after projecting along the
+    infinite directions.  It equals |det| of the cell's homogeneous vectors,
+    (v, 1) for a vertex and (e_d, 0) for a direction, by expansion along
+    the direction rows.  A placed cell keeps the volume its placing
+    computed, and this is the reference it is checked against."""
+    keep = [i for i in range(s.dim) if i not in s.infinite_directions]
+    proj = [tuple(v[i] for i in keep) for v in s.finite_vertices]
+    edges = [tuple(a - b for a, b in zip(v, proj[0])) for v in proj[1:]]
+    if len(edges) != len(keep):
+        raise DimensionMismatchError(
+            f"projected simplex is not square: {len(edges)} edges in "
+            f"{len(keep)} coordinates")
+    return abs(det(edges))
+
+
+def cell(dim, vertices, directions, provenance=()):
+    """A cell built by hand, with the volume `hvol` reads off its geometry."""
+    geometry = HalfSimplex(dim, vertices, directions, provenance, volume=0)
+    return replace(geometry, volume=hvol(geometry))
 
 
 def simplex_contribution_by_products(t, degree_bound):

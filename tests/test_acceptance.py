@@ -11,14 +11,14 @@ import pytest
 from monomial_segre.chow import ChowClass, base_ring, blow_up, pushforward
 from monomial_segre.errors import TowerDivergenceError
 from monomial_segre.lattice import presentation
-from monomial_segre.polytope import (HalfSimplex, blowup_replay,
-                                     complement_configuration, hvol)
+from monomial_segre.polytope import blowup_replay, complement_configuration
 from monomial_segre.segre import (blowup_invariance_check,
                                   residual_identity_check, segre_integral,
                                   segre_tower, simplex_contribution, verify)
 from monomial_segre.series import TruncatedSeries, reciprocal_one_plus
 
-from oracles import expand_terms, random_presentation, symbols, variable
+from oracles import (cell, expand_terms, hvol, random_presentation, symbols,
+                     variable)
 
 STAIRCASE = presentation(((3, 0), (1, 1), (0, 3)))
 
@@ -70,7 +70,7 @@ def test_criterion_1_golden_closed_form(capsys):
 
 
 def test_criterion_2_column_simplex(capsys):
-    s = HalfSimplex(3, ((0, 0, 1), (1, 0, 2), (0, 2, 3)), frozenset({2}))
+    s = cell(3, ((0, 0, 1), (1, 0, 2), (0, 2, 3)), frozenset({2}))
     X1, X2, X3 = symbols(3)
     want = expand_terms(
         2 * X1 * X2 / ((1 + X3) * (1 + X1 + 2 * X3) * (1 + 2 * X2 + 3 * X3)),

@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import functools
 import hashlib
@@ -612,7 +613,8 @@ def as_plain(value):
 
 def emitted(doc) -> str:
     buf = io.StringIO()
-    cli.emit(doc, buf)
+    with contextlib.redirect_stdout(buf):
+        cli.emit(doc)
     return buf.getvalue()
 
 

@@ -10,12 +10,12 @@ from monomial_segre.lattice import presentation
 from monomial_segre.polytope import (ORDER_PRESETS, HalfSimplex,
                                      PointConfiguration, blowup_replay,
                                      complement_configuration, configuration,
-                                     det, hvol, lift_to_H, placement_order,
+                                     det, lift_to_H, placement_order,
                                      placing_triangulation)
 from monomial_segre.segre import (ORIGIN_LABEL, orthant_triangulation,
                                   segre_integral)
 
-from oracles import det_by_leibniz, placing_cells_by_rebuild
+from oracles import cell, det_by_leibniz, hvol, placing_cells_by_rebuild
 
 STAIRCASE = presentation(((3, 0), (1, 1), (0, 3)))
 
@@ -72,26 +72,30 @@ def test_det_rejects_a_matrix_that_is_not_square(n):
 
 
 def test_hvol_unit_simplex():
-    s = HalfSimplex(3, ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)),
-                    frozenset())
+    s = cell(3, ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)), frozenset())
     assert hvol(s) == 1
 
 
 def test_hvol_column_example():
-    s = HalfSimplex(3, ((0, 0, 1), (1, 0, 2), (0, 2, 3)), frozenset({2}))
+    s = cell(3, ((0, 0, 1), (1, 0, 2), (0, 2, 3)), frozenset({2}))
     assert hvol(s) == 2
 
 
 def test_hvol_invariances():
-    base = HalfSimplex(2, ((3, 0), (1, 1), (0, 3)), frozenset())
-    permuted = HalfSimplex(2, ((1, 1), (0, 3), (3, 0)), frozenset())
-    shifted = HalfSimplex(2, ((5, 1), (3, 2), (2, 4)), frozenset())
+    base = cell(2, ((3, 0), (1, 1), (0, 3)), frozenset())
+    permuted = cell(2, ((1, 1), (0, 3), (3, 0)), frozenset())
+    shifted = cell(2, ((5, 1), (3, 2), (2, 4)), frozenset())
     assert hvol(base) == hvol(permuted) == hvol(shifted) == 3
 
 
 def test_hvol_degenerate_is_zero():
-    s = HalfSimplex(2, ((0, 0), (1, 1), (2, 2)), frozenset())
+    s = cell(2, ((0, 0), (1, 1), (2, 2)), frozenset())
     assert hvol(s) == 0
+
+
+def test_a_cell_needs_its_volume():
+    with pytest.raises(TypeError):
+        HalfSimplex(2, ((0, 0), (1, 0), (0, 1)), frozenset())
 
 
 def test_complement_configuration_contents():
@@ -324,10 +328,10 @@ def _eager_cells(config, order):
     order, built at once: the provenance of the rebuilt boundary, and each
     volume from the cell's geometry."""
     hom = config.homogeneous
-    return [HalfSimplex(config.dim,
-                        [hom[lab][:-1] for lab in labels if hom[lab][-1]],
-                        {hom[lab].index(1) for lab in labels if not hom[lab][-1]},
-                        provenance=tuple(labels))
+    return [cell(config.dim,
+                 [hom[lab][:-1] for lab in labels if hom[lab][-1]],
+                 {hom[lab].index(1) for lab in labels if not hom[lab][-1]},
+                 provenance=tuple(labels))
             for labels in placing_cells_by_rebuild(config, order)]
 
 

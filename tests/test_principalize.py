@@ -33,7 +33,7 @@ def test_admissible_pairs_skip_empty_strata():
 
 def test_select_center_none_for_principal():
     p = presentation(((2, 1),))
-    assert select_center(base_ring(2), p) is None
+    assert select_center(Climb(base_ring(2), p)) is None
 
 
 def test_level_one_center_under_lex():
@@ -45,7 +45,7 @@ def test_level_one_center_under_lex():
     r = blow_up(base_ring(2), 0, 1).upper
     p = presentation(((3, 0), (1, 1), (0, 3)))
     assert list(admissible_pairs(r, p)) == [(0, 2), (1, 2)]
-    assert select_center(r, p) == (2, 1)
+    assert select_center(Climb(r, p)) == (2, 1)
 
 
 @st.composite
@@ -71,7 +71,7 @@ def center_queries(draw):
 @settings(max_examples=200, deadline=None)
 def test_relevant_center_is_none_only_on_a_divisor(query):
     ring, p = query
-    center = select_center(ring, p)
+    center = select_center(Climb(ring, p))
     if center is None:
         assert scheme_is_divisor(ring, p) is not None
     else:
@@ -251,8 +251,9 @@ def test_the_tower_memo_picks_the_center_a_fresh_memo_picks():
             if k == len(trace.steps):
                 break
             step = trace.steps[k]
-            assert select_center(ring, p, climb) == \
-                select_center(ring, p) == step.center, (p.generators, k)
+            assert select_center(climb) == \
+                select_center(Climb(ring, p)) == step.center, \
+                (p.generators, k)
             climb.advance(step)
     assert depths[-2:] == [83, 197]
 
@@ -384,4 +385,5 @@ def test_a_tie_goes_to_the_slot_first_in_listing_order():
     assert sorted(sorted(r.variables[k] for k in edge)
                   for edge, s in scores.items() if s == top) == \
         [["E1", "~X1"], ["X2", "~X1"]]
-    assert [r.variables[k] for k in select_center(r, p)] == ["E1", "~X1"]
+    assert [r.variables[k] for k in select_center(Climb(r, p))] == \
+        ["E1", "~X1"]

@@ -15,15 +15,14 @@ from monomial_segre.segre import (admissible_pairs, blowup_invariance_check,
                                   default_degree_bound, orthant_triangulation,
                                   residual_identity_check, segre_integral,
                                   segre_tower, simplex_contribution, verify)
-from monomial_segre.polytope import (HalfSimplex, blowup_replay,
-                                     complement_configuration, lift_to_H,
-                                     placing_triangulation)
+from monomial_segre.polytope import (blowup_replay, complement_configuration,
+                                     lift_to_H, placing_triangulation)
 from monomial_segre.errors import MonomialSegreError, TermBudgetError
 from monomial_segre.series import TruncatedSeries, check_term_budget
 
-from oracles import (expand_terms, newton_region_area, newton_region_volume,
-                     random_presentation, simplex_contribution_by_products,
-                     symbols)
+from oracles import (cell, expand_terms, newton_region_area,
+                     newton_region_volume, random_presentation,
+                     simplex_contribution_by_products, symbols)
 
 STAIRCASE = presentation(((3, 0), (1, 1), (0, 3)))
 
@@ -35,7 +34,7 @@ def test_default_degree_bound():
 
 def test_column_simplex_contribution():
     # unbounded in direction 3 only, height volume 2
-    s = HalfSimplex(3, ((0, 0, 1), (1, 0, 2), (0, 2, 3)), frozenset({2}))
+    s = cell(3, ((0, 0, 1), (1, 0, 2), (0, 2, 3)), frozenset({2}))
     got = simplex_contribution(s, 4)
     X1, X2, X3 = symbols(3)
     want = expand_terms(
@@ -85,7 +84,7 @@ def test_segre_integral_still_fires_the_traced_product_and_reciprocal(
 
 
 def test_degenerate_simplex_contributes_zero():
-    s = HalfSimplex(2, ((0, 0), (1, 1), (2, 2)), frozenset())
+    s = cell(2, ((0, 0), (1, 1), (2, 2)), frozenset())
     assert simplex_contribution(s, 4).is_zero()
 
 
@@ -463,6 +462,18 @@ def test_verify_refuses_a_lift_over_the_budget_before_any_check(monkeypatch):
     check_term_budget(3, 40)
 
 
+def test_the_entries_refuse_a_negative_degree_bound_first(monkeypatch):
+    def no_placing(*args, **kwargs):
+        raise AssertionError("placing_triangulation ran")
+
+    monkeypatch.setattr(segre, "placing_triangulation", no_placing)
+    monkeypatch.setattr(polytope, "placing_triangulation", no_placing)
+    for entry in (segre_integral, segre_tower, verify):
+        with pytest.raises(MonomialSegreError,
+                           match="degree_bound must be nonnegative"):
+            entry(STAIRCASE, -1)
+
+
 def test_the_pipelines_refuse_a_series_over_the_budget_first(monkeypatch):
     # C(3 + 65, 3) > TERM_BUDGET: neither pipeline places a cell or climbs
     # a tower before it refuses
@@ -531,6 +542,18 @@ def test_a_tower_refuses_a_generated_base_label_before_any_blow_up(
                                  r"divisors \(E<k>, or a ~ prefix\)"):
             run(GENERATED_BASE_LABEL, 5)
     assert not segre_integral(GENERATED_BASE_LABEL, 5).series.is_zero()
+
+
+def test_a_tower_refuses_a_label_that_is_not_a_string():
+    # a ring's labels are strings; segre_integral builds no ring, so it
+    # still answers
+    p = presentation(GENERATED_BASE_LABEL.generators, labels=(1, 2, 3))
+    for run in (lambda: base_ring(3, (1, 2, 3)), lambda: segre_tower(p, 5),
+                lambda: verify(p, 5)):
+        with pytest.raises(MonomialSegreError,
+                           match="label 1 is not a string"):
+            run()
+    assert not segre_integral(p, 5).series.is_zero()
 
 
 @pytest.mark.parametrize("labels", [("a", "b", "c"), ("E", "E1x", "X~")])

@@ -45,6 +45,15 @@ def test_arithmetic_with_a_non_series_is_a_type_error():
             op()
 
 
+def test_a_series_has_no_scalar_product_and_no_hash():
+    # a series holds a mutable dict of terms, and the pipelines multiply
+    # only series by series
+    s = TruncatedSeries.one(2, 3)
+    for op in (lambda: hash(s), lambda: 2 * s, lambda: s * 2):
+        with pytest.raises(TypeError):
+            op()
+
+
 def test_arithmetic_against_sympy():
     X1, X2 = symbols(2)
     expr = (1 + 2 * X1) * (3 - X2) - X1 * X2
@@ -246,8 +255,6 @@ def test_equality_compares_the_degree_bound():
     a, b = TruncatedSeries(2, 3, terms), TruncatedSeries(2, 4, terms)
     assert a != b
     assert a == TruncatedSeries(2, 3, terms)
-    assert hash(a) == hash(TruncatedSeries(2, 3, terms))
-    assert len({a, b}) == 2
 
 
 def test_sorted_terms_graded_lex():
@@ -258,7 +265,6 @@ def test_sorted_terms_graded_lex():
 def test_render_readable():
     s = TruncatedSeries(2, 4, {(1, 1): 6, (2, 1): -1})
     assert s.render() == "6*X1*X2 - X1^2*X2"
-    assert s.render(labels=("a", "b")) == "6*a*b - a^2*b"
     assert TruncatedSeries.zero(2, 1).render() == "0"
 
 
