@@ -11,9 +11,10 @@ above.  Blowing up divisors i and j is the stellar subdivision of the edge
 appended after every lower divisor (Cox-Little-Schenck, Toric Varieties,
 Sec. 3.3).  So a divisor keeps one position, its id, up the whole tower, and
 a facet not through both i and j is a facet of the level above as it is.
-The variable names (E<d> for an exceptional divisor, a ~ prefix for a proper
-transform) are for display only; `LevelRing.listing` is the order in which
-a tower lists them.
+A level stores no names: the CLI derives them from the centers when it
+prints a tower (E<k> for the k-th exceptional divisor, a ~ prefix for a
+proper transform), and `LevelRing.listing` is the order in which it lists
+them.
 
 Every divisor also has a ray in Z^n_{>=0}, over the n base divisors: X_k has
 e_k, and the exceptional divisor of the blow-up of {i, j} has v_i + v_j.  A
@@ -75,7 +76,6 @@ once, and grouping it would cost more than the push saves.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, filterfalse
@@ -91,23 +91,29 @@ from .series import TruncatedSeries
 # sorted support -> {exponents at those positions, each positive: coefficient}
 _Groups = dict[tuple[int, ...], dict[tuple[int, ...], int]]
 
+# the most facets `base_ring` builds while it splits along the nil pairs
+FACET_BUDGET = 1024
+
 
 @dataclass(frozen=True)
 class LevelRing:
-    """Named divisor variables, the facets of their complex of nonempty
-    strata, and one ray per variable; build one with `base_ring` or
-    `blow_up`.  A stratum, a set of variable positions, is nonempty exactly
-    when it lies in a facet.  The class checks nothing itself: `base_ring`
-    checks the labels once, and every `blow_up` keeps them unique."""
+    """The facets of a complex of nonempty strata of divisors, one ray per
+    divisor, and the number of blow-ups below; build one with `base_ring`
+    or `blow_up`.  A divisor is its position, and a stratum, a set of
+    positions, is nonempty exactly when it lies in a facet.  The class
+    checks nothing itself and stores no names: `base_ring` checks the
+    labels once, and every `blow_up` keeps them unique, as a divisor is its
+    position and each exceptional divisor takes a new one.  The names a
+    tower prints above the base (E<k>, a ~ prefix) are the CLI's, derived
+    from the centers."""
 
-    variables: tuple[str, ...]
     facets: tuple[frozenset[int], ...]
     rays: tuple[ExponentVector, ...]
     depth: int = 0
 
     @property
     def num_vars(self) -> int:
-        return len(self.variables)
+        return len(self.rays)
 
     @property
     def listing(self) -> tuple[int, ...]:
@@ -148,29 +154,24 @@ class _BlownUpRing(LevelRing):
         return not self.in_facet(frozenset(stratum))
 
 
-def base_ring(n: int, labels: Iterable[str] | None = None,
-              nil_pairs: Iterable[Iterable[str]] = ()) -> LevelRing:
+def base_ring(n: int, labels: Iterable | None = None,
+              nil_pairs: Iterable[Iterable] = ()) -> LevelRing:
     """The ambient divisors of an n-dimensional variety, as a generic
     normal-crossings configuration: a stratum is empty when it has more than
     n divisors or contains one of the nil pairs, whose divisors do not meet.
-    The pairs are checked in the order given, so an error names the first
-    bad one.  Each label's ray is its unit vector.
+    The pairs name divisors by label, and are checked in the order given, so
+    an error names the first bad one.  Each divisor's ray is its unit
+    vector.
 
-    This is where labels enter a tower, so they are checked here, once:
-    they must be strings, they must be unique, and none may have the shape
-    of the labels `blow_up` generates (GENERATED_LABEL).  Every level's
-    labels are then unique by construction.  `segre.segre_integral` builds
-    no ring, so it still accepts such labels, and labels that are not
-    strings."""
+    The labels must be unique; they are read only here, to find the nil
+    pairs, and the ring keeps none.  So any hashable labels do, and a tower
+    takes the same labels as `segre.segre_integral`.  Splitting a facet
+    along each nil pair it holds may double the facets at every pair, so a
+    split past FACET_BUDGET facets is refused before the complex is
+    built."""
     if n < 1:
         raise MonomialSegreError("the dimension n must be positive")
     labels = tuple(labels) if labels else default_labels(n)
-    for lab in labels:
-        if not isinstance(lab, str):
-            raise MonomialSegreError(f"label {lab!r} is not a string")
-        if GENERATED_LABEL.fullmatch(lab):
-            raise MonomialSegreError(f"label {lab!r} is reserved for blow-up "
-                                     "divisors (E<k>, or a ~ prefix)")
     if len(set(labels)) != len(labels):
         raise MonomialSegreError("variable labels must be unique")
     seeds = set()
@@ -186,13 +187,16 @@ def base_ring(n: int, labels: Iterable[str] | None = None,
     facets = [frozenset(f) for f in
               combinations(range(len(labels)), min(n, len(labels)))]
     for a, b in sorted(seeds):
-        facets = [g for f in facets
-                  for g in ((f - {a}, f - {b}) if {a, b} <= f else (f,))]
-    facets = list(dict.fromkeys(facets))
+        facets = list(dict.fromkeys(
+            g for f in facets
+            for g in ((f - {a}, f - {b}) if {a, b} <= f else (f,))))
+        if len(facets) > FACET_BUDGET:
+            raise MonomialSegreError(f"the nil pairs split the strata into "
+                                     f"more than {FACET_BUDGET} facets")
     maximal = tuple(f for f in facets if not any(f < g for g in facets))
     rays = tuple(tuple(int(k == m) for k in range(len(labels)))
                  for m in range(len(labels)))
-    return LevelRing(labels, maximal, rays)
+    return LevelRing(maximal, rays)
 
 
 class ChowClass:
@@ -259,28 +263,20 @@ class BlowupStep:
     split: tuple[frozenset[int], ...]
 
 
-# the shape of the labels blow-ups generate: exceptional E<k>, proper ~X
-GENERATED_LABEL = re.compile(r"E[0-9]+|~.*", re.DOTALL)
-
-
 def blow_up(r: LevelRing, i: int, j: int) -> BlowupStep:
     """Blow up along the intersection of the divisors at positions i and j:
     the stellar subdivision of the edge {i, j} of the lower ring's complex.
-    The exceptional divisor E<depth> goes last, at position r.num_vars, so
-    every lower position is the same upper position, and its ray is the sum
-    of the two centers' rays.  A facet not through both i and j is kept as
-    it is.
-
-    The labels stay unique with no check: a base label is unique and not of
-    the shape GENERATED_LABEL (`base_ring`), E<depth> is new at each depth,
-    and a ~ prefix keeps distinct labels distinct."""
+    The exceptional divisor goes last, at position r.num_vars, so every
+    lower position is the same upper position, and its ray is the sum of
+    the two centers' rays.  A facet not through both i and j is kept as it
+    is.  No names are built: a divisor is its position."""
     if i == j or not (0 <= i < r.num_vars and 0 <= j < r.num_vars):
         raise MonomialSegreError(
             f"center ({i}, {j}) is not two distinct positions among "
             f"{r.num_vars} variables")
     if r.stratum_is_empty((i, j)):
-        raise EmptyCenterError(f"center ({r.variables[i]}, {r.variables[j]}) "
-                               "is a known-empty intersection")
+        raise EmptyCenterError(
+            f"center ({i}, {j}) is a known-empty intersection")
     facets, split = [], []
     for f in r.facets:
         if i in f and j in f:
@@ -288,11 +284,8 @@ def blow_up(r: LevelRing, i: int, j: int) -> BlowupStep:
             facets += [f - {i} | {r.num_vars}, f - {j} | {r.num_vars}]
         else:
             facets.append(f)
-    variables = list(r.variables) + [f"E{r.depth + 1}"]
-    variables[i], variables[j] = "~" + variables[i], "~" + variables[j]
     rays = r.rays + (tuple(map(add, r.rays[i], r.rays[j])),)
-    upper = _BlownUpRing(tuple(variables), tuple(facets), rays,
-                         depth=r.depth + 1)
+    upper = _BlownUpRing(tuple(facets), rays, depth=r.depth + 1)
     return BlowupStep(r, upper, (i, j), tuple(split))
 
 
@@ -489,7 +482,7 @@ def scheme_is_empty(r: LevelRing, p: MonomialPresentation) -> bool:
     joint intersection that hits every support, and so does the facet
     containing it.  Conversely such a facet certifies a point of the
     scheme."""
-    if p.variable_labels != r.variables:
+    if p.num_vars != r.num_vars:
         raise LevelMismatchError("presentation is not over this ring")
     if not all(map(any, p.generators)):
         return True  # unit ideal
@@ -513,7 +506,7 @@ def scheme_is_divisor(r: LevelRing,
     gens = [r.exponents(g) for g in p.generators]
     d = tuple(map(min, zip(*gens)))
     residual = MonomialPresentation(
-        r.num_vars, [tuple(map(sub, g, d)) for g in gens], r.variables)
+        r.num_vars, [tuple(map(sub, g, d)) for g in gens])
     if scheme_is_empty(r, residual):
         return d
     return None

@@ -8,7 +8,9 @@ and `verify` and `corpus` print their report; they exit 3 only when the
 capped tower's check is the one failure (VerifyReport.status).  A failed
 write to stdout is exit 2 as well, and so is a job whose base series or
 tower top expansion would hold more terms than series.TERM_BUDGET: the
-pipelines and `verify` refuse such work before they start it.
+pipelines and `verify` refuse such work before they start it.  So is a job
+whose nil pairs split the strata into more than chow.FACET_BUDGET facets,
+refused as `base_ring` splits them.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ import json
 import math
 import os
 import random
+import re
 import sys
 
-from .chow import GENERATED_LABEL, base_ring
+from .chow import base_ring
 from .errors import MonomialSegreError, TermBudgetError, TowerDivergenceError
 from .lattice import MonomialPresentation, presentation
 from .polytope import ORDER_PRESETS
@@ -34,6 +37,10 @@ from .series import TruncatedSeries, check_term_budget
 
 # the widest picture `render` draws, in lattice units
 RENDER_MAX_UNITS = 500
+
+# the shape of the names `tower` gives blow-up divisors: exceptional E<k>,
+# proper transform ~X
+GENERATED_LABEL = re.compile(r"E[0-9]+|~.*", re.DOTALL)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -73,7 +80,8 @@ def _read_document(path: str):
             return json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}")
-    except ValueError as exc:  # invalid JSON or undecodable bytes
+    # invalid JSON, undecodable bytes, or nesting too deep for the parser
+    except (ValueError, RecursionError) as exc:
         raise UsageError(f"{path} is not a JSON document: {exc}")
 
 
@@ -83,9 +91,11 @@ def load_job(args):
     --input are mutually exclusive.  A document's optional "strategy" field
     must name CENTER_RULE, the tower's one center rule; its generators,
     labels and nil_pairs must be JSON arrays, each generator an array and
-    each nil pair an array of two labels, and its labels may not have the
-    shape of the ones blow-ups generate (GENERATED_LABEL).  dmax is --dmax,
-    else the document's dmax, else n + 3."""
+    each nil pair an array of two labels, and its labels must be strings
+    that do not have the shape of the names `tower` gives blow-up divisors
+    (GENERATED_LABEL), so that every name it prints is unique.  The library
+    takes any unique labels.  dmax is --dmax, else the document's dmax,
+    else n + 3."""
     if (args.gens is None) == (getattr(args, "input", None) is None):
         raise UsageError("give exactly one of --gens or --input")
     nil_pairs = ()
@@ -237,9 +247,34 @@ def cmd_compute(args) -> int:
     return EXIT_OK
 
 
+def _named_steps(labels, steps):
+    """Each step with the names of its two centers and of the upper ring's
+    divisors, by position.  The library stores no names, so they are
+    derived here from the base labels and the centers: the k-th
+    exceptional divisor is E<k>, and each blow-up prefixes ~ to its two
+    centers' names.  The names list is updated in place, so read it before
+    the next step."""
+    names = list(labels)
+    for k, step in enumerate(steps, 1):
+        center = [names[m] for m in step.center]
+        for m in step.center:
+            names[m] = "~" + names[m]
+        names.append(f"E{k}")
+        yield step, center, names
+
+
 def cmd_tower(args) -> int:
+    """On a tower that reaches no divisor within its cap, print the error
+    and the partial tower's centers, lowest first, to stderr, and exit 3."""
     p, dmax, nil_pairs, ring = load_job(args)
-    result = segre_tower(p, dmax, ring=ring)
+    try:
+        result = segre_tower(p, dmax, ring=ring)
+    except TowerDivergenceError as exc:
+        centers = " ".join(",".join(c) for _, c, _ in
+                           _named_steps(p.variable_labels, exc.trace.steps))
+        print(f"tower divergence: {exc}\npartial tower centers: {centers}",
+              file=sys.stderr)
+        return EXIT_DIVERGED
     trace = result.trace
     doc = presentation_doc(p, dmax, nil_pairs=nil_pairs)
     doc["strategy"] = CENTER_RULE
@@ -250,11 +285,10 @@ def cmd_tower(args) -> int:
         "iterations": len(trace.steps),
         "terminal_divisor": [trace.terminal_divisor[k]
                              for k in trace.top_ring.listing],
-        "steps": [{"center": [s.lower.variables[k] for k in s.center],
-                   "exceptional": s.upper.variables[-1],
-                   "variables": [s.upper.variables[k]
-                                 for k in s.upper.listing]}
-                  for s in trace.steps],
+        "steps": [{"center": center, "exceptional": names[-1],
+                   "variables": [names[k] for k in s.upper.listing]}
+                  for s, center, names in
+                  _named_steps(p.variable_labels, trace.steps)],
     }
     emit(doc)
     return EXIT_OK
@@ -498,14 +532,6 @@ def main(argv=None) -> int:
     except (UsageError, TermBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except TowerDivergenceError as exc:
-        print(f"tower divergence: {exc}", file=sys.stderr)
-        if exc.trace is not None:
-            centers = " ".join(
-                ",".join(s.lower.variables[k] for k in s.center)
-                for s in exc.trace.steps)
-            print(f"partial tower centers: {centers}", file=sys.stderr)
-        return EXIT_DIVERGED
     except MonomialSegreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL

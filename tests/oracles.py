@@ -7,7 +7,9 @@ package's own series arithmetic.  The blow-up push-forward has a normal-form
 reference that rewrites powers of E one step at a time, and a closed-form one
 that substitutes every term and expands every power of E, with no test of
 which strata are empty; the pull-back is the same substitution with the
-opposite sign.  Stratum emptiness up a blow-up tower has a recursive
+opposite sign.  The names of a tower's divisors (E<k>, a ~ prefix) are
+derived here from the centers, apart from the CLI's own derivation.
+Stratum emptiness up a blow-up tower has a recursive
 reference that asks the level below, and scheme emptiness a brute-force one
 that enumerates candidate strata.  The
 reciprocal of 1 + L has the geometric series of series products as its
@@ -163,37 +165,59 @@ def pushforward_by_substitution(terms, pi, pj):
     return {e: c for e, c in out.items() if c}
 
 
-def stratum_is_empty_by_recursion(dim, nil_pairs, steps, labels):
+def names_above(names, step):
+    """The names of the divisors one blow-up up, given the lower ring's
+    names: a ~ prefixed to the two centers' names, and E<d> appended for the
+    exceptional divisor of the d-th blow-up.  The library stores no names;
+    this derivation is the tests' own, apart from the CLI's."""
+    upper = list(names)
+    for m in step.center:
+        upper[m] = "~" + upper[m]
+    return tuple(upper) + (f"E{step.upper.depth}",)
+
+
+def tower_names(labels, steps):
+    """The names of the divisors on each level of a tower, the base labels
+    first, then one tuple per blow-up in steps, lowest first."""
+    levels = [tuple(labels)]
+    for step in steps:
+        levels.append(names_above(levels[-1], step))
+    return levels
+
+
+def stratum_is_empty_by_recursion(dim, labels, nil_pairs, steps, stratum):
     """Emptiness of a stratum on the top level of a tower, asked down the
     tower one blow-up at a time.
 
-    dim is the ambient dimension, nil_pairs the label pairs declared not to
-    meet on the base, and steps the blow-ups above the base, lowest first;
-    every stratum here is a set of labels, each center read off its lower
-    ring's labels and each exceptional divisor off its upper ring's last.
-    On the base a stratum is empty when it has more than dim labels or
+    dim is the ambient dimension, labels the base labels, nil_pairs the
+    label pairs declared not to meet on the base, and steps the blow-ups
+    above the base, lowest first; every stratum here is a set of names
+    (`tower_names`), each center read off its lower ring's names and each
+    exceptional divisor off its upper ring's last.  On the base a stratum
+    is empty when it has more than dim labels or
     contains a nil pair.  Above a blow-up of
     {i, j} with exceptional E: the proper transforms of i and j are
     disjoint, any other stratum avoiding E is empty iff its image below is,
     and a stratum through E is empty iff its image together with {i, j} is
     empty below."""
-    s = frozenset(labels)
+    s = frozenset(stratum)
     if len(s) > dim:
         return True
     if len(s) < 2:
         return False
     if not steps:
         return any(frozenset(pair) <= s for pair in nil_pairs)
-    step = steps[-1]
-    i, j = (step.lower.variables[k] for k in step.center)
-    exceptional = step.upper.variables[-1]
+    below, top = tower_names(labels, steps)[-2:]
+    i, j = (below[k] for k in steps[-1].center)
+    exceptional = top[-1]
     low = {lab[1:] if lab in ("~" + i, "~" + j) else lab
            for lab in s - {exceptional}}
     if {i, j} <= low:
         return True
     if exceptional in s:
         low |= {i, j}
-    return stratum_is_empty_by_recursion(dim, nil_pairs, steps[:-1], low)
+    return stratum_is_empty_by_recursion(dim, labels, nil_pairs, steps[:-1],
+                                         low)
 
 
 def scheme_is_empty_by_enumeration(labels, ambient_dim, generators,

@@ -10,7 +10,7 @@ import pytest
 
 from monomial_segre.chow import ChowClass, base_ring, blow_up, pushforward
 from monomial_segre.errors import TowerDivergenceError
-from monomial_segre.lattice import presentation
+from monomial_segre.lattice import default_labels, presentation
 from monomial_segre.polytope import blowup_replay, complement_configuration
 from monomial_segre.segre import (blowup_invariance_check,
                                   residual_identity_check, segre_integral,
@@ -18,7 +18,7 @@ from monomial_segre.segre import (blowup_invariance_check,
 from monomial_segre.series import TruncatedSeries, reciprocal_one_plus
 
 from oracles import (cell, expand_terms, hvol, random_presentation, symbols,
-                     variable)
+                     tower_names, variable)
 
 STAIRCASE = presentation(((3, 0), (1, 1), (0, 3)))
 
@@ -162,19 +162,22 @@ def test_criterion_7_integer_coefficients(corpus, capsys):
 def test_criterion_8_pushforward_identities(capsys):
     bound = 6
     step = blow_up(base_ring(3), 0, 1)
-    up, low = step.upper, step.lower
+    below, above = tower_names(default_labels(3), [step])
 
-    def v(ring, label):
-        return variable(ring.variables.index(label), ring.num_vars, bound)
+    def up(label):
+        return variable(above.index(label), len(above), bound)
+
+    def low(label):
+        return variable(below.index(label), len(below), bound)
 
     def push(series):
-        return pushforward(step, ChowClass(up, series)).series
+        return pushforward(step, ChowClass(step.upper, series)).series
 
     checks = [
-        push(v(up, "E1") * v(up, "~X2")) == v(low, "X1") * v(low, "X2"),
-        push(v(up, "~X1") * v(up, "~X2")).is_zero(),
-        push(v(up, "E1") * v(up, "X3")).is_zero(),
-        push(v(up, "~X1") * v(up, "X3")) == v(low, "X1") * v(low, "X3"),
+        push(up("E1") * up("~X2")) == low("X1") * low("X2"),
+        push(up("~X1") * up("~X2")).is_zero(),
+        push(up("E1") * up("X3")).is_zero(),
+        push(up("~X1") * up("X3")) == low("X1") * low("X3"),
     ]
     step2 = blow_up(base_ring(2), 0, 1)
     e_class = TruncatedSeries.one(3, bound) - \

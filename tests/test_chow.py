@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
@@ -6,36 +7,42 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from monomial_segre.chow import (ChowClass, base_ring, blow_up, pushforward,
-                                 reduce_nils, scheme_is_divisor,
-                                 scheme_is_empty)
+from monomial_segre.chow import (FACET_BUDGET, ChowClass, base_ring,
+                                 blow_up, pushforward, reduce_nils,
+                                 scheme_is_divisor, scheme_is_empty)
 from monomial_segre.errors import (EmptyCenterError, LevelMismatchError,
                                    MonomialSegreError)
-from monomial_segre.lattice import MonomialPresentation, presentation
+from monomial_segre.lattice import (MonomialPresentation, default_labels,
+                                    presentation)
 from monomial_segre.segre import _divisor_segre_reduced
 from monomial_segre.series import TruncatedSeries, reciprocal_one_plus
 
-from oracles import (check_sparse_groups, expand_terms, flat_terms, pullback,
-                     pushforward_by_normal_form, pushforward_by_substitution,
+from oracles import (check_sparse_groups, expand_terms, flat_terms,
+                     names_above, pullback, pushforward_by_normal_form,
+                     pushforward_by_substitution,
                      scheme_is_empty_by_enumeration,
-                     stratum_is_empty_by_recursion, symbols,
-                     total_transform, variable)
+                     stratum_is_empty_by_recursion, symbols, total_transform,
+                     tower_names, variable)
 
 BOUND = 6
+LABELS2, LABELS3 = default_labels(2), default_labels(3)
 
 
-def var(ring, label, bound=BOUND):
-    return variable(ring.variables.index(label), ring.num_vars, bound)
+def var(names, label, bound=BOUND):
+    """The named divisor's variable on a ring whose divisors have names."""
+    return variable(names.index(label), len(names), bound)
 
 
-def at(ring, labels):
-    """The positions of labels among the ring's variables, in order."""
-    return [ring.variables.index(lab) for lab in labels]
+def at(names, labels):
+    """The positions of the named divisors, in order."""
+    return [names.index(lab) for lab in labels]
 
 
-def blow(ring, i, j):
-    """The blow-up of the divisors labelled i and j."""
-    return blow_up(ring, *at(ring, (i, j)))
+def blow(ring, names, i, j):
+    """The blow-up of the divisors named i and j on a ring whose divisors
+    have names, and the names on the ring above (`oracles.names_above`)."""
+    step = blow_up(ring, *at(names, (i, j)))
+    return step, names_above(names, step)
 
 
 def pulled_back(step, s):
@@ -47,7 +54,8 @@ def pulled_back(step, s):
 
 def test_base_ring_defaults():
     r = base_ring(3)
-    assert r.variables == ("X1", "X2", "X3")
+    assert r.num_vars == 3
+    assert r.rays == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert not any(r.stratum_is_empty(pair)
                    for pair in combinations(range(r.num_vars), 2))
     assert r.depth == 0
@@ -55,25 +63,26 @@ def test_base_ring_defaults():
 
 def test_base_ring_closes_declared_pairs_upward():
     r = base_ring(3, nil_pairs=[("X1", "X2")])
-    assert r.stratum_is_empty(at(r, {"X1", "X2"}))
-    assert r.stratum_is_empty(at(r, {"X1", "X2", "X3"}))
-    assert not r.stratum_is_empty(at(r, {"X1", "X3"}))
+    assert r.stratum_is_empty(at(LABELS3, {"X1", "X2"}))
+    assert r.stratum_is_empty(at(LABELS3, {"X1", "X2", "X3"}))
+    assert not r.stratum_is_empty(at(LABELS3, {"X1", "X3"}))
 
 
 def test_stratum_size_cap():
     r = base_ring(2)
-    assert r.stratum_is_empty(at(r, ["X1", "X2", "X1"])) is False
+    assert r.stratum_is_empty(at(LABELS2, ["X1", "X2", "X1"])) is False
     # more labels than the ambient dimension: always empty
-    r3 = blow(r, "X1", "X2").upper
-    assert r3.stratum_is_empty(at(r3, {"E1", "~X1", "~X2"}))
+    step, names = blow(r, LABELS2, "X1", "X2")
+    assert step.upper.stratum_is_empty(at(names, {"E1", "~X1", "~X2"}))
 
 
 def test_blow_up_labels_and_nils():
     r = base_ring(2)
-    step = blow(r, "X1", "X2")
-    assert step.upper.variables == ("~X1", "~X2", "E1")
-    assert [pair for pair in combinations(step.upper.variables, 2)
-            if step.upper.stratum_is_empty(at(step.upper, pair))] == \
+    step, names = blow(r, LABELS2, "X1", "X2")
+    assert names == ("~X1", "~X2", "E1")
+    assert step.upper.rays == ((1, 0), (0, 1), (1, 1))
+    assert [pair for pair in combinations(names, 2)
+            if step.upper.stratum_is_empty(at(names, pair))] == \
         [("~X1", "~X2")]
     assert step.upper.depth == 1
 
@@ -81,9 +90,9 @@ def test_blow_up_labels_and_nils():
 def test_blow_up_rejects_empty_center():
     r = base_ring(2, nil_pairs=[("X1", "X2")])
     with pytest.raises(EmptyCenterError):
-        blow(r, "X1", "X2")
+        blow(r, LABELS2, "X1", "X2")
     with pytest.raises(MonomialSegreError):
-        blow(base_ring(2), "X1", "X1")
+        blow(base_ring(2), LABELS2, "X1", "X1")
 
 
 def test_blow_up_checks_its_positions():
@@ -92,12 +101,12 @@ def test_blow_up_checks_its_positions():
     for i, j in [(1, 1), (-1, 0), (0, -3), (0, 3), (3, 1)]:
         with pytest.raises(MonomialSegreError):
             blow_up(r, i, j)
-    # the message of a known-empty center names its two labels
+    # the message of a known-empty center names its two positions
     r_nil = base_ring(3, labels=("a", "b", "c"), nil_pairs=[("a", "c")])
-    with pytest.raises(EmptyCenterError, match=r"center \(a, c\)"):
+    with pytest.raises(EmptyCenterError, match=r"center \(0, 2\)"):
         blow_up(r_nil, 0, 2)
     up = blow_up(r_nil, 0, 1).upper
-    with pytest.raises(EmptyCenterError, match=r"center \(~a, ~b\)"):
+    with pytest.raises(EmptyCenterError, match=r"center \(0, 1\)"):
         blow_up(up, 0, 1)
 
 
@@ -105,47 +114,58 @@ def test_exceptional_pair_tracking_uses_lower_triples():
     # in a threefold, E over X1 cap X2 meets the transform of X3 exactly
     # when X1 cap X2 cap X3 is nonempty
     r = base_ring(3)
-    up = blow(r, "X1", "X2").upper
-    assert not up.stratum_is_empty(at(up, {"E1", "X3"}))
+    step, names = blow(r, LABELS3, "X1", "X2")
+    assert not step.upper.stratum_is_empty(at(names, {"E1", "X3"}))
     r_nil = base_ring(3, nil_pairs=[("X1", "X3")])
-    up_nil = blow(r_nil, "X1", "X2").upper
-    assert up_nil.stratum_is_empty(at(up_nil, {"E1", "X3"}))
+    step_nil, names = blow(r_nil, LABELS3, "X1", "X2")
+    assert step_nil.upper.stratum_is_empty(at(names, {"E1", "X3"}))
 
 
 def test_second_level_triple_emptiness():
     # after two blow-ups sharing divisor X1, three divisors can meet
     # pairwise with no common point; pairwise bookkeeping alone misses this
     r = base_ring(3)
-    s1 = blow(r, "X1", "X2")
-    s2 = blow(s1.upper, "E1", "~X1")
+    s1, names1 = blow(r, LABELS3, "X1", "X2")
+    s2, names = blow(s1.upper, names1, "E1", "~X1")
     up = s2.upper
-    assert not up.stratum_is_empty(at(up, {"E2", "~E1"}))
-    assert not up.stratum_is_empty(at(up, {"E2", "~~X1"}))
-    assert not up.stratum_is_empty(at(up, {"~E1", "X3"}))
+    assert not up.stratum_is_empty(at(names, {"E2", "~E1"}))
+    assert not up.stratum_is_empty(at(names, {"E2", "~~X1"}))
+    assert not up.stratum_is_empty(at(names, {"~E1", "X3"}))
     # E2 meets ~E1 and ~~X1 separately, but the second center was
     # exactly E1 cap ~X1, so the triple is empty upstairs
-    assert up.stratum_is_empty(at(up, {"E2", "~E1", "~~X1"}))
+    assert up.stratum_is_empty(at(names, {"E2", "~E1", "~~X1"}))
 
 
-def test_a_base_label_may_not_take_a_generated_shape():
-    # E<k> and ~-prefixed labels are the ones blow-ups generate: a base E1
-    # would share its label with the first exceptional divisor.  base_ring
-    # refuses them and checks uniqueness, once for the whole tower, and a
-    # label near the shape but not of it climbs as any other
-    for labels, bad in ((("E1", "X2"), "E1"), (("X1", "~X2"), "~X2")):
-        with pytest.raises(MonomialSegreError,
-                           match=f"label '{bad}' is reserved for blow-up"):
-            base_ring(2, labels=labels)
+def test_a_base_ring_takes_any_unique_labels():
+    # a ring stores no names, so labels of the shape the CLI gives blow-up
+    # divisors (E<k>, a ~ prefix), or labels that are not strings, build the
+    # ring the default labels build; they are read only to find the nil
+    # pairs, and must be unique
+    for labels in (("E1", "X2"), ("X1", "~X2"), (1, 2)):
+        assert base_ring(2, labels) == base_ring(2)
+        assert base_ring(2, labels, [labels]) == \
+            base_ring(2, nil_pairs=[LABELS2])
     with pytest.raises(MonomialSegreError, match="labels must be unique"):
         base_ring(2, labels=("a", "a"))
-    up = blow(base_ring(2, labels=("E", "X2~")), "E", "X2~").upper
-    assert up.variables == ("~E", "~X2~", "E1")
-    assert sorted(sorted(up.variables[k] for k in f) for f in up.facets) == \
-        [["E1", "~E"], ["E1", "~X2~"]]
+
+
+def test_base_ring_refuses_a_split_past_its_facet_budget():
+    # k disjoint nil pairs split the one largest stratum into 2^k facets,
+    # and the maximality filter compares every pair of them: 16 pairs are
+    # refused as the split passes the budget, before any such comparison
+    labels = default_labels(32)
+    pairs = list(zip(labels[::2], labels[1::2]))
+    start = time.perf_counter()
+    with pytest.raises(MonomialSegreError,
+                       match=f"into more than {FACET_BUDGET} facets"):
+        base_ring(32, labels, pairs)
+    assert time.perf_counter() - start < 1
+    # ten pairs make 1,024 facets, at the budget
+    assert len(base_ring(20, nil_pairs=pairs[:10]).facets) == FACET_BUDGET
 
 
 def test_exponents_are_read_off_the_rays():
-    step = blow(base_ring(2), "X1", "X2")
+    step, _ = blow(base_ring(2), LABELS2, "X1", "X2")
     assert step.upper.rays == ((1, 0), (0, 1), (1, 1))
     assert [step.upper.exponents(g) for g in ((3, 0), (1, 1), (0, 3))] == \
         [(3, 0, 3), (1, 1, 2), (0, 3, 3)]
@@ -156,7 +176,7 @@ def test_exponents_are_read_off_the_rays():
 
 
 def test_pullback_then_pushforward_is_identity():
-    step = blow(base_ring(2), "X1", "X2")
+    step, _ = blow(base_ring(2), LABELS2, "X1", "X2")
     s = TruncatedSeries(2, BOUND, {(1, 0): 2, (1, 1): -3, (0, 2): 1})
     assert pushforward(step, pulled_back(step, s)).series == s
 
@@ -166,7 +186,7 @@ def test_pullback_then_pushforward_is_identity():
     st.integers(-4, 4), max_size=5))
 @settings(max_examples=40, deadline=None)
 def test_pullback_pushforward_identity_randomized(terms):
-    step = blow(base_ring(3), "X2", "X3")
+    step, _ = blow(base_ring(3), LABELS3, "X2", "X3")
     s = TruncatedSeries(3, BOUND, terms)
     assert pushforward(step, pulled_back(step, s)).series == s
 
@@ -178,7 +198,7 @@ def test_pullback_pushforward_identity_randomized(terms):
                        st.integers(-3, 3), max_size=4))
 @settings(max_examples=40, deadline=None)
 def test_projection_formula(base_terms, upper_terms):
-    step = blow(base_ring(2), "X1", "X2")
+    step, _ = blow(base_ring(2), LABELS2, "X1", "X2")
     beta = TruncatedSeries(2, BOUND, base_terms)
     c = ChowClass(step.upper, TruncatedSeries(3, BOUND, upper_terms))
     lhs = pushforward(
@@ -192,40 +212,38 @@ def test_projection_formula(base_terms, upper_terms):
 
 
 def test_pushforward_E_times_X2():
-    step = blow(base_ring(3), "X1", "X2")
+    step, names = blow(base_ring(3), LABELS3, "X1", "X2")
     up = step.upper
-    cls = ChowClass(up, var(up, "E1") * var(up, "~X2"))
-    r = step.lower
+    cls = ChowClass(up, var(names, "E1") * var(names, "~X2"))
     assert pushforward(step, cls).series == \
-        (var(r, "X1") * var(r, "X2"))
+        (var(LABELS3, "X1") * var(LABELS3, "X2"))
 
 
 def test_pushforward_X1_times_X2():
-    step = blow(base_ring(3), "X1", "X2")
+    step, names = blow(base_ring(3), LABELS3, "X1", "X2")
     up = step.upper
-    cls = ChowClass(up, var(up, "~X1") * var(up, "~X2"))
+    cls = ChowClass(up, var(names, "~X1") * var(names, "~X2"))
     assert pushforward(step, cls).series.is_zero()
 
 
 def test_pushforward_E_times_X3():
-    step = blow(base_ring(3), "X1", "X2")
+    step, names = blow(base_ring(3), LABELS3, "X1", "X2")
     up = step.upper
-    cls = ChowClass(up, var(up, "E1") * var(up, "X3"))
+    cls = ChowClass(up, var(names, "E1") * var(names, "X3"))
     assert pushforward(step, cls).series.is_zero()
 
 
 def test_pushforward_X1_times_X3():
-    step = blow(base_ring(3), "X1", "X2")
+    step, names = blow(base_ring(3), LABELS3, "X1", "X2")
     up = step.upper
-    r = step.lower
-    cls = ChowClass(up, var(up, "~X1") * var(up, "X3"))
+    cls = ChowClass(up, var(names, "~X1") * var(names, "X3"))
     assert pushforward(step, cls).series == \
-        (var(r, "X1") * var(r, "X3"))
+        (var(LABELS3, "X1") * var(LABELS3, "X3"))
 
 
 def test_pushforward_exceptional_segre():
     # E/(1+E) downstairs is X1 X2 / ((1+X1)(1+X2))
-    step = blow(base_ring(2), "X1", "X2")
+    step, _ = blow(base_ring(2), LABELS2, "X1", "X2")
     up = step.upper
     ecls = TruncatedSeries.one(3, BOUND) - reciprocal_one_plus((0, 0, 1), BOUND)
     got = pushforward(step, ChowClass(up, ecls)).series
@@ -235,7 +253,7 @@ def test_pushforward_exceptional_segre():
 
 
 def test_pushforward_rejects_wrong_level():
-    step = blow(base_ring(2), "X1", "X2")
+    step, _ = blow(base_ring(2), LABELS2, "X1", "X2")
     with pytest.raises(LevelMismatchError):
         pushforward(step, ChowClass(step.lower, TruncatedSeries.one(2, BOUND)))
 
@@ -277,7 +295,7 @@ def test_reduce_nils_drops_empty_supports():
 
 def test_reduce_nils_drops_deep_supports():
     # support wider than the ambient dimension is an empty stratum
-    step = blow(base_ring(2), "X1", "X2")
+    step, _ = blow(base_ring(2), LABELS2, "X1", "X2")
     s = TruncatedSeries(3, 4, {(1, 1, 1): 1, (1, 0, 2): 3})
     out = reduce_nils(step.upper, s)
     assert out.terms == {(1, 0, 2): Fraction(3)}
@@ -296,18 +314,21 @@ def test_scheme_is_divisor():
     assert scheme_is_divisor(r, presentation(((2, 1),))) == (2, 1)
     assert scheme_is_divisor(r, presentation(((1, 0), (0, 1)))) is None
     # one blow-up up, the base presentation's total transform is E1
-    up = blow(r, "X1", "X2").upper
+    up = blow(r, LABELS2, "X1", "X2")[0].upper
     assert scheme_is_divisor(up, presentation(((1, 0), (0, 1)))) == (0, 0, 1)
     r_nil = base_ring(2, nil_pairs=[("X1", "X2")])
     assert scheme_is_divisor(
         r_nil, presentation(((2, 1), (1, 2)))) == (1, 1)
 
 
-def test_scheme_predicates_check_labels():
+def test_scheme_predicates_check_widths():
+    # a ring stores no names, so a presentation's labels do not matter, but
+    # its width must be the ring's
     r = base_ring(2)
-    p = MonomialPresentation(2, ((1, 0),), ("A", "B"))
+    assert not scheme_is_empty(r, MonomialPresentation(2, ((1, 0),),
+                                                       ("A", "B")))
     with pytest.raises(LevelMismatchError):
-        scheme_is_empty(r, p)
+        scheme_is_empty(r, presentation(((1, 0, 0),)))
 
 
 # -- the facet model against the recursive and brute-force rules ------------
@@ -319,17 +340,20 @@ def towers(draw):
     pairs nils, and up to six blow-ups above it, each at a center the
     recursive oracle calls nonempty."""
     n = draw(st.integers(2, 4))
-    pairs = list(combinations(base_ring(n).variables, 2))
-    nils = draw(st.lists(st.sampled_from(pairs), unique=True))
+    labels = default_labels(n)
+    nils = draw(st.lists(st.sampled_from(list(combinations(labels, 2))),
+                         unique=True))
     base = base_ring(n, nil_pairs=nils)
-    ring, steps = base, []
+    ring, names, steps = base, labels, []
     for _ in range(draw(st.integers(0, 6))):
-        centers = [c for c in combinations(ring.variables, 2)
-                   if not stratum_is_empty_by_recursion(n, nils, steps, c)]
+        centers = [c for c in combinations(names, 2)
+                   if not stratum_is_empty_by_recursion(n, labels, nils,
+                                                        steps, c)]
         if not centers:
             break
-        steps.append(blow(ring, *draw(st.sampled_from(centers))))
-        ring = steps[-1].upper
+        step, names = blow(ring, names, *draw(st.sampled_from(centers)))
+        steps.append(step)
+        ring = step.upper
     return base, nils, steps
 
 
@@ -347,22 +371,25 @@ def sparse_generators(draw, num_vars):
 def test_facets_match_the_recursive_and_enumeration_oracles(tower, data):
     base, nils, steps = tower
     n = base.num_vars
-    for level, r in enumerate([base] + [s.upper for s in steps]):
-        def oracle(labels, level=level):
-            return stratum_is_empty_by_recursion(n, nils, steps[:level],
-                                                 labels)
+    labels = default_labels(n)
+    rings = [base] + [s.upper for s in steps]
+    for level, (r, names) in enumerate(zip(rings,
+                                           tower_names(labels, steps))):
+        def oracle(stratum, level=level):
+            return stratum_is_empty_by_recursion(n, labels, nils,
+                                                 steps[:level], stratum)
         strata = [frozenset(c) for k in range(n + 2)
-                  for c in combinations(r.variables, k)]
+                  for c in combinations(names, k)]
         for s in strata:
-            ps = frozenset(at(r, s))
+            ps = frozenset(at(names, s))
             assert r.stratum_is_empty(ps) == oracle(s), (level, sorted(s))
             if level == 0:
                 assert r.stratum_is_empty(ps) == \
                     (not any(ps <= f for f in r.facets))
         gens = sparse_generators(data.draw, r.num_vars)
-        p = MonomialPresentation(r.num_vars, gens, r.variables)
+        p = MonomialPresentation(r.num_vars, gens, names)
         assert scheme_is_empty(r, p) == scheme_is_empty_by_enumeration(
-            r.variables, n, gens, oracle), (level, gens)
+            names, n, gens, oracle), (level, gens)
 
 
 @given(towers(), st.data())
@@ -384,12 +411,14 @@ def check_top_expansion(tower, d, bound):
     top complex on which every entry of d is positive."""
     base, nils, steps = tower
     top = steps[-1].upper if steps else base
+    labels = default_labels(base.num_vars)
+    names = tower_names(labels, steps)[-1]
     dense = TruncatedSeries.one(top.num_vars, bound) - \
         reciprocal_one_plus(tuple(d), bound)
     want = {e: c for e, c in dense.terms.items()
             if not stratum_is_empty_by_recursion(
-                base.num_vars, nils, steps,
-                {top.variables[k] for k, a in enumerate(e) if a})}
+                base.num_vars, labels, nils, steps,
+                {names[k] for k, a in enumerate(e) if a})}
     got = _divisor_segre_reduced(top, d, bound).series.terms
     assert got == want
     faces = {c for f in top.facets
@@ -427,7 +456,8 @@ def test_top_expansion_edges_match_the_filtered_dense_one(tower, data):
 def test_pushforward_leaves_out_deep_terms_off_the_star():
     # with X1 cap X3 empty, ~X2^2 X3 lies on the nonempty stratum ~X2 cap X3
     # upstairs; its E^2 part -X1 X2 X3 would lie on an empty one downstairs
-    step = blow(base_ring(3, nil_pairs=[("X1", "X3")]), "X1", "X2")
+    step, _ = blow(base_ring(3, nil_pairs=[("X1", "X3")]), LABELS3,
+                   "X1", "X2")
     c = ChowClass(step.upper, TruncatedSeries(4, BOUND, {(0, 2, 1, 0): 1}))
     assert pushforward_by_substitution(c.series.terms, 0, 1) == \
         {(0, 2, 1): 1, (1, 1, 1): -1}
@@ -498,7 +528,7 @@ def test_e2_parts_cancel_e0_terms_and_empty_a_group():
     # {X1, X2, X3} empties and is dropped.  In {X1, X2}, the E^0 part of
     # ~X1 ~X2 cancels with its own E^{>=2} part, and E^3 adds -X1 X2^2 and
     # -X1^2 X2; X3^2 passes as it is
-    step = blow(base_ring(3), "X1", "X2")
+    step, _ = blow(base_ring(3), LABELS3, "X1", "X2")
     groups = {(0, 1, 2): {(1, 1, 1): 1},
               (2, 3): {(1, 2): 1},
               (0, 2, 3): {(1, 1, 1): 1},

@@ -334,11 +334,18 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
         "[1, 2]",
         json.dumps({**good, "strategy": "zonk"}),
         json.dumps({**good, "strategy": "lex"}),
-        # labels of the shape blow-ups generate would collide up the tower
+        # labels of the shape of the names tower gives blow-up divisors
+        # would collide with them
         json.dumps({"n": 2, "generators": [[3, 0], [1, 1], [0, 3]],
                     "labels": ["E1", "X2"]}),
         json.dumps({"n": 2, "generators": [[3, 0], [1, 1], [0, 3]],
                     "labels": ["~X1", "X1"]}),
+        # too deep for the JSON parser's recursion
+        "[" * 200000 + "]" * 200000,
+        # 16 disjoint nil pairs split the strata into 65,536 facets
+        json.dumps({"n": 32, "generators": [[1] * 32],
+                    "nil_pairs": [[f"X{k}", f"X{k + 1}"]
+                                  for k in range(1, 32, 2)]}),
     ]
     for text in bad_docs:
         for command in ("compute", "tower", "verify"):
@@ -474,6 +481,21 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
                             ["--dmax", "3"])
     assert code == EXIT_FAIL
     assert doc["ok"] is False
+
+
+def test_tower_names_stay_unique_on_every_level(capsys, monkeypatch):
+    # the names are derived from the centers: the k-th exceptional divisor
+    # is E<k>, and labels near that shape, but not of it, keep every
+    # level's names unique
+    doc = {"n": 3, "generators": [[0, 2, 0], [0, 0, 2], [0, 1, 1]],
+           "labels": ["E", "E1x", "X~"], "dmax": 5}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, doc, _ = run_json(capsys, ["tower", "--input", "-"])
+    steps = doc["trace"]["steps"]
+    assert code == EXIT_OK and steps
+    for k, step in enumerate(steps, 1):
+        assert step["exceptional"] == f"E{k}"
+        assert len(set(step["variables"])) == len(step["variables"]) == 3 + k
 
 
 def test_divergence_names_the_partial_centers(capsys, monkeypatch):

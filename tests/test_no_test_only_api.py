@@ -6,8 +6,11 @@ parameter of its public functions and methods is passed by some of that code.
 A top-level name counts as read where the AST of `src/` or `bench/` code
 (outside any `tests` directory) holds it as a loaded `Name` or as an
 `Attribute`, so imports, docstrings, comments and strings do not count.  A
-method counts as read only as an `Attribute` (`x.name`), so a local variable
-of the same name does not hide it.  A parameter counts as passed where a
+loaded `Name` does not count in a file that binds the same spelling to
+something else: one that defines it at top level (unless the file is the
+defining module), or imports it from another module.  A method counts as
+read only as an `Attribute` (`x.name`), so a local variable of the same
+name does not hide it.  A parameter counts as passed where a
 call in that code, to any function of the same name, passes it by position
 or by keyword; a call with `*args` or `**kwargs` passes every parameter."""
 
@@ -45,9 +48,21 @@ def _read(tree):
     return names, attributes
 
 
+def _bindings(tree):
+    """{name: None} for each name the file defines at top level, and {name:
+    module} for each name it imports from a module by name."""
+    bound = dict.fromkeys(_defined(tree))
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            bound.update((a.asname or a.name, node.module or "")
+                         for a in node.names)
+    return bound
+
+
 def _code(root):
-    """The ASTs of the src/ and bench/ files outside any tests directory."""
-    return [ast.parse(path.read_text())
+    """(path, AST) for each src/ and bench/ file outside any tests
+    directory."""
+    return [(path, ast.parse(path.read_text()))
             for top in ("src", "bench") for path in (root / top).rglob("*.py")
             if "tests" not in path.relative_to(root).parts]
 
@@ -63,17 +78,30 @@ def unread_public_names(root: Path, package: str) -> list[str]:
     """`module.name` for each public top-level name of src/<package>/*.py,
     but __init__, that no src/ or bench/ code outside tests reads, and
     `module.Class.name` for each public method that none reads as an
-    attribute."""
-    names, attributes = set(), set()
-    for tree in _code(root):
-        n, a = _read(tree)
-        names |= n
-        attributes |= a
+    attribute.  A file's loaded `Name`s count only where the file does not
+    bind the spelling to another definition (module docstring)."""
+    files = [(path, *_read(tree), _bindings(tree)) for path, tree in
+             _code(root)]
+    attributes = set().union(*(a for _, _, a, _ in files))
+
+    def binds_elsewhere(path, bound, module, name):
+        """True when the file binds name to something other than module's
+        definition of it."""
+        if name not in bound:
+            return False
+        if bound[name] is None:  # defined in the file at top level
+            return path != root / "src" / package / f"{module}.py"
+        return bound[name].rpartition(".")[2] not in (module, package)
+
+    def read(module, name):
+        return name in attributes or any(
+            name in names and not binds_elsewhere(path, bound, module, name)
+            for path, names, _, bound in files)
+
     unread = []
     for module, tree in _modules(root, package):
         unread += [f"{module}.{name}" for name in _defined(tree)
-                   if not name.startswith("_")
-                   and name not in names | attributes]
+                   if not name.startswith("_") and not read(module, name)]
         unread += [f"{module}.{cls}.{name}" for cls, name in _methods(tree)
                    if not name.startswith("_") and name not in attributes]
     return sorted(unread)
@@ -129,7 +157,7 @@ def unpassed_parameters(root: Path, package: str) -> set[str]:
     call in src/ or bench/ code outside tests passes, by position or by
     keyword.  Calls are matched by the called name alone, and a call with
     *args or **kwargs passes every parameter."""
-    calls = _passed(_code(root))
+    calls = _passed(tree for _, tree in _code(root))
     unpassed = set()
     for module, tree in _modules(root, package):
         for name, params in _defaulted(tree):
@@ -167,6 +195,9 @@ def test_the_guard_finds_a_name_only_tests_read(tmp_path):
                            "def used(): return LIMIT\n"
                            "def unused(): pass\n"
                            "def _private(): pass\n"
+                           "def shadowed(): pass\n"
+                           "def imported(): pass\n"
+                           "def shared(): pass\n"
                            "class Shape:\n"
                            "    def area(self): pass\n"
                            "    @property\n"
@@ -176,6 +207,10 @@ def test_the_guard_finds_a_name_only_tests_read(tmp_path):
                            "    def _hidden(self): pass\n",
         "bench/run.py": "import pkg\npkg.used()\nx: pkg.Shape\n"
                         "local = 1\nprint(local, x.area())\n",
+        # a file that binds a spelling to another definition reads that one
+        "bench/own.py": "def shadowed(): pass\nshadowed()\n",
+        "bench/other.py": "from helpers import imported\nimported()\n",
+        "bench/same.py": "from pkg.core import shared\nshared()\n",
         "bench/tests/test_b.py": "import pkg\npkg.unused()\n",
         "tests/test_a.py": "from pkg.core import OTHER, unused\nunused()\n"
                            "pkg.core.Shape().tested\n",
@@ -185,7 +220,8 @@ def test_the_guard_finds_a_name_only_tests_read(tmp_path):
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
     assert unread_public_names(tmp_path, "pkg") == [
-        "core.OTHER", "core.Shape.local", "core.Shape.tested", "core.unused"]
+        "core.OTHER", "core.Shape.local", "core.Shape.tested",
+        "core.imported", "core.shadowed", "core.unused"]
 
 
 def test_the_guard_finds_a_parameter_only_tests_pass(tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from monomial_segre.chow import (LevelRing, base_ring, blow_up, pushforward,
                                  scheme_is_divisor)
 from monomial_segre.errors import TowerDivergenceError
-from monomial_segre.lattice import presentation, support
+from monomial_segre.lattice import default_labels, presentation, support
 from monomial_segre.principalize import (Climb, co_minimal, principalize,
                                          select_center)
 from monomial_segre.segre import (_divisor_segre_reduced, admissible_pairs,
@@ -18,7 +18,7 @@ from monomial_segre.segre import (_divisor_segre_reduced, admissible_pairs,
 
 from oracles import (check_sparse_groups, flat_terms,
                      pushforward_by_normal_form, random_presentation,
-                     slot_scores)
+                     slot_scores, tower_names)
 
 # the package re-exports the function `principalize` under its module's name
 principalize_module = import_module("monomial_segre.principalize")
@@ -53,7 +53,8 @@ def center_queries(draw):
     """(ring, presentation): random generators in n = 2..4 variables over a
     base ring with random nil pairs, or over the ring one blow-up up."""
     n = draw(st.integers(2, 4))
-    pairs = list(combinations([f"X{k + 1}" for k in range(n)], 2))
+    labels = default_labels(n)
+    pairs = list(combinations(labels, 2))
     nils = draw(st.lists(st.sampled_from(pairs), unique=True))
     ring = base_ring(n, nil_pairs=nils)
     gens = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n),
@@ -61,7 +62,7 @@ def center_queries(draw):
     p = presentation(gens, num_vars=n)
     centers = [pair for pair in pairs if pair not in nils]
     if centers and draw(st.booleans()):
-        step = blow_up(ring, *(ring.variables.index(lab) for lab in
+        step = blow_up(ring, *(labels.index(lab) for lab in
                                draw(st.sampled_from(centers))))
         ring = step.upper
     return ring, p
@@ -378,12 +379,12 @@ def test_a_tie_goes_to_the_slot_first_in_listing_order():
     p = presentation(((3, 1, 3), (4, 0, 1)))
     trace = principalize(base_ring(3), p)
     r = trace.steps[1].lower
-    assert r.variables == ("~X1", "X2", "~X3", "E1")
-    assert [r.variables[k] for k in r.listing] == ["E1", "~X1", "X2", "~X3"]
+    names = tower_names(p.variable_labels, trace.steps[:1])[-1]
+    assert names == ("~X1", "X2", "~X3", "E1")
+    assert [names[k] for k in r.listing] == ["E1", "~X1", "X2", "~X3"]
     (scores,) = slot_scores(p.generators, trace.steps[:1], r.facets)
     top = max(scores.values())
-    assert sorted(sorted(r.variables[k] for k in edge)
+    assert sorted(sorted(names[k] for k in edge)
                   for edge, s in scores.items() if s == top) == \
         [["E1", "~X1"], ["X2", "~X1"]]
-    assert [r.variables[k] for k in select_center(Climb(r, p))] == \
-        ["E1", "~X1"]
+    assert [names[k] for k in select_center(Climb(r, p))] == ["E1", "~X1"]

@@ -225,7 +225,7 @@ def test_the_lift_and_the_blown_up_ring_share_one_layout(p):
         points = lift_to_H(complement_configuration(p), i, j).homogeneous
         for k, g in enumerate(p.generators):
             assert points[f"v{k}"] == up.exponents(g) + (1,), (i, j, g)
-        e = up.variables.index(f"E{up.depth}")
+        e = up.num_vars - 1  # the exceptional divisor goes last
         assert points["a0"] == tuple(int(m == e) for m in range(n + 1)) + (0,)
 
 
@@ -522,49 +522,44 @@ def test_pipelines_agree_randomized(seed):
     assert a == b, p.generators
 
 
-# the ideal (X2, X3)^2 over a base label of the shape blow-ups generate
+# the ideal (X2, X3)^2 over a base label of the shape the CLI gives
+# blow-up divisors
 GENERATED_BASE_LABEL = presentation(((0, 2, 0), (0, 0, 2), (0, 1, 1)),
                                     labels=("E1", "X2", "X3"))
 
 
-def test_a_tower_refuses_a_generated_base_label_before_any_blow_up(
-        monkeypatch):
-    # the label is refused where it enters a tower, with the CLI's message,
-    # and not as a repeated label partway up; segre_integral builds no ring,
-    # so it still answers
-    def no_work(*args):
-        raise AssertionError("the refusal comes before any blow-up")
-    monkeypatch.setattr(segre, "run_principalize", no_work)
-    monkeypatch.setattr(chow, "blow_up", no_work)
-    for run in (segre_tower, verify):
-        with pytest.raises(MonomialSegreError,
-                           match="label 'E1' is reserved for blow-up "
-                                 r"divisors \(E<k>, or a ~ prefix\)"):
-            run(GENERATED_BASE_LABEL, 5)
-    assert not segre_integral(GENERATED_BASE_LABEL, 5).series.is_zero()
+def check_both_pipelines_take(p):
+    """segre_tower and verify take p's labels as segre_integral does."""
+    tower = segre_tower(p, 5)
+    assert tower.trace.steps
+    assert tower.series == segre_integral(p, 5).series
+    assert verify(p, 5).ok
 
 
-def test_a_tower_refuses_a_label_that_is_not_a_string():
-    # a ring's labels are strings; segre_integral builds no ring, so it
-    # still answers
-    p = presentation(GENERATED_BASE_LABEL.generators, labels=(1, 2, 3))
-    for run in (lambda: base_ring(3, (1, 2, 3)), lambda: segre_tower(p, 5),
-                lambda: verify(p, 5)):
-        with pytest.raises(MonomialSegreError,
-                           match="label 1 is not a string"):
-            run()
-    assert not segre_integral(p, 5).series.is_zero()
+def test_a_tower_over_a_generated_base_label_equals_the_integral():
+    # a ring stores no names, so E1 is a label as any other: the tower
+    # climbs over it and agrees with the integral, and so does verify
+    check_both_pipelines_take(GENERATED_BASE_LABEL)
+    check_both_pipelines_take(presentation(GENERATED_BASE_LABEL.generators,
+                                           labels=("X1", "~X2", "X3")))
+
+
+def test_a_tower_over_labels_that_are_not_strings_equals_the_integral():
+    # labels are read only to find the nil pairs, so they need not be
+    # strings, for the tower as for the integral
+    check_both_pipelines_take(presentation(GENERATED_BASE_LABEL.generators,
+                                           labels=(1, 2, 3)))
+    assert base_ring(3, (1, 2, 3), [(1, 3)]) == \
+        base_ring(3, nil_pairs=[("X1", "X3")])
 
 
 @pytest.mark.parametrize("labels", [("a", "b", "c"), ("E", "E1x", "X~")])
 def test_a_tower_over_ordinary_labels_equals_the_integral(labels):
-    # labels near the generated shape, but not of it, climb as any others,
-    # and every level's labels stay unique with no check above the base
+    # labels near the CLI's generated shape, but not of it, climb as any
+    # others
     p = presentation(GENERATED_BASE_LABEL.generators, labels=labels)
     tower = segre_tower(p, 5)
-    rings = [s.upper for s in tower.trace.steps]
-    assert rings and tower.series == segre_integral(p, 5).series
-    assert all(len(set(r.variables)) == r.num_vars for r in rings)
+    assert tower.trace.steps and tower.series == segre_integral(p, 5).series
 
 
 def test_tower_result_carries_trace():
